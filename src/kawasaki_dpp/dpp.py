@@ -52,8 +52,6 @@ _CLAMP_FLOOR = -1e-12
 
 _ENUMERATION_BATCH = 1 << 14
 
-_EIGH_RESIDUAL_TOL = 1e-8
-
 
 class _ClampCounter:
     """Counts tiny negative determinants clamped to zero (reported by verify)."""
@@ -250,14 +248,6 @@ def enumerate_distribution(k: KernelMatrix) -> Pmf:
     return Pmf(k.window, probs)
 
 
-def _checked_eigh(k: KernelMatrix) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = k.eigh
-    residual = float(np.abs(k.entries @ evecs - evecs * evals).max())
-    if residual > _EIGH_RESIDUAL_TOL:
-        raise NumericalError(f"eigendecomposition residual {residual:g} exceeds {_EIGH_RESIDUAL_TOL:g}")
-    return evals, evecs
-
-
 def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
     """One exact draw from the window process.
 
@@ -268,7 +258,7 @@ def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
     remainder is re-orthonormalized by QR.  Deterministic given the rng state.
     """
     n = k.size
-    evals, evecs = _checked_eigh(k)
+    evals, evecs = k.checked_eigh
     keep = rng.random(n) < np.clip(evals, 0.0, 1.0)
     vectors = evecs[:, keep].copy()
     occupancy = [0] * n

@@ -22,6 +22,11 @@ unit-modulus complex number with B(x) = conj(A(x)); every downstream
 combination is mathematically real and the residual imaginary part is
 checked against 1e-10.
 
+Every value comes from one vectorized pass, with no cache between calls:
+over a whole window, or one or two sites for single entries and A/B.  A
+4096-site window (the cap) builds in about 1 s at a peak RSS of about
+320 MiB (2-vCPU Xeon at 2.0 GHz, numpy 2.4).
+
 The same kernel is, equivalently, the spectral projection onto the positive
 part of the spectrum of a second-order symmetric difference operator;
 :func:`spectral_projection_check` probes that characterization numerically
@@ -33,19 +38,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
-from .specfun import (
-    digamma,
-    log_gamma_complex,
-    log_gamma_signed,
-    sinpi,
-    sinpi_complex,
-)
+from .specfun import digamma, log_gamma_complex, log_gamma_parts, sinpi, sinpi_complex
 
 __all__ = [
     "Site",
@@ -191,71 +190,72 @@ class AdmissiblePair:
         object.__setattr__(self, "branch", branch)
 
 
-class _KernelEvaluator:
-    """Per-pair cache of the prefactor and per-site A/B values."""
+def _site_values(window: Window) -> np.ndarray:
+    return np.arange(window.lo.index, window.hi.index + 1) + 0.5
 
-    def __init__(self, pair: AdmissiblePair):
-        self.pair = pair
-        z, zp = pair.z, pair.z_prime
-        if pair.branch is Branch.REAL_INTERVAL:
-            self.prefactor = sinpi(z.real) * sinpi(zp.real) / (math.pi * sinpi(z.real - zp.real))
-        else:
-            self.prefactor = sinpi_complex(z) * sinpi_complex(zp) / (math.pi * sinpi_complex(z - zp))
-        self._ab: dict[int, tuple] = {}
 
-    def ab(self, x: Site) -> tuple:
-        cached = self._ab.get(x.index)
-        if cached is None:
-            cached = self._compute_ab(x)
-            self._ab[x.index] = cached
-        return cached
+def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and B at the site values; on the conjugate branch cos and sin of arg A."""
+    z, zp = pair.z, pair.z_prime
+    arg = values + 0.5  # gamma arguments are z + x + 1/2
+    if pair.branch is Branch.REAL_INTERVAL:
+        log_p, sign_p = log_gamma_parts(z.real + arg)
+        log_q, sign_q = log_gamma_parts(zp.real + arg)
+        mismatch = sign_p != sign_q
+        if mismatch.any():
+            raise DomainError(
+                f"Gamma(z + x + 1/2) and Gamma(z' + x + 1/2) differ in sign at "
+                f"x = {values[mismatch][0]:g}; the product under the square root is not positive"
+            )
+        half = 0.5 * (log_p - log_q)
+        return sign_p * np.exp(half), sign_q * np.exp(-half)
+    # Conjugate branch: Gamma(z' + x + 1/2) = conj(Gamma(z + x + 1/2)), so
+    # A(x) = Gamma/|Gamma| = cos(theta) + i sin(theta) and B = conj(A).
+    theta = log_gamma_complex(z + arg).imag
+    return np.cos(theta), np.sin(theta)
 
-    def _compute_ab(self, x: Site) -> tuple:
-        z, zp = self.pair.z, self.pair.z_prime
-        arg = x.value + 0.5  # gamma arguments are z + x + 1/2
-        if self.pair.branch is Branch.REAL_INTERVAL:
-            p = log_gamma_signed(z.real + arg)
-            q = log_gamma_signed(zp.real + arg)
-            if p.sign != q.sign:
-                raise DomainError(
-                    f"Gamma(z + x + 1/2) and Gamma(z' + x + 1/2) differ in sign at x = {x}; "
-                    "the product under the square root is not positive"
-                )
-            half = 0.5 * (p.log_abs - q.log_abs)
-            return p.sign * math.exp(half), q.sign * math.exp(-half)
-        # Conjugate branch: Gamma(z' + x + 1/2) = conj(Gamma(z + x + 1/2)), so
-        # A(x) = Gamma/|Gamma| lies on the unit circle and B = conj(A).
-        theta = log_gamma_complex(z + arg).imag
-        a = complex(math.cos(theta), math.sin(theta))
-        return a, a.conjugate()
 
-    def diagonal(self, x: Site) -> float:
-        z, zp = self.pair.z, self.pair.z_prime
-        arg = x.value + 0.5
-        if self.pair.branch is Branch.REAL_INTERVAL:
-            d = digamma(z.real + arg) - digamma(zp.real + arg)
-            return self.prefactor * d
+def _kernel_block(pair: AdmissiblePair, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """K(x, y) for site values x in ``xs`` (rows) and y in ``ys`` (columns).
+
+    The only path that evaluates K.  Besides the result it allocates one
+    array of the block's size.  On the conjugate branch A = c + i s and
+    B = conj(A) give A_x B_y - B_x A_y = 2i (s_x c_y - c_x s_y), so the block
+    is real arithmetic scaled by Re(2i prefactor): complex array products may
+    fuse multiply-adds and break the bitwise symmetry K(x, y) = K(y, x).  As
+    |s_x c_y - c_x s_y| <= 1 <= |x - y|, Im(2i prefactor) bounds the residual
+    imaginary part of every off-diagonal entry.
+    """
+    z, zp = pair.z, pair.z_prime
+    p_x, q_x = _ab_arrays(pair, xs)
+    p_y, q_y = _ab_arrays(pair, ys)
+    common, rows, cols = np.intersect1d(xs, ys, assume_unique=True, return_indices=True)
+    arg = common + 0.5
+    if pair.branch is Branch.REAL_INTERVAL:
+        prefactor = sinpi(z.real) * sinpi(zp.real) / (math.pi * sinpi(z.real - zp.real))
+        diagonal = prefactor * (digamma(z.real + arg) - digamma(zp.real + arg))
+        scale = prefactor
+        out = np.multiply.outer(p_x, q_y)
+        scratch = np.multiply.outer(q_x, p_y)
+    else:
+        prefactor = sinpi_complex(z) * sinpi_complex(zp) / (math.pi * sinpi_complex(z - zp))
         d = digamma(z + arg) - digamma(zp + arg)
-        return _collapse_real(self.prefactor * d)
-
-    def off_diagonal(self, x: Site, y: Site) -> float:
-        ax, bx = self.ab(x)
-        ay, by = self.ab(y)
-        value = self.prefactor * (ax * by - bx * ay) / (x.value - y.value)
-        if self.pair.branch is Branch.REAL_INTERVAL:
-            return float(value)
-        return _collapse_real(value)
-
-
-def _collapse_real(value: complex) -> float:
-    if abs(value.imag) > _IMAG_TOL:
-        raise NumericalError(f"residual imaginary part {value.imag:g} exceeds {_IMAG_TOL:g}")
-    return value.real
-
-
-@lru_cache(maxsize=128)
-def _evaluator(pair: AdmissiblePair) -> _KernelEvaluator:
-    return _KernelEvaluator(pair)
+        # prefactor * d, written out in real arithmetic as well
+        imag = np.abs(prefactor.real * d.imag + prefactor.imag * d.real)
+        worst = float(imag.max(initial=abs(2.0 * prefactor.real)))
+        if worst > _IMAG_TOL:
+            raise NumericalError(f"residual imaginary part {worst:g} exceeds {_IMAG_TOL:g}")
+        diagonal = prefactor.real * d.real - prefactor.imag * d.imag
+        scale = -2.0 * prefactor.imag
+        out = np.multiply.outer(q_x, p_y)
+        scratch = np.multiply.outer(p_x, q_y)
+    out -= scratch
+    out *= scale
+    denominator = np.subtract.outer(xs, ys, out=scratch)
+    denominator[rows, cols] = 1.0
+    out /= denominator
+    out[rows, cols] = diagonal
+    return out
 
 
 def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
@@ -265,15 +265,16 @@ def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
     unit-modulus complex pair with B = conj(A).  A(x) * B(x) = 1 in both
     cases.
     """
-    return _evaluator(pair).ab(x)
+    p, q = _ab_arrays(pair, np.array([x.value]))
+    if pair.branch is Branch.REAL_INTERVAL:
+        return float(p[0]), float(q[0])
+    a = complex(p[0], q[0])
+    return a, a.conjugate()
 
 
 def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
     """K(x, y); the digamma diagonal formula is used when x = y."""
-    ev = _evaluator(pair)
-    if x.index == y.index:
-        return ev.diagonal(x)
-    return ev.off_diagonal(x, y)
+    return float(_kernel_block(pair, np.array([x.value]), np.array([y.value]))[0, 0])
 
 
 class KernelMatrix:
@@ -285,16 +286,18 @@ class KernelMatrix:
     """
 
     def __init__(self, window: Window, entries: np.ndarray):
-        entries = np.array(entries, dtype=float)
+        given = np.asarray(entries, dtype=float)
         n = window.size
-        if entries.shape != (n, n):
-            raise ValueError(f"entries shape {entries.shape} != window size {n}")
-        asym = float(np.abs(entries - entries.T).max()) if n else 0.0
+        if given.shape != (n, n):
+            raise ValueError(f"entries shape {given.shape} != window size {n}")
+        asym = given - given.T  # checked before the private copy is made
+        asym = float(np.abs(asym, out=asym).max())
         if asym > 1e-12:
             raise NumericalError(f"kernel matrix asymmetry {asym:g} exceeds 1e-12")
-        diag = np.diagonal(entries)
+        diag = np.diagonal(given)
         if diag.min() < -1e-12 or diag.max() > 1.0 + 1e-12:
             raise NumericalError("kernel diagonal outside [0, 1]")
+        entries = given.copy()
         entries.setflags(write=False)
         self.window = window
         self.entries = entries
@@ -322,6 +325,15 @@ class KernelMatrix:
         evecs.setflags(write=False)
         return evals, evecs
 
+    @cached_property
+    def checked_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`eigh`, checked once: NumericalError if max |K V - V diag(w)| exceeds 1e-8."""
+        evals, evecs = self.eigh
+        residual = float(np.abs(self.entries @ evecs - evecs * evals).max())
+        if residual > 1e-8:
+            raise NumericalError(f"eigendecomposition residual {residual:g} exceeds 1e-8")
+        return evals, evecs
+
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigh[0]
@@ -341,20 +353,13 @@ class KernelMatrix:
 def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
     """The window restriction K_W, entry-identical to kernel_entry calls.
 
-    Only the upper triangle is evaluated; the mirrored entry is bit-identical
-    because swapping x and y negates both the A/B combination and (x - y).
+    The whole window is one array pass.  It is exactly symmetric because
+    swapping x and y negates both the A/B combination and (x - y).
     """
     if window.size > MAX_WINDOW_SITES:
         raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
-    sites = window.sites
-    n = window.size
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = kernel_entry(pair, sites[i], sites[j])
-            out[i, j] = v
-            out[j, i] = v
-    return KernelMatrix(window, out)
+    values = _site_values(window)
+    return KernelMatrix(window, _kernel_block(pair, values, values))
 
 
 def difference_operator_matrix(pair: AdmissiblePair, window: Window) -> np.ndarray:
@@ -365,24 +370,19 @@ def difference_operator_matrix(pair: AdmissiblePair, window: Window) -> np.ndarr
     window are dropped (zero Dirichlet boundary).
     """
     z, zp = pair.z, pair.z_prime
-    zsum = (z + zp).real
-    sites = window.sites
-    n = window.size
-    out = np.zeros((n, n))
-    for i, s in enumerate(sites):
-        out[i, i] = -(2.0 * s.value + zsum)
-        if i + 1 < n:
-            t = s.value + 0.5
-            if pair.branch is Branch.REAL_INTERVAL:
-                prod = (z.real + t) * (zp.real + t)
-                if prod <= 0.0:
-                    raise DomainError(f"non-positive coupling product at site {s}")
-                c = math.sqrt(prod)
-            else:
-                c = abs(z + t)
-            out[i, i + 1] = c
-            out[i + 1, i] = c
-    return out
+    values = _site_values(window)
+    t = values[:-1] + 0.5
+    if pair.branch is Branch.REAL_INTERVAL:
+        prod = (z.real + t) * (zp.real + t)
+        if (prod <= 0.0).any():
+            bad = window.sites[int(np.argmax(prod <= 0.0))]
+            raise DomainError(f"non-positive coupling product at site {bad}")
+        coupling = np.sqrt(prod)
+    else:
+        # hypot, as in abs() of a Python complex; numpy's complex abs can
+        # differ from it in the last bit
+        coupling = np.hypot((z + t).real, (z + t).imag)
+    return np.diag(-(2.0 * values + (z + zp).real)) + np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import pytest
 
 from kawasaki_dpp.errors import DomainError, SizeError
 from kawasaki_dpp.kernel import (
+    MAX_WINDOW_SITES,
     AdmissiblePair,
     Branch,
     KernelMatrix,
@@ -284,6 +285,36 @@ class TestKernelMatrix:
     def test_size_cap(self, real_pair):
         with pytest.raises(SizeError):
             kernel_matrix(real_pair, Window.from_indices(0, 4096))
+
+    @pytest.mark.parametrize("z,zp,center", [
+        (1.5, 1.7, -60),  # gamma arguments negative, their signs alternating
+        (1.5, 1.7, 40),
+        (1.5, 1.7, 300),
+        (0.3 + 0.4j, 0.3 - 0.4j, -60),
+        (0.3 + 0.4j, 0.3 - 0.4j, 300),
+    ])
+    def test_far_windows_vs_live_oracle(self, z, zp, center):
+        k = kernel_matrix(AdmissiblePair(z, zp), Window.centered(12, center))
+        for x in k.window.sites:
+            for y in k.window.sites:
+                want = _mp_kernel(mp.mpmathify(z), mp.mpmathify(zp), x, y)
+                assert k.entry(x, y) == pytest.approx(want, abs=1e-12, rel=1e-10)
+
+    @pytest.mark.parametrize("branch", ["real", "conj"])
+    def test_large_window_bitwise_symmetric(self, real_pair, conj_pair, branch):
+        pair = real_pair if branch == "real" else conj_pair
+        k = kernel_matrix(pair, Window.centered(1000))
+        assert np.array_equal(k.entries, k.entries.T)
+        assert 0.0 <= k.diagonal.min() and k.diagonal.max() <= 1.0
+
+    @pytest.mark.parametrize("branch", ["real", "conj"])
+    def test_window_at_cap_builds(self, real_pair, conj_pair, branch):
+        pair = real_pair if branch == "real" else conj_pair
+        w = Window.from_indices(-2048, 2047)
+        k = kernel_matrix(pair, w)
+        assert k.size == MAX_WINDOW_SITES
+        for x, y in ((w.lo, w.hi), (w.hi, w.hi), (Site(0), Site(1))):
+            assert k.entry(x, y) == kernel_entry(pair, x, y)
 
     def test_entries_read_only(self, k8):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from kawasaki_dpp.specfun import (
     SignedLog,
     digamma,
     log_gamma_complex,
+    log_gamma_parts,
     log_gamma_signed,
     sinpi,
     sinpi_complex,
@@ -151,6 +152,28 @@ class TestDigamma:
                 digamma(x)
         with pytest.raises(PoleError):
             digamma(complex(-1.0, 0.0))
+
+
+class TestArrayForms:
+    def test_match_scalar_forms(self):
+        xs = np.array([-12.3, -0.5, 0.5, 3.7, 42.0])
+        log_abs, sign = log_gamma_parts(xs)
+        for x, want_log, want_sign in zip(xs, log_abs, sign):
+            assert log_gamma_signed(x) == SignedLog(want_log, int(want_sign))
+        ws = xs + 0.25j
+        assert np.array_equal(log_gamma_complex(ws), [log_gamma_complex(complex(w)) for w in ws])
+        assert np.array_equal(digamma(xs), [digamma(float(x)) for x in xs])
+        assert np.array_equal(digamma(ws), [digamma(complex(w)) for w in ws])
+
+    def test_pole_anywhere_in_array(self):
+        with pytest.raises(PoleError):
+            log_gamma_parts(np.array([1.5, -3.0]))
+        with pytest.raises(PoleError):
+            log_gamma_complex(np.array([1.0 + 1.0j, -2.0 + 0.0j]))
+        with pytest.raises(PoleError):
+            digamma(np.array([0.5, 0.0]))
+        # off the real axis a complex argument is never a pole
+        assert np.isfinite(digamma(np.array([-2.0 + 1e-9j]))).all()
 
 
 class TestSinPi:

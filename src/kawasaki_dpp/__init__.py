@@ -16,6 +16,7 @@ from .dpp import (
     empirical_correlation,
     enumerate_distribution,
     sample,
+    sample_many,
 )
 from .dynamics import (
     ProximityKind,
@@ -37,7 +38,6 @@ from .errors import (
     KawasakiDppError,
     NotReversibleError,
     NumericalError,
-    PatternTooRareError,
     PoleError,
     SamePointError,
     SizeError,
@@ -122,6 +122,7 @@ __all__ = [
     "rn_derivative",
     "rn_stabilization",
     "sample",
+    "sample_many",
     "simulate",
     "spectral_projection_check",
     "spectrum",
@@ -138,7 +139,6 @@ __all__ = [
     "SamePointError",
     "EmptyInputError",
     "ZeroProbabilityError",
-    "PatternTooRareError",
     "NumericalError",
     "DimensionMismatchError",
     "NotReversibleError",

@@ -26,7 +26,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dpp import Configuration, enumerate_distribution, sample, write_pmf_csv, write_samples_csv
+from .dpp import (Configuration, enumerate_distribution, sample, sample_many, write_pmf_csv,
+                  write_samples_csv)
 from .dynamics import (
     ProximitySpec,
     RateModel,
@@ -320,7 +321,7 @@ def _cmd_sample(options: _Options) -> int:
     pair = AdmissiblePair(config.z, config.z_prime)
     k = kernel_matrix(pair, config.window)
     rng = SeededRng(config.seed)
-    draws = [sample(k, rng) for _ in range(config.n_samples)]
+    draws = sample_many(k, rng, config.n_samples)
     path = _out_path(options, "samples.csv")
     write_samples_csv(draws, path)
     config.echo({"out": str(path)})

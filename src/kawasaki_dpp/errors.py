@@ -37,10 +37,6 @@ class ZeroProbabilityError(KawasakiDppError, ArithmeticError):
     """Ratio against a configuration of numerically zero probability."""
 
 
-class PatternTooRareError(KawasakiDppError, RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
-
-
 class NumericalError(KawasakiDppError, ArithmeticError):
     """A numerical routine failed an internal accuracy check."""
 

@@ -24,8 +24,8 @@ checked against 1e-10.
 
 Every value comes from one vectorized pass, with no cache between calls:
 over a whole window, or one or two sites for single entries and A/B.  A
-4096-site window (the cap) builds in about 1 s at a peak RSS of about
-320 MiB (2-vCPU Xeon at 2.0 GHz, numpy 2.4).
+4096-site window (the cap) builds in about 0.5 s at a peak RSS of about
+325 MiB (2-vCPU Xeon at 2.0 GHz, numpy 2.4).
 
 The same kernel is, equivalently, the spectral projection onto the positive
 part of the spectrum of a second-order symmetric difference operator;
@@ -290,8 +290,11 @@ class KernelMatrix:
         n = window.size
         if given.shape != (n, n):
             raise ValueError(f"entries shape {given.shape} != window size {n}")
-        asym = given - given.T  # checked before the private copy is made
-        asym = float(np.abs(asym, out=asym).max())
+        # Checked before the private copy is made, by blocks of 128 rows against
+        # the matching columns: a whole transpose strides a row per element.
+        b = 128
+        asym = float(max(np.abs(given[s:s + b, s:] - given[s:, s:s + b].T).max()
+                         for s in range(0, n, b)))
         if asym > 1e-12:
             raise NumericalError(f"kernel matrix asymmetry {asym:g} exceeds 1e-12")
         diag = np.diagonal(given)
@@ -323,15 +326,6 @@ class KernelMatrix:
         evals, evecs = np.linalg.eigh(self.entries)
         evals.setflags(write=False)
         evecs.setflags(write=False)
-        return evals, evecs
-
-    @cached_property
-    def checked_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`eigh`, checked once: NumericalError if max |K V - V diag(w)| exceeds 1e-8."""
-        evals, evecs = self.eigh
-        residual = float(np.abs(self.entries @ evecs - evecs * evals).max())
-        if residual > 1e-8:
-            raise NumericalError(f"eigendecomposition residual {residual:g} exceeds 1e-8")
         return evals, evecs
 
     @property

@@ -9,7 +9,8 @@ configuration probabilities:
 The ratio obeys the inversion identity phi(sigma gamma) = 1 / phi(gamma) and
 integrates to one against the window law.  The infinite-volume ratio depends
 on the entire configuration; :func:`rn_stabilization` probes how the window
-ratio drifts as the window grows around a fixed local pattern.
+ratio drifts as the window grows around a fixed local pattern, averaging it
+over draws conditioned exactly on that pattern.
 """
 
 from __future__ import annotations
@@ -18,14 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dpp import Configuration, config_probability, sample
-from .errors import (
-    PatternTooRareError,
-    SamePointError,
-    SizeError,
-    WindowMismatchError,
-    ZeroProbabilityError,
-)
+from .dpp import _PROBABILITY_FLOOR, Configuration, config_probability, sample_many
+from .errors import SamePointError, SizeError, WindowMismatchError, ZeroProbabilityError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
 
@@ -37,12 +32,7 @@ __all__ = [
     "rn_derivative",
     "rn_stabilization",
     "write_stabilization_csv",
-    "REJECTION_ATTEMPT_CAP",
 ]
-
-REJECTION_ATTEMPT_CAP = 10**6
-
-_DENOMINATOR_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ def apply_transposition(config: Configuration, swap: SwapPair) -> Configuration:
 def rn_derivative(k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
     """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the kernel's window."""
     denominator = config_probability(k, config)
-    if denominator < _DENOMINATOR_FLOOR:
+    if denominator < _PROBABILITY_FLOOR:
         raise ZeroProbabilityError(
             f"configuration {config} has probability {denominator:g}; ratio undefined"
         )
@@ -120,24 +110,6 @@ def _enclosing_window(inner: Window, size: int) -> Window:
     return Window.from_indices(lo, lo + size - 1)
 
 
-def _matches_pattern(config: Configuration, pattern: Configuration) -> bool:
-    return all(
-        config.occupancy_at(s) == pattern.occupancy_at(s) for s in pattern.window.sites
-    )
-
-
-def _conditioned_sample(
-    k: KernelMatrix, pattern: Configuration, rng: SeededRng
-) -> Configuration:
-    for _ in range(REJECTION_ATTEMPT_CAP):
-        draw = sample(k, rng)
-        if _matches_pattern(draw, pattern):
-            return draw
-    raise PatternTooRareError(
-        f"pattern {pattern} not hit in {REJECTION_ATTEMPT_CAP} draws on window {k.window}"
-    )
-
-
 def rn_stabilization(
     pair: AdmissiblePair,
     pattern: Configuration,
@@ -148,12 +120,13 @@ def rn_stabilization(
 ) -> StabilizationTable:
     """Swap-ratio drift as the window grows around a fixed local pattern.
 
-    For each size, the pattern window is symmetrically extended, conditioned
-    samples are drawn by rejection (the far occupancies follow the window
-    process given the pattern), and the mean/std of the swap ratio are
-    recorded together with the worst per-sample inversion residual
-    |phi(gamma) * phi(sigma gamma) - 1|.  Each size uses its own random
-    stream (rng.stream + 1 + position), so sizes can run concurrently.
+    For each size, the pattern window is symmetrically extended, samples
+    are drawn conditioned exactly on the pattern (the far occupancies follow
+    the window process given the pattern; ZeroProbabilityError below
+    1e-300), and the mean/std of the swap ratio are recorded together with
+    the worst per-sample inversion residual |phi(gamma) * phi(sigma gamma) - 1|.
+    Each size uses its own random stream (rng.stream + 1 + position), so
+    sizes can run concurrently.
 
     The drift between successive sizes is a diagnostic (see
     :meth:`StabilizationTable.deltas`); no convergence rate is asserted.
@@ -169,8 +142,7 @@ def rn_stabilization(
         stream = rng.spawn(rng.stream + 1 + offset)
         phis = []
         worst = 0.0
-        for _ in range(n_samples):
-            draw = _conditioned_sample(k, pattern, stream)
+        for draw in sample_many(k, stream, n_samples, pattern=pattern):
             phi = rn_derivative(k, draw, swap)
             reverse = rn_derivative(k, apply_transposition(draw, swap), swap)
             worst = max(worst, abs(phi * reverse - 1.0))

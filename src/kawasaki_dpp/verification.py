@@ -28,6 +28,7 @@ from .dpp import (
     empirical_correlation,
     enumerate_distribution,
     sample,
+    sample_many,
 )
 from .dynamics import (
     ProximitySpec,
@@ -47,8 +48,10 @@ from .exact import (
 )
 from .kernel import (
     AdmissiblePair,
+    Branch,
     Window,
-    ab_values,
+    _ab_arrays,
+    _site_values,
     difference_operator_matrix,
     kernel_matrix,
     spectral_projection_check,
@@ -134,9 +137,10 @@ def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check
                         float(products.real.min())))
     checks.append(_bounded("admissibility_product_imag", float(np.abs(products.imag).max()), 1e-12))
 
-    ab_window = _subwindow(window, 200)
-    ab_err = max(abs(complex(a * b) - 1.0) for a, b in
-                 (ab_values(pair, s) for s in ab_window.sites))
+    # One pass over the subwindow; on the conjugate branch p, q = cos, sin of arg A.
+    p, q = _ab_arrays(pair, _site_values(_subwindow(window, 200)))
+    products = p * q if pair.branch is Branch.REAL_INTERVAL else p * p + q * q
+    ab_err = float(np.abs(products - 1.0).max())
     checks.append(_bounded("ab_identity_max_error", ab_err, 1e-12))
 
     k = kernel_matrix(pair, _subwindow(window, 100))
@@ -192,17 +196,10 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     sample_window = _subwindow(window, 8)
     ks = kernel_matrix(pair, sample_window)
     pmf_s = enumerate_distribution(ks)
-    rng = SeededRng(seed)
     n_samples = 200_000
-    counts = np.zeros(1 << ks.size)
-    total_particles = 0
-    draws = []
-    for _ in range(n_samples):
-        config = sample(ks, rng)
-        counts[config.bitmask] += 1
-        total_particles += config.particle_count
-        if len(draws) < 10_000:
-            draws.append(config)
+    samples = sample_many(ks, SeededRng(seed), n_samples)
+    counts = np.bincount([c.bitmask for c in samples], minlength=1 << ks.size)
+    total_particles = sum(c.particle_count for c in samples)
     tv = 0.5 * float(np.abs(counts / n_samples - pmf_s.probs).sum())
     checks.append(_bounded("sampler_tv_vs_enumeration", tv, 0.01))
 
@@ -212,13 +209,14 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     checks.append(_bounded("sampler_mean_count_sigmas", mean_err_sigmas, 4.0))
 
     probe_sites = sample_window.sites[: 2]
-    mc = empirical_correlation(draws, probe_sites)
+    mc = empirical_correlation(samples, probe_sites)
     exact = correlation(ks, probe_sites)
-    sd = math.sqrt(max(exact * (1.0 - exact), 1e-12) / len(draws))
+    sd = math.sqrt(max(exact * (1.0 - exact), 1e-12) / n_samples)
     checks.append(_bounded("empirical_correlation_sigmas", (mc - exact) / sd, 4.0))
 
-    rng_a, rng_b = SeededRng(seed), SeededRng(seed)
-    replay = all(sample(ks, rng_a) == sample(ks, rng_b) for _ in range(200))
+    # one draw at a time on a fresh stream of the same seed replays the batch
+    replay_rng = SeededRng(seed)
+    replay = all(sample(ks, replay_rng) == c for c in samples[:200])
     checks.append(_flag("sampler_seed_determinism", replay))
 
     checks.append(_diagnostic("clamped_negative_probabilities", float(clamp_counter.count)))
@@ -260,7 +258,6 @@ def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     checks.append(_diagnostic("rn_square_integral_probe", square_probe))
 
     # Trivial stabilization: equal occupancies at the swap sites force phi = 1.
-    # The two rightmost sites are nearly always empty, so rejection is cheap.
     pattern_window = Window.from_indices(sites[-2].index, sites[-1].index)
     pattern = Configuration(pattern_window, (0, 0))
     table = rn_stabilization(pair, pattern, SwapPair(sites[-2], sites[-1]),

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from kawasaki_dpp import AdmissiblePair, SeededRng, enumerate_distribution, kernel_matrix, sample
+from kawasaki_dpp import (
+    AdmissiblePair,
+    SeededRng,
+    enumerate_distribution,
+    kernel_matrix,
+    sample_many,
+)
 from kawasaki_dpp.kernel import Window
 
 
@@ -60,6 +66,8 @@ def pmf8(k8):
 
 @pytest.fixture(scope="session")
 def samples6_100k(k6):
-    """100k exact draws on the 6-site window, shared by the Monte Carlo tests."""
-    rng = SeededRng(2024)
-    return [sample(k6, rng) for _ in range(100_000)]
+    """100k exact draws on the 6-site window, shared by the Monte Carlo tests.
+
+    The same draws as 100k successive ``sample`` calls on one stream.
+    """
+    return sample_many(k6, SeededRng(2024), 100_000)

@@ -1,7 +1,9 @@
-"""The kernel and exact-probability demos run to completion.
+"""The demos run to completion.
 
 Demo 01 calls every public kernel function; demo 02 builds a window kernel
-and checks enumeration against single determinants.
+and checks enumeration against single determinants; demo 03 draws with the
+sampler, in one batch and one draw at a time; demo 04 runs swap ratios and
+the stabilization study on exactly conditioned draws.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import kawasaki_dpp
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_kernel_tour.py", "02_exact_probabilities.py"])
+@pytest.mark.parametrize("name", ["01_kernel_tour.py", "02_exact_probabilities.py",
+                                  "03_sampling.py", "04_swap_ratios.py"])
 def test_demo_runs(name, tmp_path):
     # Put the source root of the package this process imported first on the
     # child's path, absolute, so the demo runs the same code from any cwd.

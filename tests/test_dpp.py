@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import kawasaki_dpp.dpp as dpp_mod
 from kawasaki_dpp.dpp import (
     Configuration,
     Pmf,
@@ -22,6 +23,7 @@ from kawasaki_dpp.dpp import (
     empirical_correlation,
     enumerate_distribution,
     sample,
+    sample_many,
     write_pmf_csv,
     write_samples_csv,
 )
@@ -31,9 +33,24 @@ from kawasaki_dpp.errors import (
     NumericalError,
     SizeError,
     WindowMismatchError,
+    ZeroProbabilityError,
 )
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rng import SeededRng
+
+# A correct sampler exceeds the total-variation bound with probability below this.
+_TV_FALSE_ALARM = 1e-6
+
+
+def _tv_bound(probs: np.ndarray, n_draws: int) -> float:
+    """Total-variation bound for an empirical law of N exact draws.
+
+    Its expectation is at most sum_i sqrt(p_i (1 - p_i) / N) / 2, and one draw
+    moves it by at most 1/N, so McDiarmid's inequality adds
+    sqrt(ln(1/delta) / (2N)) at false-alarm rate delta.
+    """
+    return (0.5 * float(np.sqrt(probs * (1.0 - probs) / n_draws).sum())
+            + math.sqrt(math.log(1.0 / _TV_FALSE_ALARM) / (2.0 * n_draws)))
 
 
 def _inclusion_exclusion_probability(k: KernelMatrix, config: Configuration) -> float:
@@ -209,12 +226,69 @@ class TestSample:
         mean = float(np.mean([c.particle_count for c in samples6_100k]))
         assert abs(mean - k6.trace) < 4.0 * sd
 
-    def test_residual_guard(self, real_pair, window6, monkeypatch):
-        k = kernel_matrix(real_pair, window6)
-        bogus = (np.zeros(6), np.eye(6))
-        monkeypatch.setattr(KernelMatrix, "eigh", property(lambda self: bogus))
+    def test_invalid_kernel_raises(self):
+        # symmetric with its diagonal in [0, 1], so KernelMatrix accepts it,
+        # but its eigenvalues are 2.5 and -1.5: whichever way the first site
+        # goes, the second site's conditional probability is -7.5 or 8.5
+        k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.5]]))
+        for seed in range(5):
+            with pytest.raises(NumericalError):
+                sample(k, SeededRng(seed))
         with pytest.raises(NumericalError):
-            sample(k, SeededRng(0))
+            sample_many(k, SeededRng(0), 100)
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("count", [1, 7, 4096])
+    def test_sample_many_matches_repeated_sample(self, request, branch, count):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(20))
+        if count == 4096:
+            assert count > dpp_mod._CHUNK_ENTRIES // (20 * 20)  # spans a chunk boundary
+        batch_rng, single_rng = SeededRng(11), SeededRng(11)
+        batch = sample_many(k, batch_rng, count)
+        singles = [sample(k, single_rng) for _ in range(count)]
+        assert [c.bitmask for c in batch] == [c.bitmask for c in singles]
+        # one uniform per site and draw, so both streams end in the same place
+        assert batch_rng.random() == single_rng.random()
+
+    def test_sample_many_zero_count(self, k6):
+        assert sample_many(k6, SeededRng(0), 0) == []
+        with pytest.raises(ValueError):
+            sample_many(k6, SeededRng(0), -1)
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_conditioned_draws_match_enumerated_law(self, request, branch, window10):
+        k = kernel_matrix(request.getfixturevalue(branch), window10)
+        pattern = Configuration(Window.from_indices(-1, 0), (1, 0))
+        n_draws = 20_000
+        draws = sample_many(k, SeededRng(8), n_draws, pattern=pattern)
+        # bit 4 is site -1 (occupied), bit 5 is site 0 (empty)
+        masks = np.array([c.bitmask for c in draws])
+        assert ((masks >> 4) & 3 == 1).all()
+        probs = enumerate_distribution(k).probs
+        conditional = np.where((np.arange(1 << 10) >> 4) & 3 == 1, probs, 0.0)
+        conditional /= conditional.sum()
+        counts = np.bincount(masks, minlength=1 << 10)
+        tv = 0.5 * float(np.abs(counts / n_draws - conditional).sum())
+        assert tv < _tv_bound(conditional, n_draws)
+
+    def test_pattern_covering_window_is_returned(self, k6, window6):
+        pattern = Configuration(window6, (1, 1, 0, 0, 0, 0))
+        assert sample_many(k6, SeededRng(0), 3, pattern=pattern) == [pattern] * 3
+
+    def test_pattern_below_floor(self, window6):
+        zero = KernelMatrix(window6, np.zeros((6, 6)))
+        occupied = Configuration(Window.from_indices(0, 0), (1,))
+        with pytest.raises(ZeroProbabilityError):
+            sample_many(zero, SeededRng(0), 5, pattern=occupied)
+        full = KernelMatrix(window6, np.eye(6))
+        second_empty = Configuration(Window.from_indices(-1, 0), (1, 0))
+        with pytest.raises(ZeroProbabilityError):
+            sample_many(full, SeededRng(0), 5, pattern=second_empty)
+
+    def test_pattern_outside_window(self, k6):
+        pattern = Configuration(Window.from_indices(2, 3), (0, 0))
+        with pytest.raises(WindowMismatchError):
+            sample_many(k6, SeededRng(0), 5, pattern=pattern)
 
 
 class TestEmpiricalCorrelation:

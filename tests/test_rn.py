@@ -7,14 +7,8 @@ import math
 import numpy as np
 import pytest
 
-import kawasaki_dpp.rn as rn_mod
 from kawasaki_dpp.dpp import Configuration, config_probability, enumerate_distribution
-from kawasaki_dpp.errors import (
-    PatternTooRareError,
-    SamePointError,
-    WindowMismatchError,
-    ZeroProbabilityError,
-)
+from kawasaki_dpp.errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import (
     SwapPair,
@@ -154,14 +148,43 @@ class TestStabilization:
             rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(50)), [6],
                              SeededRng(0), n_samples=2)
 
-    def test_pattern_too_rare(self, real_pair, monkeypatch):
-        monkeypatch.setattr(rn_mod, "REJECTION_ATTEMPT_CAP", 8)
-        # all eight sites occupied is (astronomically) unlikely on this window
-        pattern_window = Window.from_indices(-2, 5)
-        pattern = Configuration.full(pattern_window)
-        with pytest.raises(PatternTooRareError):
-            rn_stabilization(real_pair, pattern, SwapPair(Site(-2), Site(5)), [8],
+    def test_pattern_below_floor(self, real_pair):
+        # all twenty sites of 0..19 occupied: probability 4.69e-400 by a
+        # 400-digit mpmath determinant, below the 1e-300 floor
+        pattern = Configuration.full(Window.from_indices(0, 19))
+        with pytest.raises(ZeroProbabilityError):
+            rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(19)), [20],
                              SeededRng(1), n_samples=1)
+
+    def test_rare_pattern_is_drawn_exactly(self, real_pair):
+        # all eight sites of -2..5 occupied has probability about 1.9e-55;
+        # conditioning forces it, so every draw is the pattern itself
+        pattern = Configuration.full(Window.from_indices(-2, 5))
+        table = rn_stabilization(real_pair, pattern, SwapPair(Site(-2), Site(5)), [8, 10],
+                                 SeededRng(1), n_samples=3)
+        assert [r.n_samples for r in table.rows] == [3, 3]
+        assert table.rows[0].phi_std == 0.0
+
+    def test_mean_ratio_matches_conditional_expectation(self, real_pair):
+        # phi averaged over exactly conditioned draws against the enumerated
+        # conditional law on the 10-site window -5..4
+        pattern = Configuration(Window.from_indices(-1, 0), (1, 0))
+        swap = SwapPair(Site(-1), Site(0))
+        n_samples = 2000
+        table = rn_stabilization(real_pair, pattern, swap, [10], SeededRng(4),
+                                 n_samples=n_samples)
+        k = kernel_matrix(real_pair, Window.from_indices(-5, 4))
+        pmf = enumerate_distribution(k)
+        weights, phis = [], []
+        for mask in range(1 << 10):
+            if (mask >> 4) & 3 == 1 and pmf.probs[mask] > 0.0:
+                config = Configuration.from_bitmask(k.window, mask)
+                weights.append(pmf.probs[mask])
+                phis.append(rn_derivative(k, config, swap))
+        weights = np.array(weights) / np.sum(weights)
+        mean = float(weights @ np.array(phis))
+        sd = math.sqrt(float(weights @ (np.array(phis) - mean) ** 2))
+        assert abs(table.rows[0].phi_mean - mean) < 5.0 * sd / math.sqrt(n_samples)
 
     def test_csv_format(self, real_pair, tmp_path):
         pattern = Configuration(Window.from_indices(3, 4), (0, 0))

@@ -17,10 +17,8 @@ output uses %.17g.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -51,8 +49,6 @@ from .util import format_complex, format_float, parse_complex, parse_window_spec
 from .verification import SUITE_NAMES, run_suite
 
 __all__ = ["main", "console_main"]
-
-THREADS_ENV_VAR = "KAWASAKI_DPP_THREADS"
 
 
 class UsageError(Exception):
@@ -404,17 +400,8 @@ def _cmd_simulate(options: _Options) -> int:
     # taken by a replica, so replica streams stay untouched.
     initial = _initial_configuration(options, config.window, k,
                                      SeededRng(config.seed, replicas))
-    cap = os.environ.get(THREADS_ENV_VAR)
-    workers = max(1, min(replicas, int(cap) if cap else (os.cpu_count() or 1)))
-
-    def run_replica(stream: int):
-        return simulate(model, k, initial, config.t_max, SeededRng(config.seed, stream))
-
-    if workers == 1:
-        trajectories = [run_replica(stream) for stream in range(replicas)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(run_replica, range(replicas)))
+    trajectories = [simulate(model, k, initial, config.t_max, SeededRng(config.seed, stream))
+                    for stream in range(replicas)]
 
     directory = Path(options.str_("output_dir"))
     directory.mkdir(parents=True, exist_ok=True)
@@ -425,7 +412,7 @@ def _cmd_simulate(options: _Options) -> int:
         write_trajectory_csv(trajectory, csv_path)
         write_trajectory_sidecar(trajectory, pair.z, pair.z_prime, model, json_path)
         written.append(str(csv_path))
-    config.echo({"replicas": replicas, "workers": workers,
+    config.echo({"replicas": replicas, "workers": 1,
                  "n_events": [t.n_events for t in trajectories]})
     for path in written:
         print(path)

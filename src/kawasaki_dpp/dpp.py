@@ -189,7 +189,7 @@ class Pmf:
 
     def sector(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Bitmasks with the given particle count and their renormalized law."""
-        masks = np.array([m for m in range(1 << self.size) if bin(m).count("1") == count])
+        masks = _sector_masks(self.size, count)
         weights = self.probs[masks]
         total = weights.sum()
         if total <= 0.0:
@@ -197,11 +197,39 @@ class Pmf:
         return masks, weights / total
 
 
-def _probability_matrix(k: KernelMatrix, config: Configuration) -> np.ndarray:
-    occupied = np.array(config.occupancy, dtype=bool)
+def _occupancy(masks: np.ndarray, n: int) -> np.ndarray:
+    """(S, n) bool occupancy rows of S bitmasks: column i is bit i."""
+    return np.column_stack([(masks >> i) & 1 == 1 for i in range(n)])
+
+
+def _sector_masks(n: int, count: int) -> np.ndarray:
+    """Bitmasks of n sites with the given particle count, ascending (combinadic order)."""
+    if count < 0 or count > n:
+        raise ValueError(f"count {count} out of range for {n} sites")
+    masks = np.arange(1 << n, dtype=np.int64)
+    return masks[_occupancy(masks, n).sum(axis=1) == count]
+
+
+def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
+    """Exact probabilities of the (S, n) bool occupancy rows, in batches of stacked determinants.
+
+    Tiny negative determinants (floating noise) are clamped to zero and
+    counted in :data:`clamp_counter`; one below -1e-12 raises NumericalError.
+    """
     entries = k.entries
-    out = np.where(occupied[np.newaxis, :], entries, np.eye(k.size) - entries)
-    return out
+    complement = np.eye(k.size) - entries
+    probs = np.empty(len(occupied))
+    for start in range(0, len(occupied), _ENUMERATION_BATCH):
+        rows = occupied[start:start + _ENUMERATION_BATCH, np.newaxis, :]
+        probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
+    lowest = probs.min(initial=0.0)
+    if lowest < 0.0:
+        if lowest < _CLAMP_FLOOR:
+            raise NumericalError(f"configuration determinant {lowest:g} below clamp floor")
+        negative = probs < 0.0
+        clamp_counter.count += int(negative.sum())
+        probs[negative] = 0.0
+    return probs
 
 
 def config_probability(k: KernelMatrix, config: Configuration) -> float:
@@ -213,13 +241,7 @@ def config_probability(k: KernelMatrix, config: Configuration) -> float:
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
-    det = float(np.linalg.det(_probability_matrix(k, config)))
-    if det < _CLAMP_FLOOR:
-        raise NumericalError(f"configuration determinant {det:g} below clamp floor")
-    if det < 0.0:
-        clamp_counter.count += 1
-        return 0.0
-    return det
+    return float(_probabilities(k, np.array([config.occupancy], dtype=bool))[0])
 
 
 def correlation(k: KernelMatrix, sites: Iterable[Site]) -> float:
@@ -243,20 +265,7 @@ def enumerate_distribution(k: KernelMatrix) -> Pmf:
     n = k.size
     if n > MAX_ENUMERATION_SITES:
         raise SizeError(f"enumeration capped at {MAX_ENUMERATION_SITES} sites, got {n}")
-    entries = k.entries
-    complement = np.eye(n) - entries
-    total = 1 << n
-    probs = np.empty(total)
-    columns = np.arange(n)
-    for start in range(0, total, _ENUMERATION_BATCH):
-        stop = min(start + _ENUMERATION_BATCH, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        occupied = ((masks[:, np.newaxis] >> columns) & 1).astype(bool)
-        stacked = np.where(occupied[:, np.newaxis, :], entries, complement)
-        probs[start:stop] = np.linalg.det(stacked)
-    if probs.min() < _CLAMP_FLOOR:
-        raise NumericalError(f"enumerated probability {probs.min():g} below clamp floor")
-    return Pmf(k.window, probs)
+    return Pmf(k.window, _probabilities(k, _occupancy(np.arange(1 << n), n)))
 
 
 def _sequential_pass(m: np.ndarray, u: np.ndarray) -> np.ndarray:

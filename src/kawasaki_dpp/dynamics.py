@@ -23,13 +23,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dpp import Configuration, config_probability
+from .dpp import (_PROBABILITY_FLOOR, Configuration, _occupancy, _probabilities, _sector_masks,
+                  config_probability)
 from .errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
@@ -146,12 +146,12 @@ class RateModel:
         return cls(RateKind.GLAUBER_LIKE, proximity)
 
 
-def rate_from_ratio(kind: RateKind, u: float, phi: float) -> float:
-    """The rate formula as a pure function of the weight and the swap ratio."""
+def rate_from_ratio(kind: RateKind, u, phi):
+    """The rate formula as a pure function of the weight and the swap ratio (floats or arrays)."""
     if kind is RateKind.METROPOLIS:
-        return u * min(phi, 1.0)
+        return u * np.minimum(phi, 1.0)
     if kind is RateKind.SQRT_RATIO:
-        return u * math.sqrt(phi)
+        return u * np.sqrt(phi)
     return u * (phi + 1.0)
 
 
@@ -161,7 +161,7 @@ def rate(model: RateModel, k: KernelMatrix, config: Configuration, swap: SwapPai
     if u == 0.0:
         return 0.0
     phi = rn_derivative(k, config, swap)
-    return rate_from_ratio(model.kind, u, phi)
+    return float(rate_from_ratio(model.kind, u, phi))
 
 
 def symmetry_check(
@@ -190,6 +190,40 @@ def candidate_pairs(window: Window, proximity: ProximitySpec) -> tuple[SwapPair,
     return tuple(pairs)
 
 
+def _pair_arrays(
+    window: Window, proximity: ProximitySpec, pairs: tuple[SwapPair, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 2) window positions of the swap pairs and their weights u."""
+    positions = [(window.position(p.x), window.position(p.y)) for p in pairs]
+    u = np.array([proximity_u(proximity, p.x, p.y) for p in pairs])
+    return np.array(positions, dtype=np.intp).reshape(len(pairs), 2), u
+
+
+def _swap_edges(occupied: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moves (src, pair) of the (S, n) bool occupancy rows, by row then by pair.
+
+    A move swaps the two window positions ``positions[pair]`` of row src,
+    which hold unequal occupancies; the swapped row is row src with both
+    positions flipped.
+    """
+    return np.nonzero(occupied[:, positions[:, 0]] != occupied[:, positions[:, 1]])
+
+
+def _state_edges(
+    window: Window, proximity: ProximitySpec, pairs: tuple[SwapPair, ...], states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, u) of every positive-weight swap between the ascending bitmasks `states`.
+
+    `states` is a whole sector or the full space, so every swapped state is listed.
+    """
+    positions, u = _pair_arrays(window, proximity, pairs)
+    src, pair = _swap_edges(_occupancy(states, window.size), positions)
+    positive = u[pair] > 0.0
+    src, pair = src[positive], pair[positive]
+    dst = np.searchsorted(states, states[src] ^ (1 << positions).sum(axis=1)[pair])
+    return src, dst, u[pair]
+
+
 def total_jump_rate(
     model: RateModel, k: KernelMatrix, config: Configuration
 ) -> tuple[float, list[tuple[SwapPair, float]]]:
@@ -197,18 +231,29 @@ def total_jump_rate(
 
     Each unordered pair with unequal occupancy carries rate 2c (the
     generator sums over ordered pairs and c is symmetric); equal-occupancy
-    pairs are omitted since swapping them does nothing.
+    pairs are omitted since swapping them does nothing, and so are pairs of
+    rate zero.  The swap ratios come from one batched determinant over the
+    state and its swapped neighbours, and the total is summed in pair order.
     """
-    per_pair = []
-    total = 0.0
-    for swap in candidate_pairs(k.window, model.proximity):
-        if config.occupancy_at(swap.x) == config.occupancy_at(swap.y):
-            continue
-        r = 2.0 * rate(model, k, config, swap)
-        if r > 0.0:
-            per_pair.append((swap, r))
-            total += r
-    return total, per_pair
+    if config.window != k.window:
+        raise WindowMismatchError("configuration window differs from kernel window")
+    pairs = candidate_pairs(k.window, model.proximity)
+    positions, u = _pair_arrays(k.window, model.proximity, pairs)
+    occupied = np.array([config.occupancy], dtype=bool)
+    _, pair = _swap_edges(occupied, positions)
+    pair = pair[u[pair] > 0.0]
+    swapped = occupied.repeat(len(pair), axis=0)
+    swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
+    w = _probabilities(k, np.vstack([occupied, swapped]))
+    if len(pair) and w[0] < _PROBABILITY_FLOOR:
+        raise ZeroProbabilityError(
+            f"configuration {config} has probability {w[0]:g}; ratio undefined"
+        )
+    rates = 2.0 * rate_from_ratio(model.kind, u[pair], w[1:] / w[0])
+    positive = rates > 0.0
+    pair, rates = pair[positive], rates[positive]
+    total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
+    return total, [(pairs[i], r) for i, r in zip(pair.tolist(), rates.tolist())]
 
 
 @dataclass
@@ -255,8 +300,10 @@ def simulate(
     """Run the jump chain to time t_max.
 
     Waiting times are exponential at the current total rate; the executed
-    swap is chosen proportionally to the per-pair rates.  Per-state rate
-    tables are memoized by bitmask (the swap ratio depends on the whole
+    swap is chosen proportionally to the per-pair rates.  A state's rate
+    table comes from :func:`total_jump_rate`, whose ratios are read off one
+    batched determinant over the state and its swapped neighbours.  Tables
+    are memoized by bitmask (the swap ratio depends on the whole
     configuration, so a swap invalidates every pair's rate; caching by state
     keeps revisits cheap without approximating).  If the total rate hits
     zero the state is absorbing and the trajectory idles until t_max.
@@ -297,32 +344,13 @@ def simulate(
 
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:
     """Whether the swap graph restricted to a particle-count sector is connected."""
-    n = window.size
-    if count < 0 or count > n:
-        raise ValueError(f"count {count} out of range for {n} sites")
-    pairs = [
-        (window.position(p.x), window.position(p.y))
-        for p in candidate_pairs(window, proximity)
-        if proximity_u(proximity, p.x, p.y) > 0.0
-    ]
-    masks = [m for m in range(1 << n) if bin(m).count("1") == count]
-    if len(masks) <= 1:
-        return True
-    start = masks[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        mask = queue.popleft()
-        for i, j in pairs:
-            bit_i = (mask >> i) & 1
-            bit_j = (mask >> j) & 1
-            if bit_i == bit_j:
-                continue
-            flipped = mask ^ ((1 << i) | (1 << j))
-            if flipped not in seen:
-                seen.add(flipped)
-                queue.append(flipped)
-    return len(seen) == len(masks)
+    # Imported here: it adds about 5 MiB to every process that imports the package.
+    import scipy.sparse.csgraph
+
+    masks = _sector_masks(window.size, count)
+    src, dst, _ = _state_edges(window, proximity, candidate_pairs(window, proximity), masks)
+    graph = scipy.sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(masks),) * 2)
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[0] == 1
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dpp import Configuration, config_probability
-from .dynamics import RateModel, candidate_pairs, rate
+from .dpp import _PROBABILITY_FLOOR, Configuration, _occupancy, _probabilities, _sector_masks
+from .dynamics import RateModel, _state_edges, candidate_pairs, rate_from_ratio
 from .errors import (
     DimensionMismatchError,
     NotReversibleError,
     NumericalError,
     SizeError,
+    ZeroProbabilityError,
 )
 from .kernel import KernelMatrix
 from .rn import SwapPair
@@ -51,9 +52,7 @@ _REVERSIBILITY_GATE = 1e-8
 
 def sector_masks(n_sites: int, count: int) -> list[int]:
     """Bitmasks with the given particle count, ascending (combinadic order)."""
-    if count < 0 or count > n_sites:
-        raise ValueError(f"count {count} out of range for {n_sites} sites")
-    return [m for m in range(1 << n_sites) if bin(m).count("1") == count]
+    return _sector_masks(n_sites, count).tolist()
 
 
 @dataclass
@@ -94,37 +93,35 @@ class GeneratorMatrix:
 def build_generator(
     model: RateModel, k: KernelMatrix, sector: int | None = None
 ) -> GeneratorMatrix:
-    """Assemble Q and the (sector-)normalized measure for a window chain."""
+    """Assemble Q and the (sector-)normalized measure for a window chain.
+
+    The state probabilities come from one batched determinant, and each
+    swap's rate is read off the ratio of the two states' probabilities.
+    """
     n = k.size
     if sector is None:
         if n > MAX_FULL_SPACE_SITES:
             raise SizeError(f"full state space capped at {MAX_FULL_SPACE_SITES} sites, got {n}")
-        masks = list(range(1 << n))
+        states = np.arange(1 << n, dtype=np.int64)
     else:
         if n > MAX_SECTOR_SITES:
             raise SizeError(f"sectored build capped at {MAX_SECTOR_SITES} sites, got {n}")
-        masks = sector_masks(n, sector)
-    states = np.array(masks, dtype=np.int64)
-    configs = [Configuration.from_bitmask(k.window, m) for m in masks]
-    weights = np.array([config_probability(k, c) for c in configs])
+        states = _sector_masks(n, sector)
+    weights = _probabilities(k, _occupancy(states, n))
     total = weights.sum()
     if total <= 0.0:
         raise NumericalError("state list carries zero probability")
     measure = weights / total
-    index = {m: i for i, m in enumerate(masks)}
     pairs = candidate_pairs(k.window, model.proximity)
-    size = len(masks)
-    q = np.zeros((size, size))
-    for i, config in enumerate(configs):
-        mask = masks[i]
-        for swap in pairs:
-            pos_x = k.window.position(swap.x)
-            pos_y = k.window.position(swap.y)
-            if (mask >> pos_x) & 1 == (mask >> pos_y) & 1:
-                continue
-            j = index[mask ^ ((1 << pos_x) | (1 << pos_y))]
-            q[i, j] = 2.0 * rate(model, k, config, swap)
-    np.fill_diagonal(q, 0.0)
+    src, dst, u = _state_edges(k.window, model.proximity, pairs, states)
+    low = src[weights[src] < _PROBABILITY_FLOOR]
+    if len(low):
+        config = Configuration.from_bitmask(k.window, int(states[low[0]]))
+        raise ZeroProbabilityError(
+            f"configuration {config} has probability {weights[low[0]]:g}; ratio undefined"
+        )
+    q = np.zeros((len(states), len(states)))
+    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u, weights[dst] / weights[src])
     np.fill_diagonal(q, -q.sum(axis=1))
     return GeneratorMatrix(model, k, sector, states, q, measure, pairs)
 
@@ -146,8 +143,9 @@ def dirichlet_form(g: GeneratorMatrix, f: np.ndarray, h: np.ndarray) -> float:
 
     (1/2) sum_eta mu(eta) sum_{ordered (x,y)} c(eta,x,y) (grad F)(grad H);
     the 1/2 cancels against counting each unordered pair once.  Rates are
-    recomputed from the model (not read off Q) so the generator identity
-    test compares two independent evaluations.
+    recomputed from the model on the swap edges, with each ratio read off
+    the measure (not off Q), so the generator identity test compares two
+    independent evaluations.
     """
     f = np.asarray(f, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -155,23 +153,12 @@ def dirichlet_form(g: GeneratorMatrix, f: np.ndarray, h: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"vectors must have shape ({g.n_states},), got {f.shape} and {h.shape}"
         )
-    window = g.window
-    total = 0.0
-    for i in range(g.n_states):
-        mu = g.measure[i]
-        if mu == 0.0:
-            continue
-        mask = int(g.states[i])
-        config = g.configuration(i)
-        for swap in g.pairs:
-            pos_x = window.position(swap.x)
-            pos_y = window.position(swap.y)
-            if (mask >> pos_x) & 1 == (mask >> pos_y) & 1:
-                continue
-            j = g.index_of(mask ^ ((1 << pos_x) | (1 << pos_y)))
-            c = rate(g.model, g.kernel, config, swap)
-            total += mu * c * (f[j] - f[i]) * (h[j] - h[i])
-    return total
+    src, dst, u = _state_edges(g.window, g.model.proximity, g.pairs, g.states)
+    mu = g.measure
+    live = mu[src] > 0.0
+    src, dst, u = src[live], dst[live], u[live]
+    c = rate_from_ratio(g.model.kind, u, mu[dst] / mu[src])
+    return float(np.sum(mu[src] * c * (f[dst] - f[src]) * (h[dst] - h[src])))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dpp import (
     Configuration,
+    _occupancy,
     clamp_counter,
     config_probability,
     correlation,
@@ -32,12 +33,14 @@ from .dpp import (
 )
 from .dynamics import (
     ProximitySpec,
+    RateKind,
     RateModel,
+    _pair_arrays,
+    _swap_edges,
     candidate_pairs,
-    rate,
+    rate_from_ratio,
     sector_graph_connected,
     simulate,
-    symmetry_check,
 )
 from .exact import (
     build_generator,
@@ -120,11 +123,6 @@ def _subwindow(window: Window, cap: int) -> Window:
         return window
     lo = window.lo.index + (window.size - cap) // 2
     return Window.from_indices(lo, lo + cap - 1)
-
-
-def _nn_swaps(window: Window) -> list[SwapPair]:
-    sites = window.sites
-    return [SwapPair(a, b) for a, b in zip(sites, sites[1:])]
 
 
 def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
@@ -278,64 +276,52 @@ def verify_dynamics(pair: AdmissiblePair, window: Window, seed: int) -> list[Che
     checks: list[Check] = []
     dyn_window = _subwindow(window, 10)
     k = kernel_matrix(pair, dyn_window)
-    swaps = _nn_swaps(dyn_window)
+    n = dyn_window.size
+    nn = ProximitySpec.nearest_neighbor()
+
+    # One edge table over the enumerated law: every nearest-neighbour move
+    # src -> dst, with the probabilities p and q of its two ends.
+    probs = enumerate_distribution(k).probs
+    positions, u = _pair_arrays(dyn_window, nn, candidate_pairs(dyn_window, nn))
+    src, swap = _swap_edges(_occupancy(np.arange(1 << n), n), positions)
+    dst = src ^ (1 << positions).sum(axis=1)[swap]
+    possible = (probs[src] > 0.0) & (probs[dst] > 0.0)
+    p, q, weight = probs[src[possible]], probs[dst[possible]], u[swap[possible]]
 
     balance_worst = 0.0
     factor_worst = 0.0
     for model in _models():
-        for mask in range(1 << dyn_window.size):
-            config = Configuration.from_bitmask(dyn_window, mask)
-            p = config_probability(k, config)
-            if p <= 0.0:
-                continue
-            for swap in swaps:
-                if config.occupancy_at(swap.x) == config.occupancy_at(swap.y):
-                    continue
-                swapped = apply_transposition(config, swap)
-                q = config_probability(k, swapped)
-                if q <= 0.0:
-                    continue
-                residual = symmetry_check(model, k, config, swap)
-                flux = max(p * rate(model, k, config, swap), q * rate(model, k, swapped, swap))
-                if flux > 0.0:
-                    balance_worst = max(balance_worst, residual / flux)
-                phi = rn_derivative(k, config, swap)
-                a_fwd = rate(model, k, config, swap) / math.sqrt(phi)
-                a_bwd = rate(model, k, swapped, swap) / math.sqrt(rn_derivative(k, swapped, swap))
-                scale = max(abs(a_fwd), abs(a_bwd))
-                if scale > 0.0:
-                    factor_worst = max(factor_worst, abs(a_fwd - a_bwd) / scale)
+        forward = rate_from_ratio(model.kind, weight, q / p)
+        backward = rate_from_ratio(model.kind, weight, p / q)
+        flux = np.maximum(p * forward, q * backward)
+        balanced = flux > 0.0
+        balance = np.abs(p * forward - q * backward)[balanced] / flux[balanced]
+        balance_worst = max(balance_worst, float(balance.max(initial=0.0)))
+        a_fwd = forward / np.sqrt(q / p)
+        a_bwd = backward / np.sqrt(p / q)
+        scale = np.maximum(np.abs(a_fwd), np.abs(a_bwd))
+        scaled = scale > 0.0
+        factor = np.abs(a_fwd - a_bwd)[scaled] / scale[scaled]
+        factor_worst = max(factor_worst, float(factor.max(initial=0.0)))
     checks.append(_bounded("detailed_balance_max_relative", balance_worst, 1e-10))
     checks.append(_bounded("rate_factorization_max_relative", factor_worst, 1e-10))
 
-    # Summability diagnostics for the rate field, worst site.
-    pmf = enumerate_distribution(k)
-    pairs = candidate_pairs(dyn_window, ProximitySpec.nearest_neighbor())
-    l2_worst = 0.0
-    l1_worst = 0.0
-    for model, target in ((RateModel.metropolis(ProximitySpec.nearest_neighbor()), "l2"),
-                          (RateModel.glauber_like(ProximitySpec.nearest_neighbor()), "l1")):
-        for x in dyn_window.sites:
-            touching = [s for s in pairs if x in (s.x, s.y)]
-            acc = 0.0
-            for mask in range(1 << dyn_window.size):
-                config = Configuration.from_bitmask(dyn_window, mask)
-                p = pmf.probs[mask]
-                if p <= 0.0:
-                    continue
-                out_rate = sum(rate(model, k, config, s) for s in touching)
-                acc += p * (out_rate * out_rate if target == "l2" else out_rate)
-            if target == "l2":
-                l2_worst = max(l2_worst, acc)
-            else:
-                l1_worst = max(l1_worst, acc)
-    checks.append(_diagnostic("l2_condition_probe_metropolis", l2_worst))
-    checks.append(_diagnostic("l1_condition_probe_glauber", l1_worst))
+    # Summability diagnostics for the rate field, worst site.  The field
+    # covers every pair: an equal-occupancy pair has ratio 1.
+    live = probs > 0.0
+    moves = live[src]
+    phi = np.ones((1 << n, len(positions)))
+    phi[src[moves], swap[moves]] = probs[dst[moves]] / probs[src[moves]]
+    touching = np.zeros((len(positions), n))
+    touching[np.arange(len(positions))[:, np.newaxis], positions] = 1.0
+    out_metropolis = rate_from_ratio(RateKind.METROPOLIS, u, phi[live]) @ touching
+    out_glauber = rate_from_ratio(RateKind.GLAUBER_LIKE, u, phi[live]) @ touching
+    checks.append(_diagnostic("l2_condition_probe_metropolis",
+                              float((probs[live] @ out_metropolis ** 2).max())))
+    checks.append(_diagnostic("l1_condition_probe_glauber",
+                              float((probs[live] @ out_glauber).max())))
 
-    connected = all(
-        sector_graph_connected(dyn_window, ProximitySpec.nearest_neighbor(), count)
-        for count in range(dyn_window.size + 1)
-    )
+    connected = all(sector_graph_connected(dyn_window, nn, count) for count in range(n + 1))
     checks.append(_flag("sector_graph_connected", connected))
 
     model = _models()[0]

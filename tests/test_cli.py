@@ -129,8 +129,7 @@ class TestArtifacts:
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_simulate_replicas(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "1")
+    def test_simulate_replicas(self, capsys, tmp_path):
         code, stdout, stderr = run(
             capsys, "simulate", "--z", "1.5", "--zp", "1.7", "--window", "-3..2",
             "--t-max", "5", "--seed", "4", "--replicas", "2",

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki_dpp.dpp import Configuration, config_probability
+from kawasaki_dpp.dpp import Configuration, config_probability, sample_many
 from kawasaki_dpp.dynamics import (
     ProximitySpec,
     RateKind,
@@ -24,8 +24,8 @@ from kawasaki_dpp.dynamics import (
     trajectory_sidecar,
     write_trajectory_csv,
 )
-from kawasaki_dpp.errors import SamePointError, WindowMismatchError
-from kawasaki_dpp.kernel import Site, Window
+from kawasaki_dpp.errors import SamePointError, WindowMismatchError, ZeroProbabilityError
+from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
 from kawasaki_dpp.rng import SeededRng
 
@@ -169,6 +169,34 @@ class TestTotalJumpRate:
         assert per_pair, "expected at least one move"
         for swap, r in per_pair:
             assert r == 2.0 * rate(model, k6, config, swap)
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_equals_scalar_loop_on_wide_window(self, request, branch):
+        # 70 sites: a move past position 62 would overflow a signed 64-bit bitmask.
+        window = Window.from_indices(-65, 4)
+        k = kernel_matrix(request.getfixturevalue(branch), window)
+        farthest = 0
+        for proximity in (ProximitySpec.nearest_neighbor(), ProximitySpec.finite_range(3, 0.7)):
+            for model in _all_models(proximity):
+                for config in sample_many(k, SeededRng(17), 3):
+                    want_pairs, want_total = [], 0.0
+                    for swap in candidate_pairs(window, proximity):
+                        if config.occupancy_at(swap.x) != config.occupancy_at(swap.y):
+                            r = 2.0 * rate(model, k, config, swap)
+                            if r > 0.0:
+                                want_pairs.append((swap, r))
+                                want_total += r
+                    assert total_jump_rate(model, k, config) == (want_total, want_pairs)
+                    farthest = max([farthest] + [window.position(s.y) for s, _ in want_pairs])
+        assert farthest >= 63
+
+    def test_zero_probability_state_raises(self):
+        # Site 0 is surely occupied: leaving it empty is impossible.
+        k = KernelMatrix(Window.from_indices(0, 2), np.diag([1.0, 0.0, 0.5]))
+        with pytest.raises(ZeroProbabilityError):
+            total_jump_rate(_all_models()[0], k, Configuration.from_bitmask(k.window, 0b010))
+        # An impossible state without moves has nothing to divide.
+        assert total_jump_rate(_all_models()[0], k, Configuration.full(k.window)) == (0.0, [])
 
     def test_candidate_pairs_respect_range(self, window8):
         nn_pairs = candidate_pairs(window8, ProximitySpec.nearest_neighbor())

@@ -13,6 +13,7 @@ from kawasaki_dpp.errors import (
     DimensionMismatchError,
     NotReversibleError,
     SizeError,
+    ZeroProbabilityError,
 )
 from kawasaki_dpp.exact import (
     GeneratorMatrix,
@@ -23,17 +24,34 @@ from kawasaki_dpp.exact import (
     spectrum,
     transition_matrix,
 )
-from kawasaki_dpp.kernel import Site, Window, kernel_matrix
-from kawasaki_dpp.rn import SwapPair
+from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
+from kawasaki_dpp.rn import SwapPair, apply_transposition
 
 # 6-site window, 3-particle sector, nearest-neighbor Metropolis at (1.5, 1.7).
 # Pinned from the first computation.
 SPECTRAL_GAP_PIN = 1.0763065511689107
 
 
-def _models():
-    nn = ProximitySpec.nearest_neighbor()
-    return [RateModel.metropolis(nn), RateModel.sqrt_ratio(nn), RateModel.glauber_like(nn)]
+PROXIMITIES = {
+    "nn": ProximitySpec.nearest_neighbor(),
+    "exp:0.5": ProximitySpec.exp_decay(0.5),
+    "range:3": ProximitySpec.finite_range(3),
+}
+
+
+def _models(proximity=None):
+    spec = proximity or ProximitySpec.nearest_neighbor()
+    return [RateModel.metropolis(spec), RateModel.sqrt_ratio(spec), RateModel.glauber_like(spec)]
+
+
+def _scalar_moves(g: GeneratorMatrix):
+    """(i, j, config, swap) of every move, found pair by pair on Configuration objects."""
+    for i in range(g.n_states):
+        config = g.configuration(i)
+        for swap in g.pairs:
+            swapped = apply_transposition(config, swap)
+            if swapped != config:
+                yield i, g.index_of(swapped.bitmask), config, swap
 
 
 class TestSectorMasks:
@@ -86,6 +104,28 @@ class TestBuildGenerator:
             g = build_generator(model, k8, sector=3)
             assert float(np.abs(g.measure @ g.Q).max()) < 1e-10
 
+    @pytest.mark.parametrize("proximity", sorted(PROXIMITIES))
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("span, sector", [((-3, 2), None), ((-4, 2), 3)])
+    def test_off_diagonals_equal_scalar_rates(self, request, branch, proximity, span, sector):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(*span))
+        for model in _models(PROXIMITIES[proximity]):
+            g = build_generator(model, k, sector=sector)
+            want = np.zeros_like(g.Q)
+            for i, j, config, swap in _scalar_moves(g):
+                want[i, j] = 2.0 * rate(model, k, config, swap)
+            np.fill_diagonal(want, -want.sum(axis=1))
+            assert np.array_equal(g.Q, want)
+
+    def test_zero_probability_state_raises(self):
+        # Site 0 is surely occupied, so every state that leaves it empty is impossible.
+        w = Window.from_indices(0, 2)
+        k = KernelMatrix(w, np.diag([1.0, 0.0, 0.5]))
+        with pytest.raises(ZeroProbabilityError, match="010"):
+            build_generator(_models()[0], k, sector=1)
+        with pytest.raises(ZeroProbabilityError):
+            build_generator(_models()[2], k)
+
     def test_size_caps(self, real_pair):
         w15 = Window.centered(15)
         k15 = kernel_matrix(real_pair, w15)
@@ -130,6 +170,21 @@ class TestDirichletForm:
             lhs = dirichlet_form(g, f, h)
             rhs = float(g.measure @ ((-g.Q @ f) * h))
             assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("proximity", ["nn", "exp:0.5"])
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_equals_scalar_rate_sum(self, request, branch, proximity):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(-4, 3))
+        rng = np.random.default_rng(5)
+        for model in _models(PROXIMITIES[proximity]):
+            g = build_generator(model, k, sector=3)
+            f = rng.normal(size=g.n_states)
+            h = rng.normal(size=g.n_states)
+            terms = [g.measure[i] * rate(model, k, config, swap) * (f[j] - f[i]) * (h[j] - h[i])
+                     for i, j, config, swap in _scalar_moves(g)]
+            # The ratios differ from the scalar ones in the last bits and the
+            # sum runs in another order: a few ulps of the summed magnitudes.
+            assert abs(dirichlet_form(g, f, h) - math.fsum(terms)) <= 1e-13 * sum(map(abs, terms))
 
     def test_nonnegative_energy(self, k8):
         g = build_generator(_models()[1], k8, sector=4)

@@ -54,7 +54,9 @@ MAX_ENUMERATION_SITES = 20
 # clamped; anything more negative is treated as a genuine failure.
 _CLAMP_FLOOR = -1e-12
 
-_ENUMERATION_BATCH = 1 << 14
+# Each stack of determinants holds about this many matrix entries: 16384
+# matrices at the enumeration cap of 20 sites, fewer on wider windows.
+_DET_ENTRIES = (1 << 14) * MAX_ENUMERATION_SITES ** 2
 
 # Sampling chunks hold about this many matrix entries.
 _CHUNK_ENTRIES = 1 << 20
@@ -219,8 +221,9 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
     entries = k.entries
     complement = np.eye(k.size) - entries
     probs = np.empty(len(occupied))
-    for start in range(0, len(occupied), _ENUMERATION_BATCH):
-        rows = occupied[start:start + _ENUMERATION_BATCH, np.newaxis, :]
+    batch = max(1, _DET_ENTRIES // k.size ** 2)
+    for start in range(0, len(occupied), batch):
+        rows = occupied[start:start + batch, np.newaxis, :]
         probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
     lowest = probs.min(initial=0.0)
     if lowest < 0.0:
@@ -230,6 +233,19 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
         clamp_counter.count += int(negative.sum())
         probs[negative] = 0.0
     return probs
+
+
+def _check_ratio_defined(window: Window, occupied, probs) -> None:
+    """ZeroProbabilityError at the first state below 1e-300: a swap ratio out of it is undefined.
+
+    `occupied` holds the states' occupancy rows and `probs` their probabilities.
+    """
+    low = np.flatnonzero(np.asarray(probs) < _PROBABILITY_FLOOR)
+    if len(low):
+        config = Configuration(window, tuple(int(b) for b in occupied[low[0]]))
+        raise ZeroProbabilityError(
+            f"configuration {config} has probability {probs[low[0]]:g}; ratio undefined"
+        )
 
 
 def config_probability(k: KernelMatrix, config: Configuration) -> float:

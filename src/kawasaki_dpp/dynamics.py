@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dpp import (_PROBABILITY_FLOOR, Configuration, _occupancy, _probabilities, _sector_masks,
+from .dpp import (Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks,
                   config_probability)
 from .errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
@@ -199,29 +199,21 @@ def _pair_arrays(
     return np.array(positions, dtype=np.intp).reshape(len(pairs), 2), u
 
 
-def _swap_edges(occupied: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The moves (src, pair) of the (S, n) bool occupancy rows, by row then by pair.
-
-    A move swaps the two window positions ``positions[pair]`` of row src,
-    which hold unequal occupancies; the swapped row is row src with both
-    positions flipped.
-    """
-    return np.nonzero(occupied[:, positions[:, 0]] != occupied[:, positions[:, 1]])
-
-
 def _state_edges(
-    window: Window, proximity: ProximitySpec, pairs: tuple[SwapPair, ...], states: np.ndarray
+    states: np.ndarray, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, u) of every positive-weight swap between the ascending bitmasks `states`.
+    """(src, dst, pair) of every positive-weight swap between the ascending bitmasks `states`.
 
-    `states` is a whole sector or the full space, so every swapped state is listed.
+    `occupied` holds their (S, n) occupancy rows, and `positions` and `u` the
+    window positions and weights of the candidate pairs.  A swap exchanges
+    the unequal occupancies at ``positions[pair]``; edges run by row, then by
+    pair.  `states` is a whole sector or the full space, so every swapped
+    state is listed.
     """
-    positions, u = _pair_arrays(window, proximity, pairs)
-    src, pair = _swap_edges(_occupancy(states, window.size), positions)
-    positive = u[pair] > 0.0
-    src, pair = src[positive], pair[positive]
+    moves = occupied[:, positions[:, 0]] != occupied[:, positions[:, 1]]
+    src, pair = np.nonzero(moves & (u > 0.0))
     dst = np.searchsorted(states, states[src] ^ (1 << positions).sum(axis=1)[pair])
-    return src, dst, u[pair]
+    return src, dst, pair
 
 
 def total_jump_rate(
@@ -232,24 +224,24 @@ def total_jump_rate(
     Each unordered pair with unequal occupancy carries rate 2c (the
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
-    rate zero.  The swap ratios come from one batched determinant over the
-    state and its swapped neighbours, and the total is summed in pair order.
+    rate zero.  The state's own probability is checked first; the swap
+    ratios then come from one batched determinant call over its swapped
+    neighbours, and the total is summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
     pairs = candidate_pairs(k.window, model.proximity)
     positions, u = _pair_arrays(k.window, model.proximity, pairs)
     occupied = np.array([config.occupancy], dtype=bool)
-    _, pair = _swap_edges(occupied, positions)
-    pair = pair[u[pair] > 0.0]
+    moves = occupied[0, positions[:, 0]] != occupied[0, positions[:, 1]]
+    pair = np.flatnonzero(moves & (u > 0.0))
+    if not len(pair):
+        return 0.0, []
+    own = _probabilities(k, occupied)
+    _check_ratio_defined(k.window, occupied, own)
     swapped = occupied.repeat(len(pair), axis=0)
     swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
-    w = _probabilities(k, np.vstack([occupied, swapped]))
-    if len(pair) and w[0] < _PROBABILITY_FLOOR:
-        raise ZeroProbabilityError(
-            f"configuration {config} has probability {w[0]:g}; ratio undefined"
-        )
-    rates = 2.0 * rate_from_ratio(model.kind, u[pair], w[1:] / w[0])
+    rates = 2.0 * rate_from_ratio(model.kind, u[pair], _probabilities(k, swapped) / own[0])
     positive = rates > 0.0
     pair, rates = pair[positive], rates[positive]
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
@@ -348,7 +340,8 @@ def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int)
     import scipy.sparse.csgraph
 
     masks = _sector_masks(window.size, count)
-    src, dst, _ = _state_edges(window, proximity, candidate_pairs(window, proximity), masks)
+    positions, u = _pair_arrays(window, proximity, candidate_pairs(window, proximity))
+    src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions, u)
     graph = scipy.sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(masks),) * 2)
     return scipy.sparse.csgraph.connected_components(graph, directed=False)[0] == 1
 

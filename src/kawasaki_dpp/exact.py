@@ -19,15 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dpp import _PROBABILITY_FLOOR, Configuration, _occupancy, _probabilities, _sector_masks
-from .dynamics import RateModel, _state_edges, candidate_pairs, rate_from_ratio
-from .errors import (
-    DimensionMismatchError,
-    NotReversibleError,
-    NumericalError,
-    SizeError,
-    ZeroProbabilityError,
-)
+from .dpp import Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks
+from .dynamics import RateModel, _pair_arrays, _state_edges, candidate_pairs, rate_from_ratio
+from .errors import DimensionMismatchError, NotReversibleError, NumericalError, SizeError
 from .kernel import KernelMatrix
 from .rn import SwapPair
 
@@ -107,21 +101,19 @@ def build_generator(
         if n > MAX_SECTOR_SITES:
             raise SizeError(f"sectored build capped at {MAX_SECTOR_SITES} sites, got {n}")
         states = _sector_masks(n, sector)
-    weights = _probabilities(k, _occupancy(states, n))
+    occupied = _occupancy(states, n)
+    weights = _probabilities(k, occupied)
     total = weights.sum()
     if total <= 0.0:
         raise NumericalError("state list carries zero probability")
     measure = weights / total
     pairs = candidate_pairs(k.window, model.proximity)
-    src, dst, u = _state_edges(k.window, model.proximity, pairs, states)
-    low = src[weights[src] < _PROBABILITY_FLOOR]
-    if len(low):
-        config = Configuration.from_bitmask(k.window, int(states[low[0]]))
-        raise ZeroProbabilityError(
-            f"configuration {config} has probability {weights[low[0]]:g}; ratio undefined"
-        )
+    positions, u = _pair_arrays(k.window, model.proximity, pairs)
+    src, dst, pair = _state_edges(states, occupied, positions, u)
+    moving = np.unique(src)
+    _check_ratio_defined(k.window, occupied[moving], weights[moving])
     q = np.zeros((len(states), len(states)))
-    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u, weights[dst] / weights[src])
+    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], weights[dst] / weights[src])
     np.fill_diagonal(q, -q.sum(axis=1))
     return GeneratorMatrix(model, k, sector, states, q, measure, pairs)
 
@@ -153,11 +145,12 @@ def dirichlet_form(g: GeneratorMatrix, f: np.ndarray, h: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"vectors must have shape ({g.n_states},), got {f.shape} and {h.shape}"
         )
-    src, dst, u = _state_edges(g.window, g.model.proximity, g.pairs, g.states)
+    positions, u = _pair_arrays(g.window, g.model.proximity, g.pairs)
+    src, dst, pair = _state_edges(g.states, _occupancy(g.states, g.window.size), positions, u)
     mu = g.measure
     live = mu[src] > 0.0
-    src, dst, u = src[live], dst[live], u[live]
-    c = rate_from_ratio(g.model.kind, u, mu[dst] / mu[src])
+    src, dst, pair = src[live], dst[live], pair[live]
+    c = rate_from_ratio(g.model.kind, u[pair], mu[dst] / mu[src])
     return float(np.sum(mu[src] * c * (f[dst] - f[src]) * (h[dst] - h[src])))
 
 

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dpp import _PROBABILITY_FLOOR, Configuration, config_probability, sample_many
-from .errors import SamePointError, SizeError, WindowMismatchError, ZeroProbabilityError
+from .dpp import Configuration, _check_ratio_defined, config_probability, sample_many
+from .errors import SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
 
@@ -69,10 +69,7 @@ def apply_transposition(config: Configuration, swap: SwapPair) -> Configuration:
 def rn_derivative(k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
     """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the kernel's window."""
     denominator = config_probability(k, config)
-    if denominator < _PROBABILITY_FLOOR:
-        raise ZeroProbabilityError(
-            f"configuration {config} has probability {denominator:g}; ratio undefined"
-        )
+    _check_ratio_defined(k.window, [config.occupancy], [denominator])
     numerator = config_probability(k, apply_transposition(config, swap))
     return numerator / denominator
 

@@ -36,7 +36,7 @@ from .dynamics import (
     RateKind,
     RateModel,
     _pair_arrays,
-    _swap_edges,
+    _state_edges,
     candidate_pairs,
     rate_from_ratio,
     sector_graph_connected,
@@ -283,8 +283,8 @@ def verify_dynamics(pair: AdmissiblePair, window: Window, seed: int) -> list[Che
     # src -> dst, with the probabilities p and q of its two ends.
     probs = enumerate_distribution(k).probs
     positions, u = _pair_arrays(dyn_window, nn, candidate_pairs(dyn_window, nn))
-    src, swap = _swap_edges(_occupancy(np.arange(1 << n), n), positions)
-    dst = src ^ (1 << positions).sum(axis=1)[swap]
+    states = np.arange(1 << n)
+    src, dst, swap = _state_edges(states, _occupancy(states, n), positions, u)
     possible = (probs[src] > 0.0) & (probs[dst] > 0.0)
     p, q, weight = probs[src[possible]], probs[dst[possible]], u[swap[possible]]
 

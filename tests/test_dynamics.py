@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki_dpp.dpp import Configuration, config_probability, sample_many
+from kawasaki_dpp.dpp import _DET_ENTRIES, Configuration, config_probability, sample_many
 from kawasaki_dpp.dynamics import (
     ProximitySpec,
     RateKind,
@@ -197,6 +197,36 @@ class TestTotalJumpRate:
             total_jump_rate(_all_models()[0], k, Configuration.from_bitmask(k.window, 0b010))
         # An impossible state without moves has nothing to divide.
         assert total_jump_rate(_all_models()[0], k, Configuration.full(k.window)) == (0.0, [])
+
+    def test_zero_state_is_checked_before_its_neighbours(self):
+        # Site 0 carries no kernel mass, so 110 is impossible.  Its swap of
+        # sites 0 and 2 leads to 011, whose determinant 0.25 - 4 lies far below
+        # the clamp floor (this K is no DPP kernel): the state's own undefined
+        # ratio is what gets reported.
+        entries = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 2.0], [0.0, 2.0, 0.5]])
+        k = KernelMatrix(Window.from_indices(0, 2), entries)
+        model = RateModel.metropolis(ProximitySpec.exp_decay(0.5))
+        with pytest.raises(ZeroProbabilityError, match="110"):
+            total_jump_rate(model, k, Configuration(k.window, (1, 1, 0)))
+
+    def test_wide_window_bounds_each_determinant_stack(self, real_pair, monkeypatch):
+        # 256 sites and swaps across up to 16 of them: the state and its
+        # swapped rows no longer fit one stack of determinants.
+        k = kernel_matrix(real_pair, Window.from_indices(-128, 127))
+        config = sample_many(k, SeededRng(5), 1)[0]
+        stacks = []
+        det = np.linalg.det
+
+        def recording_det(a):
+            stacks.append(a.size)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", recording_det)
+        model = RateModel.metropolis(ProximitySpec.finite_range(16, 0.7))
+        _, per_pair = total_jump_rate(model, k, config)
+        assert max(stacks) <= _DET_ENTRIES < sum(stacks)
+        for swap, r in per_pair[:3]:
+            assert r == 2.0 * rate(model, k, config, swap)
 
     def test_candidate_pairs_respect_range(self, window8):
         nn_pairs = candidate_pairs(window8, ProximitySpec.nearest_neighbor())

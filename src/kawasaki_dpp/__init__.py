@@ -76,7 +76,7 @@ from .rn import (
     rn_stabilization,
 )
 from .rng import SeededRng
-from .specfun import SignedLog, digamma, log_gamma_complex, log_gamma_signed
+from .specfun import digamma, log_gamma_complex
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "RateKind",
     "RateModel",
     "SeededRng",
-    "SignedLog",
     "Site",
     "SpectrumResult",
     "StabilizationRow",
@@ -116,7 +115,6 @@ __all__ = [
     "kernel_entry",
     "kernel_matrix",
     "log_gamma_complex",
-    "log_gamma_signed",
     "proximity_u",
     "rate",
     "rn_derivative",

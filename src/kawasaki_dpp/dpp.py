@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -169,10 +169,6 @@ class Pmf:
         if config.window != self.window:
             raise WindowMismatchError("configuration window differs from pmf window")
         return float(self.probs[config.bitmask])
-
-    def configurations(self) -> Iterator[Configuration]:
-        for mask in range(1 << self.size):
-            yield Configuration.from_bitmask(self.window, mask)
 
     def total(self) -> float:
         return float(self.probs.sum())

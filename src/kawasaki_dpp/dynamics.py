@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dpp import (Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks,
-                  config_probability)
+from .dpp import Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks
 from .errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
@@ -167,36 +166,45 @@ def rate(model: RateModel, k: KernelMatrix, config: Configuration, swap: SwapPai
 def symmetry_check(
     model: RateModel, k: KernelMatrix, config: Configuration, swap: SwapPair
 ) -> float:
-    """Detailed-balance residual |P(gamma) c(gamma) - P(sigma gamma) c(sigma gamma)|."""
+    """Detailed-balance residual |P(gamma) c(gamma) - P(sigma gamma) c(sigma gamma)|.
+
+    Both rates are read off the two probabilities, taken in one batched call.
+    """
     swapped = apply_transposition(config, swap)
-    p = config_probability(k, config)
-    q = config_probability(k, swapped)
-    if p <= 0.0 or q <= 0.0:
+    if config.window != k.window:
+        raise WindowMismatchError("configuration window differs from kernel window")
+    occupied = np.array([config.occupancy, swapped.occupancy], dtype=bool)
+    probs = _probabilities(k, occupied)
+    if probs.min() <= 0.0:
         raise ZeroProbabilityError("symmetry check needs both configurations to be possible")
-    forward = p * rate(model, k, config, swap)
-    backward = q * rate(model, k, swapped, swap)
-    return abs(forward - backward)
+    u = proximity_u(model.proximity, swap.x, swap.y)
+    if u == 0.0:
+        return 0.0
+    _check_ratio_defined(k.window, occupied, probs)
+    forward, backward = probs * rate_from_ratio(model.kind, u, probs[::-1] / probs)
+    return float(abs(forward - backward))
+
+
+def _pair_table(window: Window, proximity: ProximitySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 2) window positions and the weights u of the window's candidate pairs.
+
+    Pairs are listed by first position, then by second, and u is taken once
+    per separation from :func:`proximity_u`.
+    """
+    bound = proximity.max_separation()
+    reach = max(1, window.size - 1 if bound is None else min(bound, window.size - 1))
+    first, step = np.divmod(np.arange(window.size * reach), reach)
+    second = first + step + 1
+    inside = second < window.size
+    separation = np.array([proximity_u(proximity, Site(0), Site(d)) for d in range(1, reach + 1)])
+    return np.column_stack([first[inside], second[inside]]), separation[step[inside]]
 
 
 def candidate_pairs(window: Window, proximity: ProximitySpec) -> tuple[SwapPair, ...]:
     """All unordered site pairs of the window with positive weight."""
     sites = window.sites
-    bound = proximity.max_separation()
-    pairs = []
-    for i, x in enumerate(sites):
-        far = len(sites) if bound is None else min(len(sites), i + bound + 1)
-        for j in range(i + 1, far):
-            pairs.append(SwapPair(x, sites[j]))
-    return tuple(pairs)
-
-
-def _pair_arrays(
-    window: Window, proximity: ProximitySpec, pairs: tuple[SwapPair, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (P, 2) window positions of the swap pairs and their weights u."""
-    positions = [(window.position(p.x), window.position(p.y)) for p in pairs]
-    u = np.array([proximity_u(proximity, p.x, p.y) for p in pairs])
-    return np.array(positions, dtype=np.intp).reshape(len(pairs), 2), u
+    positions, _ = _pair_table(window, proximity)
+    return tuple(SwapPair(sites[i], sites[j]) for i, j in positions.tolist())
 
 
 def _state_edges(
@@ -216,6 +224,26 @@ def _state_edges(
     return src, dst, pair
 
 
+def _rate_table(
+    model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pair index, rate 2c) of each positive-rate swap out of the bool occupancy row `occupied`.
+
+    The row's own probability is checked before its swapped rows are evaluated.
+    """
+    pair = np.flatnonzero((occupied[positions[:, 0]] != occupied[positions[:, 1]]) & (u > 0.0))
+    if not len(pair):
+        return pair, np.empty(0)
+    row = occupied[np.newaxis]
+    own = _probabilities(k, row)
+    _check_ratio_defined(k.window, row, own)
+    swapped = row.repeat(len(pair), axis=0)
+    swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
+    rates = 2.0 * rate_from_ratio(model.kind, u[pair], _probabilities(k, swapped) / own[0])
+    positive = rates > 0.0
+    return pair[positive], rates[positive]
+
+
 def total_jump_rate(
     model: RateModel, k: KernelMatrix, config: Configuration
 ) -> tuple[float, list[tuple[SwapPair, float]]]:
@@ -224,28 +252,19 @@ def total_jump_rate(
     Each unordered pair with unequal occupancy carries rate 2c (the
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
-    rate zero.  The state's own probability is checked first; the swap
-    ratios then come from one batched determinant call over its swapped
-    neighbours, and the total is summed in pair order.
+    rate zero.  Pairs come in :func:`candidate_pairs` order.  The state's
+    own probability is checked first; the swap ratios then come from one
+    batched determinant call over its swapped neighbours, and the total is
+    summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
-    pairs = candidate_pairs(k.window, model.proximity)
-    positions, u = _pair_arrays(k.window, model.proximity, pairs)
-    occupied = np.array([config.occupancy], dtype=bool)
-    moves = occupied[0, positions[:, 0]] != occupied[0, positions[:, 1]]
-    pair = np.flatnonzero(moves & (u > 0.0))
-    if not len(pair):
-        return 0.0, []
-    own = _probabilities(k, occupied)
-    _check_ratio_defined(k.window, occupied, own)
-    swapped = occupied.repeat(len(pair), axis=0)
-    swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
-    rates = 2.0 * rate_from_ratio(model.kind, u[pair], _probabilities(k, swapped) / own[0])
-    positive = rates > 0.0
-    pair, rates = pair[positive], rates[positive]
+    positions, u = _pair_table(k.window, model.proximity)
+    pair, rates = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u)
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
-    return total, [(pairs[i], r) for i, r in zip(pair.tolist(), rates.tolist())]
+    sites = k.window.sites
+    return total, [(SwapPair(sites[i], sites[j]), r)
+                   for (i, j), r in zip(positions[pair].tolist(), rates.tolist())]
 
 
 @dataclass
@@ -263,22 +282,25 @@ class Trajectory:
     def n_events(self) -> int:
         return len(self.events)
 
-    def final_configuration(self) -> Configuration:
-        config = self.initial
+    def _masks(self) -> list[int]:
+        """Bitmask of the state before each event, then of the final state."""
+        window = self.initial.window
+        masks = [self.initial.bitmask]
         for _, swap in self.events:
-            config = apply_transposition(config, swap)
-        return config
+            i, j = window.position(swap.x), window.position(swap.y)
+            mask = masks[-1]
+            masks.append(mask ^ (1 << i | 1 << j) if (mask >> i ^ mask >> j) & 1 else mask)
+        return masks
+
+    def final_configuration(self) -> Configuration:
+        return Configuration.from_bitmask(self.initial.window, self._masks()[-1])
 
     def state_occupation(self) -> dict[int, float]:
         """Total holding time per visited state bitmask, up to t_max."""
+        times = [0.0] + [when for when, _ in self.events] + [self.t_max]
         holding: dict[int, float] = {}
-        config = self.initial
-        t = 0.0
-        for when, swap in self.events:
-            holding[config.bitmask] = holding.get(config.bitmask, 0.0) + (when - t)
-            config = apply_transposition(config, swap)
-            t = when
-        holding[config.bitmask] = holding.get(config.bitmask, 0.0) + (self.t_max - t)
+        for mask, start, end in zip(self._masks(), times, times[1:]):
+            holding[mask] = holding.get(mask, 0.0) + (end - start)
         return holding
 
 
@@ -292,32 +314,33 @@ def simulate(
     """Run the jump chain to time t_max.
 
     Waiting times are exponential at the current total rate; the executed
-    swap is chosen proportionally to the per-pair rates.  A state's rate
-    table comes from :func:`total_jump_rate`, whose ratios are read off one
-    batched determinant over the state and its swapped neighbours.  Tables
-    are memoized by bitmask (the swap ratio depends on the whole
-    configuration, so a swap invalidates every pair's rate; caching by state
-    keeps revisits cheap without approximating).  If the total rate hits
-    zero the state is absorbing and the trajectory idles until t_max.
+    swap is chosen proportionally to the per-pair rates.  The chain runs on
+    a bitmask and a bool occupancy row, with a state's rate table (the pairs
+    and rates of :func:`total_jump_rate`) held as indices into one pair
+    table.  Tables are memoized by bitmask (the swap ratio depends on the
+    whole configuration, so a swap invalidates every pair's rate; caching by
+    state keeps revisits cheap without approximating).  If the total rate
+    hits zero the state is absorbing and the trajectory idles until t_max.
     """
     if initial.window != k.window:
         raise WindowMismatchError("initial configuration window differs from kernel window")
     if t_max < 0.0:
         raise ValueError("t_max must be nonnegative")
-    tables: dict[int, tuple[float, list[SwapPair], np.ndarray]] = {}
-    config = initial
+    positions, u = _pair_table(k.window, model.proximity)
+    ends = positions.tolist()
+    tables: dict[int, tuple[float, list[int], np.ndarray]] = {}
+    occupied = np.array(initial.occupancy, dtype=bool)
+    mask = initial.bitmask
     t = 0.0
-    events: list[tuple[float, SwapPair]] = []
+    executed: list[tuple[float, int]] = []
     absorbed = False
     while True:
-        key = config.bitmask
-        table = tables.get(key)
+        table = tables.get(mask)
         if table is None:
-            total, per_pair = total_jump_rate(model, k, config)
-            pairs = [p for p, _ in per_pair]
-            cumulative = np.cumsum([r for _, r in per_pair]) if per_pair else np.empty(0)
-            table = (total, pairs, cumulative)
-            tables[key] = table
+            pair, rates = _rate_table(model, k, occupied, positions, u)
+            cumulative = np.cumsum(rates)
+            total = float(cumulative[-1]) if len(rates) else 0.0
+            table = tables[mask] = (total, pair.tolist(), cumulative)
         total, pairs, cumulative = table
         if total <= 0.0:
             absorbed = True
@@ -325,12 +348,16 @@ def simulate(
         t_next = t + rng.exponential(total)
         if t_next > t_max:
             break
-        u = rng.random() * total
-        choice = min(int(np.searchsorted(cumulative, u, side="right")), len(pairs) - 1)
-        swap = pairs[choice]
+        choice = min(int(cumulative.searchsorted(rng.random() * total, side="right")),
+                     len(pairs) - 1)
+        i, j = ends[pairs[choice]]
+        occupied[i], occupied[j] = occupied[j], occupied[i]
+        mask ^= 1 << i | 1 << j
         t = t_next
-        config = apply_transposition(config, swap)
-        events.append((t, swap))
+        executed.append((t, pairs[choice]))
+    sites = k.window.sites
+    swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in {p for _, p in executed}}
+    events = [(when, swaps[p]) for when, p in executed]
     return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed)
 
 
@@ -340,7 +367,7 @@ def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int)
     import scipy.sparse.csgraph
 
     masks = _sector_masks(window.size, count)
-    positions, u = _pair_arrays(window, proximity, candidate_pairs(window, proximity))
+    positions, u = _pair_table(window, proximity)
     src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions, u)
     graph = scipy.sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(masks),) * 2)
     return scipy.sparse.csgraph.connected_components(graph, directed=False)[0] == 1

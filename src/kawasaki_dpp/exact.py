@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .dpp import Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks
-from .dynamics import RateModel, _pair_arrays, _state_edges, candidate_pairs, rate_from_ratio
+from .dynamics import RateModel, _pair_table, _state_edges, candidate_pairs, rate_from_ratio
 from .errors import DimensionMismatchError, NotReversibleError, NumericalError, SizeError
 from .kernel import KernelMatrix
 from .rn import SwapPair
@@ -107,15 +107,15 @@ def build_generator(
     if total <= 0.0:
         raise NumericalError("state list carries zero probability")
     measure = weights / total
-    pairs = candidate_pairs(k.window, model.proximity)
-    positions, u = _pair_arrays(k.window, model.proximity, pairs)
+    positions, u = _pair_table(k.window, model.proximity)
     src, dst, pair = _state_edges(states, occupied, positions, u)
     moving = np.unique(src)
     _check_ratio_defined(k.window, occupied[moving], weights[moving])
     q = np.zeros((len(states), len(states)))
     q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], weights[dst] / weights[src])
     np.fill_diagonal(q, -q.sum(axis=1))
-    return GeneratorMatrix(model, k, sector, states, q, measure, pairs)
+    return GeneratorMatrix(model, k, sector, states, q, measure,
+                           candidate_pairs(k.window, model.proximity))
 
 
 def check_reversibility(g: GeneratorMatrix) -> float:
@@ -145,7 +145,7 @@ def dirichlet_form(g: GeneratorMatrix, f: np.ndarray, h: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"vectors must have shape ({g.n_states},), got {f.shape} and {h.shape}"
         )
-    positions, u = _pair_arrays(g.window, g.model.proximity, g.pairs)
+    positions, u = _pair_table(g.window, g.model.proximity)
     src, dst, pair = _state_edges(g.states, _occupancy(g.states, g.window.size), positions, u)
     mu = g.measure
     live = mu[src] > 0.0

@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dpp import Configuration, _check_ratio_defined, config_probability, sample_many
+import numpy as np
+
+from .dpp import (Configuration, _check_ratio_defined, _probabilities, config_probability,
+                  sample_many)
 from .errors import SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
@@ -122,8 +125,10 @@ def rn_stabilization(
     the window process given the pattern; ZeroProbabilityError below
     1e-300), and the mean/std of the swap ratio are recorded together with
     the worst per-sample inversion residual |phi(gamma) * phi(sigma gamma) - 1|.
-    Each size uses its own random stream (rng.stream + 1 + position), so
-    sizes can run concurrently.
+    The ratios are read off two batched probability calls per size, over the
+    draws and then over their transpositions (the draws are checked against
+    the 1e-300 floor in between).  Each size uses its own random stream
+    (rng.stream + 1 + position), so sizes can run concurrently.
 
     The drift between successive sizes is a diagnostic (see
     :meth:`StabilizationTable.deltas`); no convergence rate is asserted.
@@ -137,13 +142,18 @@ def rn_stabilization(
             )
         k = kernel_matrix(pair, window)
         stream = rng.spawn(rng.stream + 1 + offset)
-        phis = []
-        worst = 0.0
-        for draw in sample_many(k, stream, n_samples, pattern=pattern):
-            phi = rn_derivative(k, draw, swap)
-            reverse = rn_derivative(k, apply_transposition(draw, swap), swap)
-            worst = max(worst, abs(phi * reverse - 1.0))
-            phis.append(phi)
+        draws = sample_many(k, stream, n_samples, pattern=pattern)
+        occupied = np.array([d.occupancy for d in draws], dtype=bool).reshape(-1, size)
+        own = _probabilities(k, occupied)
+        _check_ratio_defined(window, occupied, own)
+        ends = [window.position(swap.x), window.position(swap.y)]
+        swapped = occupied.copy()
+        swapped[:, ends] = occupied[:, ends[::-1]]
+        back = _probabilities(k, swapped)
+        _check_ratio_defined(window, swapped, back)
+        phi = back / own
+        worst = float(np.abs(phi * (own / back) - 1.0).max(initial=0.0))
+        phis = phi.tolist()
         mean = sum(phis) / n_samples
         var = sum((p - mean) ** 2 for p in phis) / n_samples
         rows.append(StabilizationRow(size, mean, math.sqrt(var), n_samples, worst))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sp
@@ -25,9 +24,7 @@ import scipy.special as _sp
 from .errors import PoleError
 
 __all__ = [
-    "SignedLog",
     "log_gamma_parts",
-    "log_gamma_signed",
     "log_gamma_complex",
     "digamma",
     "sinpi",
@@ -44,41 +41,10 @@ def _guard_poles(w, kind: str) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class SignedLog:
-    """A nonzero real number stored as (log of absolute value, sign).
-
-    Represents ``sign * exp(log_abs)``.  Zero is unrepresentable on purpose:
-    the gamma function has no zeros, and its poles raise :class:`PoleError`
-    before a SignedLog is ever built.
-    """
-
-    log_abs: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_abs)
-
-
 def log_gamma_parts(x) -> tuple[np.ndarray, np.ndarray]:
     """log|Gamma(x)| and the sign of Gamma(x) (+1.0 or -1.0), elementwise over real x."""
     x = _guard_poles(np.asarray(x, dtype=float), "gamma")
     return _sp.gammaln(x), _sp.gammasgn(x)
-
-
-def log_gamma_signed(x: float) -> SignedLog:
-    """Gamma(x) of a real argument, as a SignedLog.
-
-    The sign alternates between consecutive negative integers:
-    Gamma is negative on (-1, 0), positive on (-2, -1), and so on.
-    """
-    log_abs, sign = log_gamma_parts(float(x))
-    return SignedLog(float(log_abs), int(sign))
 
 
 def log_gamma_complex(w):

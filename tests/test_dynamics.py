@@ -13,6 +13,8 @@ from kawasaki_dpp.dynamics import (
     ProximitySpec,
     RateKind,
     RateModel,
+    Trajectory,
+    _pair_table,
     candidate_pairs,
     proximity_u,
     rate,
@@ -30,10 +32,60 @@ from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
 from kawasaki_dpp.rng import SeededRng
 
 
+PROXIMITIES = {
+    "nn": ProximitySpec.nearest_neighbor(),
+    "range:3": ProximitySpec.finite_range(3),
+    "exp:0.5": ProximitySpec.exp_decay(0.5),
+}
+
+
 def _all_models(proximity=None):
     proximity = proximity or ProximitySpec.nearest_neighbor()
     return [RateModel.metropolis(proximity), RateModel.sqrt_ratio(proximity),
             RateModel.glauber_like(proximity)]
+
+
+def _loop_candidate_pairs(window, proximity):
+    """Reference: the pairs of the window listed site by site."""
+    sites = window.sites
+    bound = proximity.max_separation()
+    pairs = []
+    for i, x in enumerate(sites):
+        far = len(sites) if bound is None else min(len(sites), i + bound + 1)
+        for j in range(i + 1, far):
+            pairs.append(SwapPair(x, sites[j]))
+    return tuple(pairs)
+
+
+def _loop_simulate(model, k, initial, t_max, rng):
+    """Reference: the jump chain on Configuration objects, one total_jump_rate table per state.
+
+    Returns the events, the absorbed flag, the final configuration and the
+    holding time per visited bitmask.
+    """
+    tables = {}
+    config, t, events, absorbed = initial, 0.0, [], False
+    holding = {}
+    while True:
+        if config.bitmask not in tables:
+            total, per_pair = total_jump_rate(model, k, config)
+            cumulative = np.cumsum([r for _, r in per_pair]) if per_pair else np.empty(0)
+            tables[config.bitmask] = (total, [p for p, _ in per_pair], cumulative)
+        total, pairs, cumulative = tables[config.bitmask]
+        if total <= 0.0:
+            absorbed = True
+            break
+        t_next = t + rng.exponential(total)
+        if t_next > t_max:
+            break
+        choice = min(int(np.searchsorted(cumulative, rng.random() * total, side="right")),
+                     len(pairs) - 1)
+        holding[config.bitmask] = holding.get(config.bitmask, 0.0) + (t_next - t)
+        t = t_next
+        config = apply_transposition(config, pairs[choice])
+        events.append((t, pairs[choice]))
+    holding[config.bitmask] = holding.get(config.bitmask, 0.0) + (t_max - t)
+    return events, absorbed, config, holding
 
 
 class TestProximity:
@@ -96,6 +148,19 @@ class TestSymmetryCheck:
     def test_equal_occupancy_is_exactly_zero(self, k6):
         config = Configuration(k6.window, (1, 0, 0, 0, 0, 1))
         assert symmetry_check(_all_models()[0], k6, config, SwapPair(Site(-3), Site(2))) == 0.0
+
+    def test_equals_six_probability_formula(self, k6):
+        # Reference: the two fluxes from config_probability and the scalar rate.
+        for proximity in PROXIMITIES.values():
+            swaps = _loop_candidate_pairs(k6.window, proximity)
+            for model in _all_models(proximity):
+                for mask in range(0, 64, 3):
+                    config = Configuration.from_bitmask(k6.window, mask)
+                    for swap in swaps:
+                        swapped = apply_transposition(config, swap)
+                        forward = config_probability(k6, config) * rate(model, k6, config, swap)
+                        backward = config_probability(k6, swapped) * rate(model, k6, swapped, swap)
+                        assert symmetry_check(model, k6, config, swap) == abs(forward - backward)
 
     def test_metropolis_relative_residual(self, k6):
         model = _all_models()[0]
@@ -228,6 +293,17 @@ class TestTotalJumpRate:
         for swap, r in per_pair[:3]:
             assert r == 2.0 * rate(model, k, config, swap)
 
+    @pytest.mark.parametrize("size", [1, 2, 40])
+    @pytest.mark.parametrize("proximity", PROXIMITIES.values(), ids=PROXIMITIES.keys())
+    def test_pair_table_equals_scalar_loop(self, size, proximity):
+        window = Window.from_indices(-3, size - 4)
+        want = _loop_candidate_pairs(window, proximity)
+        positions, u = _pair_table(window, proximity)
+        assert positions.shape == (len(want), 2)
+        assert positions.tolist() == [[window.position(p.x), window.position(p.y)] for p in want]
+        assert u.tolist() == [proximity_u(proximity, p.x, p.y) for p in want]
+        assert candidate_pairs(window, proximity) == want
+
     def test_candidate_pairs_respect_range(self, window8):
         nn_pairs = candidate_pairs(window8, ProximitySpec.nearest_neighbor())
         assert len(nn_pairs) == 7
@@ -253,6 +329,12 @@ class TestSimulate:
             state = apply_transposition(state, swap)
             assert state.particle_count == config.particle_count
         assert trajectory.final_configuration() == state
+
+    def test_replay_skips_an_equal_occupancy_event(self, k6):
+        config = Configuration(k6.window, (1, 1, 0, 1, 0, 0))
+        trajectory = Trajectory(0, 0, config, [(1.0, SwapPair(Site(-3), Site(-2)))], 2.0)
+        assert trajectory.final_configuration() == config
+        assert trajectory.state_occupation() == {config.bitmask: 2.0}
 
     def test_seed_determinism(self, k6):
         config = Configuration(k6.window, (1, 0, 1, 0, 0, 0))
@@ -290,6 +372,28 @@ class TestSimulate:
         tv = 0.5 * float(np.abs(empirical - conditional).sum())
         assert trajectory.n_events > 5000
         assert tv < 0.1
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("proximity", PROXIMITIES.values(), ids=PROXIMITIES.keys())
+    def test_equals_configuration_loop(self, request, branch, proximity):
+        # On 70 sites, bitmasks outgrow a signed 64-bit integer.
+        pair = request.getfixturevalue(branch)
+        farthest = 0
+        for window, t_max, runs in ((Window.from_indices(-4, 3), 30.0, 3),
+                                    (Window.from_indices(-65, 4), 5.0, 1)):
+            k = kernel_matrix(pair, window)
+            starts = sample_many(k, SeededRng(21), runs)
+            for model, initial in zip(_all_models(proximity), starts):
+                trajectory = simulate(model, k, initial, t_max, SeededRng(5, 1))
+                events, absorbed, final, holding = _loop_simulate(model, k, initial, t_max,
+                                                                  SeededRng(5, 1))
+                assert trajectory.n_events > 0
+                assert trajectory.events == events
+                assert trajectory.absorbed == absorbed
+                assert trajectory.final_configuration() == final
+                assert trajectory.state_occupation() == holding
+                farthest = max([farthest] + [window.position(s.y) for _, s in events])
+        assert farthest >= 63
 
 
 class TestSectorGraph:

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki_dpp.dpp import Configuration, config_probability, enumerate_distribution
+from kawasaki_dpp.dpp import Configuration, config_probability, enumerate_distribution, sample_many
 from kawasaki_dpp.errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import (
+    StabilizationRow,
     SwapPair,
+    _enclosing_window,
     apply_transposition,
     rn_derivative,
     rn_stabilization,
@@ -185,6 +187,43 @@ class TestStabilization:
         mean = float(weights @ np.array(phis))
         sd = math.sqrt(float(weights @ (np.array(phis) - mean) ** 2))
         assert abs(table.rows[0].phi_mean - mean) < 5.0 * sd / math.sqrt(n_samples)
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_rows_equal_per_draw_loop(self, request, branch):
+        # Reference: both ratios of each draw from rn_derivative, summed in draw order.
+        pair = request.getfixturevalue(branch)
+        pattern = Configuration(Window.from_indices(-1, 0), (1, 0))
+        swap = SwapPair(Site(-2), Site(1))
+        sizes, n_samples, rng = [6, 9], 40, SeededRng(8, 2)
+        table = rn_stabilization(pair, pattern, swap, sizes, rng, n_samples=n_samples)
+        for offset, (size, row) in enumerate(zip(sizes, table.rows)):
+            k = kernel_matrix(pair, _enclosing_window(pattern.window, size))
+            draws = sample_many(k, rng.spawn(rng.stream + 1 + offset), n_samples, pattern=pattern)
+            phis, worst = [], 0.0
+            for draw in draws:
+                phi = rn_derivative(k, draw, swap)
+                reverse = rn_derivative(k, apply_transposition(draw, swap), swap)
+                worst = max(worst, abs(phi * reverse - 1.0))
+                phis.append(phi)
+            assert 1.0 in phis and len(set(phis)) > 1  # equal and unequal occupancies occur
+            mean = sum(phis) / n_samples
+            var = sum((p - mean) ** 2 for p in phis) / n_samples
+            assert row == StabilizationRow(size, mean, math.sqrt(var), n_samples, worst)
+
+    def test_zero_probability_draw_is_reported_first(self, monkeypatch):
+        # Site 0 carries no kernel mass, so the draw 110 is impossible; its
+        # swap of sites 0 and 2 leads to 011, whose determinant lies far below
+        # the clamp floor (this K is no DPP kernel).  The draw's own undefined
+        # ratio is what gets reported.
+        entries = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 2.0], [0.0, 2.0, 0.5]])
+        k = KernelMatrix(Window.from_indices(0, 2), entries)
+        draw = Configuration(k.window, (1, 1, 0))
+        monkeypatch.setattr("kawasaki_dpp.rn.kernel_matrix", lambda pair, window: k)
+        monkeypatch.setattr("kawasaki_dpp.rn.sample_many",
+                            lambda k, rng, count, pattern: [draw] * count)
+        with pytest.raises(ZeroProbabilityError, match="110"):
+            rn_stabilization(None, Configuration(Window.from_indices(1, 1), (1,)),
+                             SwapPair(Site(0), Site(2)), [3], SeededRng(0), n_samples=2)
 
     def test_csv_format(self, real_pair, tmp_path):
         pattern = Configuration(Window.from_indices(3, 4), (0, 0))

@@ -16,11 +16,9 @@ import pytest
 
 from kawasaki_dpp.errors import PoleError
 from kawasaki_dpp.specfun import (
-    SignedLog,
     digamma,
     log_gamma_complex,
     log_gamma_parts,
-    log_gamma_signed,
     sinpi,
     sinpi_complex,
 )
@@ -34,58 +32,65 @@ PSI_ONE = -0.5772156649015328606065121           # -euler_gamma
 PSI_HALF = -1.963510026021423479440976           # -euler_gamma - 2 log 2
 
 
+def _signed_log_gamma(x: float) -> tuple[float, int]:
+    """log|Gamma(x)| and the sign of Gamma(x) of one real argument, as Python numbers."""
+    log_abs, sign = log_gamma_parts(x)
+    return float(log_abs), int(sign)
+
+
 class TestSignedLog:
     def test_value(self):
-        assert SignedLog(0.0, 1).value == 1.0
-        assert SignedLog(math.log(2.0), -1).value == pytest.approx(-2.0, rel=1e-15)
+        # sign * exp(log|Gamma|) reconstructs Gamma on both sides of zero
+        for x in (0.5, 1.0, 3.0, 7.25, -0.5, -2.5, -3.75):
+            log_abs, sign = _signed_log_gamma(x)
+            assert sign * math.exp(log_abs) == pytest.approx(math.gamma(x), rel=1e-13)
 
     def test_invalid_sign(self):
-        with pytest.raises(ValueError):
-            SignedLog(0.0, 0)
+        # the sign is +1 or -1, never 0: Gamma has no zeros
+        _, sign = log_gamma_parts(np.arange(-30.0, 30.0) + 0.375)
+        assert set(sign.tolist()) == {-1.0, 1.0}
 
 
 class TestLogGammaSigned:
     def test_gamma_one(self):
-        result = log_gamma_signed(1.0)
-        assert result.log_abs == 0.0
-        assert result.sign == 1
+        assert _signed_log_gamma(1.0) == (0.0, 1)
 
     def test_gamma_five_is_24(self):
-        result = log_gamma_signed(5.0)
-        assert result.sign == 1
-        assert result.log_abs == pytest.approx(LOG_24, abs=1e-14)
+        log_abs, sign = _signed_log_gamma(5.0)
+        assert sign == 1
+        assert log_abs == pytest.approx(LOG_24, abs=1e-14)
 
     def test_gamma_negative_half(self):
-        result = log_gamma_signed(-0.5)
-        assert result.sign == -1
-        assert result.log_abs == pytest.approx(LOG_GAMMA_NEG_HALF, abs=1e-13)
+        log_abs, sign = _signed_log_gamma(-0.5)
+        assert sign == -1
+        assert log_abs == pytest.approx(LOG_GAMMA_NEG_HALF, abs=1e-13)
 
     def test_recurrence_relative(self):
         # Gamma(x + 1) = x Gamma(x), compared in log space to dodge overflow.
         for x in np.linspace(0.2, 160.0, 400):
-            lhs = log_gamma_signed(x + 1.0)
-            rhs = log_gamma_signed(x)
-            ratio = math.exp(rhs.log_abs + math.log(x) - lhs.log_abs)
+            lhs, _ = _signed_log_gamma(x + 1.0)
+            rhs, _ = _signed_log_gamma(x)
+            ratio = math.exp(rhs + math.log(x) - lhs)
             assert abs(ratio - 1.0) < 1e-11
 
     def test_sign_alternation_on_negative_axis(self):
         for n in range(1, 21):
-            assert log_gamma_signed(-n + 0.5).sign == (-1) ** n
+            assert _signed_log_gamma(-n + 0.5)[1] == (-1) ** n
 
     def test_vs_oracle_grid(self):
         xs = list(np.linspace(0.1, 170.0, 113)) + [-0.5, -1.5, -12.3, -99.7, -169.5]
         for x in xs:
-            got = log_gamma_signed(float(x))
+            log_abs, sign = _signed_log_gamma(float(x))
             want = mp.gamma(mp.mpf(float(x)))
-            assert got.sign == (1 if want > 0 else -1)
+            assert sign == (1 if want > 0 else -1)
             # relative error of the reconstructed gamma equals the log-domain
             # absolute error for small errors
-            assert abs(got.log_abs - float(mp.log(abs(want)))) < 1e-12 * max(1.0, abs(got.log_abs))
+            assert abs(log_abs - float(mp.log(abs(want)))) < 1e-12 * max(1.0, abs(log_abs))
 
     def test_poles(self):
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
-                log_gamma_signed(x)
+                log_gamma_parts(x)
 
 
 class TestLogGammaComplex:
@@ -159,7 +164,7 @@ class TestArrayForms:
         xs = np.array([-12.3, -0.5, 0.5, 3.7, 42.0])
         log_abs, sign = log_gamma_parts(xs)
         for x, want_log, want_sign in zip(xs, log_abs, sign):
-            assert log_gamma_signed(x) == SignedLog(want_log, int(want_sign))
+            assert _signed_log_gamma(float(x)) == (want_log, want_sign)
         ws = xs + 0.25j
         assert np.array_equal(log_gamma_complex(ws), [log_gamma_complex(complex(w)) for w in ws])
         assert np.array_equal(digamma(xs), [digamma(float(x)) for x in xs])

@@ -7,7 +7,10 @@ import math
 
 import pytest
 
-from kawasaki_dpp.kernel import Window
+from kawasaki_dpp import verification
+from kawasaki_dpp.dpp import Configuration, config_probability
+from kawasaki_dpp.kernel import Window, kernel_matrix
+from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
 from kawasaki_dpp.verification import SUITE_NAMES, Report, run_suite
 
 WINDOW = Window.from_indices(-4, 4)
@@ -52,3 +55,50 @@ def test_unknown_suite_rejected(real_pair):
 
 def test_suite_names_stable():
     assert SUITE_NAMES == ("kernel", "dpp", "rn", "dynamics", "exact")
+
+
+@pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+def test_rn_values_equal_state_by_state_loop(request, branch):
+    # Reference: each state's ratios from rn_derivative, summed in mask order.
+    pair = request.getfixturevalue(branch)
+    k = kernel_matrix(pair, WINDOW)
+    sites = WINDOW.sites
+    inversion_worst = change_worst = square_probe = 0.0
+    for swap in (SwapPair(sites[0], sites[-1]), SwapPair(sites[4], sites[5])):
+        total = square = 0.0
+        for mask in range(1 << WINDOW.size):
+            config = Configuration.from_bitmask(WINDOW, mask)
+            p = config_probability(k, config)
+            if p <= 0.0:
+                continue
+            phi = rn_derivative(k, config, swap)
+            swapped = apply_transposition(config, swap)
+            if config_probability(k, swapped) > 0.0:
+                inversion_worst = max(inversion_worst,
+                                      abs(phi * rn_derivative(k, swapped, swap) - 1.0))
+            total += p * phi
+            square += p * phi * phi
+        change_worst = max(change_worst, abs(total - 1.0))
+        square_probe = max(square_probe, square)
+    checks = verification.verify_rn(pair, WINDOW, seed=7)
+    assert [(c.name, c.value) for c in checks[:3]] == [
+        ("rn_inversion_max_error", inversion_worst),
+        ("rn_change_of_variables_error", change_worst),
+        ("rn_square_integral_probe", square_probe),
+    ]
+    assert inversion_worst > 0.0 and change_worst > 0.0
+
+
+def test_particle_conservation_fails_on_a_no_op_event(real_pair, monkeypatch):
+    # The start fills the left half, so its two leftmost sites are both occupied.
+    simulate = verification.simulate
+
+    def with_no_op(model, k, initial, t_max, rng):
+        trajectory = simulate(model, k, initial, t_max, rng)
+        trajectory.events.insert(0, (0.0, SwapPair(*k.window.sites[:2])))
+        return trajectory
+
+    monkeypatch.setattr(verification, "simulate", with_no_op)
+    checks = {c.name: c for c in verification.verify_dynamics(real_pair, WINDOW, seed=7)}
+    assert checks["trajectory_seed_determinism"].passed
+    assert not checks["trajectory_particle_conservation"].passed

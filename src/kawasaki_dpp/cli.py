@@ -9,9 +9,14 @@ failure.
 
 Options may also come from a config file of ``key = value`` lines
 (``--config``); explicit flags win over file values, which win over built-in
-defaults.  Window syntax is ``lo..hi`` in integer site indices (site value =
-index + 1/2), complex parameters are ``a+bi`` literals, and all floating
-output uses %.17g.
+defaults.  Every value goes through one typed reader, ``_Options.get``, so a
+value its parser rejects (a malformed number, a negative seed, a sector the
+window cannot hold) is a usage error that names the option.  Window syntax is
+``lo..hi`` in integer site indices (site value = index + 1/2), complex
+parameters are ``a+bi`` literals, and all floating output uses %.17g.  A run
+resolves its shared options and admissible pair once (``_run_config``); a
+command that writes one file does so through ``_write_artifact``, which also
+echoes and prints the path.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .dpp import (Configuration, enumerate_distribution, sample, sample_many, wr
                   write_samples_csv)
 from .dynamics import (
     ProximitySpec,
+    RateKind,
     RateModel,
     simulate,
     write_trajectory_csv,
@@ -45,7 +51,7 @@ from .kernel import (
 )
 from .rn import SwapPair, rn_stabilization, write_stabilization_csv
 from .rng import SeededRng
-from .util import format_complex, format_float, parse_complex, parse_window_spec
+from .util import format_complex, format_float, parse_complex, parse_window_spec, write_json
 from .verification import SUITE_NAMES, run_suite
 
 __all__ = ["main", "console_main"]
@@ -93,20 +99,12 @@ _DEFAULTS = {
     "output_dir": ".",
 }
 
-_MODEL_FACTORIES = {
-    "metropolis": RateModel.metropolis,
-    "sqrt-ratio": RateModel.sqrt_ratio,
-    "glauber-like": RateModel.glauber_like,
-}
-
-
 @dataclass
 class RunConfig:
     """Fully resolved parameters of one CLI invocation."""
 
     command: str
-    z: complex
-    z_prime: complex
+    pair: AdmissiblePair
     window: Window
     rate_model: str
     proximity: ProximitySpec
@@ -115,11 +113,11 @@ class RunConfig:
     n_samples: int
     output_dir: Path
 
-    def echo(self, extra: dict | None = None) -> None:
-        payload = {
+    def echo(self, **extra) -> None:
+        _echo({
             "command": self.command,
-            "z": format_complex(self.z),
-            "z_prime": format_complex(self.z_prime),
+            "z": format_complex(self.pair.z),
+            "z_prime": format_complex(self.pair.z_prime),
             "window": f"{self.window.lo.index}..{self.window.hi.index}",
             "rate_model": self.rate_model,
             "proximity": self.proximity.label(),
@@ -127,11 +125,14 @@ class RunConfig:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "output_dir": str(self.output_dir),
-        }
-        if extra:
-            payload.update(extra)
-        payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        print(json.dumps(payload), file=sys.stderr)
+            **extra,
+        })
+
+
+def _echo(payload: dict) -> None:
+    """The run's one stderr JSON line, the only place a timestamp appears."""
+    payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    print(json.dumps(payload), file=sys.stderr)
 
 
 def _build_parser() -> _Parser:
@@ -179,7 +180,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class _Options:
-    """Flag > config-file > default resolution, with typed accessors."""
+    """Flag > config-file > default resolution, with one typed reader."""
 
     def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
         self._args = vars(args)
@@ -197,235 +198,193 @@ class _Options:
         """Whether the value came from a flag or the config file."""
         return self._args.get(key) is not None or key in self._file
 
-    def _typed(self, key: str, convert, what: str):
-        text = self.raw(key)
+    def get(self, key: str, convert):
+        """``convert(raw value)``; a value it rejects is a usage error naming the option."""
         try:
-            return convert(text)
+            return convert(self.raw(key))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
 
-    def complex_(self, key: str) -> complex:
-        return self._typed(key, parse_complex, "complex")
 
-    def window(self, key: str = "window") -> Window:
-        return self._typed(key, parse_window_spec, "window")
-
-    def int_(self, key: str) -> int:
-        return self._typed(key, int, "integer")
-
-    def float_(self, key: str) -> float:
-        return self._typed(key, float, "number")
-
-    def str_(self, key: str) -> str:
-        return self.raw(key)
+def _checked(convert, accept, requirement: str):
+    """A converter that also rejects values failing ``accept``."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
 
 
-def _proximity(options: _Options) -> ProximitySpec:
-    spec = options.str_("proximity").strip().lower()
-    weight = options.float_("weight")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+
+
+def _parse_proximity(text: str, weight: float) -> ProximitySpec:
+    spec = text.strip().lower()
     if spec in ("nn", "nearest-neighbor", "nearest_neighbor"):
         return ProximitySpec.nearest_neighbor(weight)
     if spec.startswith("exp:"):
         return ProximitySpec.exp_decay(float(spec[4:]), weight)
     if spec.startswith("range:"):
         return ProximitySpec.finite_range(int(spec[6:]), weight)
-    raise UsageError(f"--proximity: expected 'nn', 'exp:ALPHA' or 'range:R', got {spec!r}")
+    raise ValueError(f"expected 'nn', 'exp:ALPHA' or 'range:R', got {spec!r}")
 
 
-def _rate_model(options: _Options) -> RateModel:
-    name = options.str_("model").strip().lower()
-    factory = _MODEL_FACTORIES.get(name)
-    if factory is None:
-        raise UsageError(f"--model: expected one of {sorted(_MODEL_FACTORIES)}, got {name!r}")
-    return factory(_proximity(options))
-
-
-def _admissible_pair(options: _Options) -> AdmissiblePair:
-    z = options.complex_("z")
-    zp = options.complex_("zp")
-    try:
-        return AdmissiblePair(z, zp)
-    except KawasakiDppError as exc:
-        raise UsageError(f"--z/--zp: {exc}") from None
+def _rate_model(options: _Options, proximity: ProximitySpec) -> RateModel:
+    """``--model`` names a ``RateKind`` value, with ``-`` for ``_`` (``sqrt-ratio``)."""
+    return options.get("model", lambda text: RateModel(
+        RateKind(text.strip().lower().replace("-", "_")), proximity))
 
 
 def _run_config(command: str, options: _Options) -> RunConfig:
-    pair = _admissible_pair(options)
-    t_max = options.float_("t_max")
-    if t_max <= 0.0:
-        raise UsageError("--t-max must be positive")
-    n_samples = options.int_("n_samples")
-    if n_samples < 1:
-        raise UsageError("--n-samples must be >= 1")
+    z = options.get("z", parse_complex)
+    # an inadmissible pair is a DomainError, which is a ValueError
+    pair = options.get("zp", lambda text: AdmissiblePair(z, parse_complex(text)))
+    weight = options.get("weight", _POSITIVE)
     return RunConfig(
         command=command,
-        z=pair.z,
-        z_prime=pair.z_prime,
-        window=options.window(),
-        rate_model=options.str_("model"),
-        proximity=_proximity(options),
-        t_max=t_max,
-        seed=options.int_("seed"),
-        n_samples=n_samples,
-        output_dir=Path(options.str_("output_dir")),
+        pair=pair,
+        window=options.get("window", parse_window_spec),
+        rate_model=options.raw("model"),
+        proximity=options.get("proximity", lambda text: _parse_proximity(text, weight)),
+        t_max=options.get("t_max", _POSITIVE),
+        seed=options.get("seed", _checked(int, lambda v: v >= 0, ">= 0")),
+        n_samples=options.get("n_samples", _POSITIVE_INT),
+        output_dir=Path(options.raw("output_dir")),
     )
 
 
-def _out_path(options: _Options, default_name: str) -> Path:
-    out = options.str_("out")
-    if out:
-        return Path(out)
-    directory = Path(options.str_("output_dir"))
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / default_name
+def _write_artifact(options: _Options, config: RunConfig, name: str, write, value,
+                    **extra) -> int:
+    """``write(value, path)`` to --out or to ``name`` in --output-dir; echo; print the path."""
+    out = options.raw("out")
+    if not out:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    path = Path(out or config.output_dir / name)
+    write(value, path)
+    config.echo(out=str(path), **extra)
+    print(path)
+    return 0
 
 
 def _cmd_admissible(options: _Options) -> int:
-    z = options.complex_("z")
-    zp = options.complex_("zp")
+    z = options.get("z", parse_complex)
+    zp = options.get("zp", parse_complex)
     result = is_admissible(z, zp)
     if not result and complex(z) == complex(zp):
         print("note: equal parameters are unsupported; try --zp slightly offset, "
               "e.g. z + 1e-6", file=sys.stderr)
     # the full RunConfig presumes an admissible pair; echo the reduced form
-    echo = {
+    _echo({
         "command": "admissible",
         "z": format_complex(z),
         "z_prime": format_complex(zp),
         "admissible": result,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    print(json.dumps(echo), file=sys.stderr)
+    })
     print("true" if result else "false")
     return 0
 
 
 def _cmd_kernel(options: _Options) -> int:
     config = _run_config("kernel", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    k = kernel_matrix(pair, config.window)
+    k = kernel_matrix(config.pair, config.window)
     k.validate()
-    path = _out_path(options, "kernel.csv")
-    write_kernel_csv(k, path)
-    config.echo({"out": str(path)})
-    print(path)
-    return 0
+    return _write_artifact(options, config, "kernel.csv", write_kernel_csv, k)
 
 
 def _cmd_sample(options: _Options) -> int:
     config = _run_config("sample", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    k = kernel_matrix(pair, config.window)
-    rng = SeededRng(config.seed)
-    draws = sample_many(k, rng, config.n_samples)
-    path = _out_path(options, "samples.csv")
-    write_samples_csv(draws, path)
-    config.echo({"out": str(path)})
-    print(path)
-    return 0
+    k = kernel_matrix(config.pair, config.window)
+    draws = sample_many(k, SeededRng(config.seed), config.n_samples)
+    return _write_artifact(options, config, "samples.csv", write_samples_csv, draws)
 
 
 def _cmd_exact_probs(options: _Options) -> int:
     config = _run_config("exact-probs", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    pmf = enumerate_distribution(kernel_matrix(pair, config.window))
-    path = _out_path(options, "pmf.csv")
-    write_pmf_csv(pmf, path)
-    config.echo({"out": str(path)})
-    print(path)
-    return 0
+    pmf = enumerate_distribution(kernel_matrix(config.pair, config.window))
+    return _write_artifact(options, config, "pmf.csv", write_pmf_csv, pmf)
 
 
 def _parse_swap(text: str) -> SwapPair:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
-        raise ValueError(f"swap must be 'i,j' site indices, got {text!r}")
+        raise ValueError(f"expected 'i,j' site indices (e.g. -1,0), got {text!r}")
     return SwapPair(Site(int(parts[0])), Site(int(parts[1])))
 
 
 def _cmd_rn(options: _Options) -> int:
     config = _run_config("rn", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    pattern_window = options.window("pattern_window") if options.raw("pattern_window") else None
-    if pattern_window is None:
-        raise UsageError("--pattern-window is required (e.g. --pattern-window -1..0)")
-    bits = options.str_("pattern").strip()
-    if len(bits) != pattern_window.size or any(c not in "01" for c in bits):
-        raise UsageError(
-            f"--pattern must be {pattern_window.size} characters of 0/1 for window "
-            f"{pattern_window}, got {bits!r}"
-        )
-    pattern = Configuration(pattern_window, tuple(int(c) for c in bits))
-    swap_text = options.str_("swap").strip()
-    if not swap_text:
-        raise UsageError("--swap is required (e.g. --swap -1,0)")
-    try:
-        swap = _parse_swap(swap_text)
-    except ValueError as exc:
-        raise UsageError(f"--swap: {exc}") from None
-    sizes = [int(s) for s in options.str_("sizes").split(",") if s.strip()]
-    # the stabilization study defaults to 100 conditioned samples per size
-    samples_per_size = config.n_samples if options.provided("n_samples") else 100
-    table = rn_stabilization(pair, pattern, swap, sizes, SeededRng(config.seed),
-                             n_samples=samples_per_size)
-    path = _out_path(options, "rn_stabilization.csv")
-    write_stabilization_csv(table, path)
-    config.echo({"out": str(path), "deltas": [format_float(d) for d in table.deltas()]})
-    print(path)
-    return 0
+    pattern_window = options.get("pattern_window", parse_window_spec)
+
+    def parse_pattern(text: str) -> Configuration:
+        bits = text.strip()
+        if len(bits) != pattern_window.size or any(c not in "01" for c in bits):
+            raise ValueError(f"must be {pattern_window.size} characters of 0/1 for window "
+                             f"{pattern_window}, got {bits!r}")
+        return Configuration(pattern_window, tuple(int(c) for c in bits))
+
+    pattern = options.get("pattern", parse_pattern)
+    swap = options.get("swap", _parse_swap)
+    sizes = options.get("sizes", lambda text: [int(s) for s in text.split(",") if s.strip()])
+    if not options.provided("n_samples"):
+        config.n_samples = 100  # the stabilization study's own default per size
+    table = rn_stabilization(config.pair, pattern, swap, sizes, SeededRng(config.seed),
+                             n_samples=config.n_samples)
+    return _write_artifact(options, config, "rn_stabilization.csv", write_stabilization_csv,
+                           table, deltas=[format_float(d) for d in table.deltas()])
 
 
-def _initial_configuration(options: _Options, window: Window, k, rng: SeededRng) -> Configuration:
-    text = options.str_("initial").strip().lower()
+def _parse_initial(text: str, window: Window) -> Configuration | None:
+    """The --initial start; None stands for a DPP draw."""
+    text = text.strip().lower()
     if text == "alternating":
         return Configuration(window, tuple(i % 2 for i in range(window.size)))
     if text == "dpp":
-        return sample(k, rng)
+        return None
     if set(text) <= {"0", "1"} and len(text) == window.size:
         return Configuration(window, tuple(int(c) for c in text))
-    raise UsageError(
-        f"--initial must be a {window.size}-bit occupancy string, 'alternating' or 'dpp'"
-    )
+    raise ValueError(f"must be a {window.size}-bit occupancy string, 'alternating' or 'dpp'")
 
 
 def _cmd_simulate(options: _Options) -> int:
     config = _run_config("simulate", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    model = _rate_model(options)
-    k = kernel_matrix(pair, config.window)
-    replicas = options.int_("replicas")
-    if replicas < 1:
-        raise UsageError("--replicas must be >= 1")
-    # The initial draw (when --initial dpp) uses the first stream index not
-    # taken by a replica, so replica streams stay untouched.
-    initial = _initial_configuration(options, config.window, k,
-                                     SeededRng(config.seed, replicas))
+    model = _rate_model(options, config.proximity)
+    k = kernel_matrix(config.pair, config.window)
+    replicas = options.get("replicas", _POSITIVE_INT)
+    initial = options.get("initial", lambda text: _parse_initial(text, config.window))
+    if initial is None:
+        # The initial draw uses the first stream index not taken by a
+        # replica, so replica streams stay untouched.
+        initial = sample(k, SeededRng(config.seed, replicas))
     trajectories = [simulate(model, k, initial, config.t_max, SeededRng(config.seed, stream))
                     for stream in range(replicas)]
 
-    directory = Path(options.str_("output_dir"))
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stream, trajectory in enumerate(trajectories):
-        csv_path = directory / f"trajectory_{stream:03d}.csv"
-        json_path = directory / f"trajectory_{stream:03d}.json"
-        write_trajectory_csv(trajectory, csv_path)
-        write_trajectory_sidecar(trajectory, pair.z, pair.z_prime, model, json_path)
-        written.append(str(csv_path))
-    config.echo({"replicas": replicas, "workers": 1,
-                 "n_events": [t.n_events for t in trajectories]})
-    for path in written:
-        print(path)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    paths = [config.output_dir / f"trajectory_{stream:03d}.csv" for stream in range(replicas)]
+    for trajectory, path in zip(trajectories, paths):
+        write_trajectory_csv(trajectory, path)
+        write_trajectory_sidecar(trajectory, config.pair.z, config.pair.z_prime, model,
+                                 path.with_suffix(".json"))
+    config.echo(replicas=replicas, workers=1, n_events=[t.n_events for t in trajectories])
+    print(*paths, sep="\n")
     return 0
+
+
+def _parse_sector(text: str, window: Window) -> int | None:
+    if not text.strip():
+        return None
+    sector = int(text)
+    if not 0 <= sector <= window.size:
+        raise ValueError(f"must be a particle count from 0 to {window.size}, got {sector}")
+    return sector
 
 
 def _cmd_spectrum(options: _Options) -> int:
     config = _run_config("spectrum", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    model = _rate_model(options)
-    sector_text = options.str_("sector").strip()
-    sector = int(sector_text) if sector_text else None
-    k = kernel_matrix(pair, config.window)
+    model = _rate_model(options, config.proximity)
+    sector = options.get("sector", lambda text: _parse_sector(text, config.window))
+    k = kernel_matrix(config.pair, config.window)
     g = build_generator(model, k, sector=sector)
     result = spectrum(g)
     payload = {
@@ -435,21 +394,17 @@ def _cmd_spectrum(options: _Options) -> int:
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "spectral_gap": result.spectral_gap,
     }
-    path = _out_path(options, "spectrum.json")
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    config.echo({"out": str(path), "spectral_gap": result.spectral_gap})
-    print(path)
-    return 0
+    return _write_artifact(options, config, "spectrum.json", write_json, payload,
+                           spectral_gap=result.spectral_gap)
 
 
 def _cmd_verify(options: _Options) -> int:
     config = _run_config("verify", options)
-    pair = AdmissiblePair(config.z, config.z_prime)
-    suite = options.str_("suite")
-    report = run_suite(suite, pair, config.window, config.seed)
-    config.echo({"suite": suite, "failures": report.failures})
+    suite = options.raw("suite")
+    report = run_suite(suite, config.pair, config.window, config.seed)
+    config.echo(suite=suite, failures=report.failures)
     print(report.to_json())
-    out = options.str_("out")
+    out = options.raw("out")
     if out:
         report.write(Path(out))
     return 2 if report.failures else 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .kernel import KernelMatrix, Site, Window
 from .rng import SeededRng
+from .util import write_csv
 
 __all__ = [
     "Configuration",
@@ -381,10 +381,7 @@ def empirical_correlation(samples: Sequence[Configuration], sites: Iterable[Site
 
 def write_pmf_csv(pmf: Pmf, path) -> None:
     """Export a pmf as CSV: ``bitmask,probability`` with %.17g entries."""
-    lines = ["bitmask,probability"]
-    for mask in range(1 << pmf.size):
-        lines.append(f"{mask},{pmf.probs[mask]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "bitmask,probability", "%d,%.17g", enumerate(pmf.probs.tolist()))
 
 
 def write_samples_csv(samples: Sequence[Configuration], path) -> None:
@@ -393,7 +390,5 @@ def write_samples_csv(samples: Sequence[Configuration], path) -> None:
         raise EmptyInputError("no samples")
     window = samples[0].window
     header = "sample_index," + ",".join(f"x={s}" for s in window.sites)
-    lines = [header]
-    for i, c in enumerate(samples):
-        lines.append(f"{i}," + ",".join(str(b) for b in c.occupancy))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, header, "%d" + ",%d" * window.size,
+              ((i, *c.occupancy) for i, c in enumerate(samples)))

@@ -21,10 +21,8 @@ holds sector by sector.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .errors import SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
 from .rng import SeededRng
-from .util import format_complex
+from .util import format_complex, write_csv, write_json
 
 __all__ = [
     "ProximityKind",
@@ -375,10 +373,8 @@ def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int)
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Export events as CSV: ``time,x,y`` with %.17g times."""
-    lines = ["time,x,y"]
-    for when, swap in trajectory.events:
-        lines.append(f"{when:.17g},{swap.x},{swap.y}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "time,x,y", "%.17g,%s,%s",
+              ((when, swap.x, swap.y) for when, swap in trajectory.events))
 
 
 def trajectory_sidecar(trajectory: Trajectory, z: complex, z_prime: complex, model: RateModel) -> dict:
@@ -406,6 +402,4 @@ def trajectory_sidecar(trajectory: Trajectory, z: complex, z_prime: complex, mod
 def write_trajectory_sidecar(
     trajectory: Trajectory, z: complex, z_prime: complex, model: RateModel, path
 ) -> None:
-    Path(path).write_text(
-        json.dumps(trajectory_sidecar(trajectory, z, z_prime, model), indent=2) + "\n"
-    )
+    write_json(trajectory_sidecar(trajectory, z, z_prime, model), path)

@@ -39,12 +39,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
 from .specfun import digamma, log_gamma_complex, log_gamma_parts, sinpi, sinpi_complex
+from .util import write_csv
 
 __all__ = [
     "Site",
@@ -424,8 +424,5 @@ def spectral_projection_check(pair: AdmissiblePair, window: Window, margin: int)
 def write_kernel_csv(k: KernelMatrix, path) -> None:
     r"""Export a kernel matrix as CSV: header ``x\y,<sites>``, %.17g entries."""
     sites = k.window.sites
-    lines = ["x\\y," + ",".join(str(s) for s in sites)]
-    for i, s in enumerate(sites):
-        row = ",".join(f"{v:.17g}" for v in k.entries[i])
-        lines.append(f"{s},{row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "x\\y," + ",".join(str(s) for s in sites), "%s" + ",%.17g" * len(sites),
+              ((s, *row.tolist()) for s, row in zip(sites, k.entries)))

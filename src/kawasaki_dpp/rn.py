@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .dpp import (Configuration, _check_ratio_defined, _probabilities, config_pr
 from .errors import SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
+from .util import write_csv
 
 __all__ = [
     "SwapPair",
@@ -162,7 +162,5 @@ def rn_stabilization(
 
 def write_stabilization_csv(table: StabilizationTable, path) -> None:
     """Export as CSV: ``window_size,phi_mean,phi_std,n_samples``."""
-    lines = ["window_size,phi_mean,phi_std,n_samples"]
-    for r in table.rows:
-        lines.append(f"{r.window_size},{r.phi_mean:.17g},{r.phi_std:.17g},{r.n_samples}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "window_size,phi_mean,phi_std,n_samples", "%d,%.17g,%.17g,%d",
+              ((r.window_size, r.phi_mean, r.phi_std, r.n_samples) for r in table.rows))

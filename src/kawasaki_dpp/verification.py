@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .kernel import (
 )
 from .rn import SwapPair, rn_stabilization
 from .rng import SeededRng
+from .util import write_json
 
 __all__ = ["Check", "Report", "SUITE_NAMES", "run_suite"]
 
@@ -102,7 +102,7 @@ class Report:
         return json.dumps(self.to_dict(), indent=2)
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        write_json(self.to_dict(), path)
 
 
 def _bounded(name: str, value: float, tolerance: float) -> Check:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,24 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 1
 
+    @pytest.mark.parametrize("argv, option", [
+        (["sample", "--seed", "-1"], "--seed"),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "-1,0",
+          "--sizes", "8,x"], "--sizes"),
+        (["spectrum", "--sector", "x"], "--sector"),
+        (["spectrum", "--window", "-4..3", "--sector", "99"], "--sector"),
+        (["simulate", "--proximity", "exp:abc"], "--proximity"),
+        (["simulate", "--proximity", "exp:-1"], "--proximity"),
+        (["simulate", "--proximity", "range:0"], "--proximity"),
+        (["simulate", "--weight", "-1"], "--weight"),
+    ])
+    def test_malformed_value_is_usage_error(self, capsys, tmp_path, argv, option):
+        code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: {option}: ")
+
 
 class TestArtifacts:
     def test_kernel_csv(self, capsys, tmp_path):
@@ -172,6 +192,16 @@ class TestArtifacts:
         echo = json.loads(stderr.splitlines()[-1])
         assert "deltas" in echo
 
+    @pytest.mark.parametrize("extra, used", [([], 100), (["--n-samples", "30"], 30)])
+    def test_rn_echo_reports_samples_used(self, capsys, tmp_path, extra, used):
+        out = tmp_path / "stab.csv"
+        code, _, stderr = run(capsys, "rn", "--pattern", "00", "--pattern-window", "3..4",
+                              "--swap", "3,4", "--sizes", "8,10", *extra, "--out", str(out))
+        assert code == 0
+        echo = json.loads(stderr.splitlines()[-1])
+        column = {int(line.split(",")[3]) for line in out.read_text().splitlines()[1:]}
+        assert column == {echo["n_samples"]} == {used}
+
     def test_rn_requires_pattern_window(self, capsys):
         code, _, err = run(capsys, "rn", "--z", "1.5", "--zp", "1.7", "--swap", "0,1")
         assert code == 1
@@ -219,3 +249,59 @@ class TestVerifyCommand:
                               "--z", "1.5", "--zp", "1.7")
         assert code == 2
         assert json.loads(stdout)["failures"] == 1
+
+
+_RUN_KEYS = ["command", "z", "z_prime", "window", "rate_model", "proximity", "t_max", "seed",
+             "n_samples", "output_dir"]
+
+_ECHO_CASES = [
+    (["admissible"], ["command", "z", "z_prime", "admissible"]),
+    (["kernel", "--window", "-2..1"], _RUN_KEYS + ["out"]),
+    (["sample", "--window", "-2..1", "--n-samples", "5"], _RUN_KEYS + ["out"]),
+    (["exact-probs", "--window", "-2..1"], _RUN_KEYS + ["out"]),
+    (["rn", "--pattern", "00", "--pattern-window", "3..4", "--swap", "3,4", "--sizes", "8,10",
+      "--n-samples", "5"], _RUN_KEYS + ["out", "deltas"]),
+    (["simulate", "--window", "-2..1", "--t-max", "1"],
+     _RUN_KEYS + ["replicas", "workers", "n_events"]),
+    (["spectrum", "--window", "-2..1"], _RUN_KEYS + ["out", "spectral_gap"]),
+    (["verify", "--suite", "kernel"], _RUN_KEYS + ["suite", "failures"]),
+]
+
+
+@pytest.mark.parametrize("argv, keys", _ECHO_CASES, ids=[argv[0] for argv, _ in _ECHO_CASES])
+def test_echo_keys_are_frozen(capsys, tmp_path, monkeypatch, argv, keys):
+    """Each subcommand's echo keys, in order; new keys may be added, none renamed."""
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0
+    assert list(json.loads(stderr.splitlines()[-1])) == keys + ["timestamp"]
+
+
+def _readme_commands() -> list[tuple[list[str], str]]:
+    """Each command of README's "Command line" block, with its ``# -> output`` if any."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "kawasaki-dpp"
+        commands.append((argv[1:], comment.replace("->", "").strip()))
+    return commands
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv, expected", _README_COMMANDS,
+                         ids=[argv[0] for argv, _ in _README_COMMANDS])
+def test_readme_command(capsys, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if expected:
+        assert out.strip() == expected
+    elif argv[0] == "verify":
+        assert json.loads(out)["failures"] == 0
+    else:
+        assert out.split() and all(Path(path).exists() for path in out.split())

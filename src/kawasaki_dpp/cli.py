@@ -16,7 +16,8 @@ window cannot hold) is a usage error that names the option.  Window syntax is
 parameters are ``a+bi`` literals, and all floating output uses %.17g.  A run
 resolves its shared options and admissible pair once (``_run_config``); a
 command that writes one file does so through ``_write_artifact``, which also
-echoes and prints the path.
+echoes and prints the path.  Every written file's directory is created first,
+and an unreadable ``--config`` file is a usage error.
 """
 
 from __future__ import annotations
@@ -164,8 +165,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"--config: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -258,10 +263,8 @@ def _run_config(command: str, options: _Options) -> RunConfig:
 def _write_artifact(options: _Options, config: RunConfig, name: str, write, value,
                     **extra) -> int:
     """``write(value, path)`` to --out or to ``name`` in --output-dir; echo; print the path."""
-    out = options.raw("out")
-    if not out:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-    path = Path(out or config.output_dir / name)
+    path = Path(options.raw("out") or config.output_dir / name)
+    path.parent.mkdir(parents=True, exist_ok=True)
     write(value, path)
     config.echo(out=str(path), **extra)
     print(path)
@@ -406,7 +409,8 @@ def _cmd_verify(options: _Options) -> int:
     print(report.to_json())
     out = options.raw("out")
     if out:
-        report.write(Path(out))
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        report.write(out)
     return 2 if report.failures else 0
 
 

@@ -54,12 +54,9 @@ MAX_ENUMERATION_SITES = 20
 # clamped; anything more negative is treated as a genuine failure.
 _CLAMP_FLOOR = -1e-12
 
-# Each stack of determinants holds about this many matrix entries: 16384
-# matrices at the enumeration cap of 20 sites, fewer on wider windows.
-_DET_ENTRIES = (1 << 14) * MAX_ENUMERATION_SITES ** 2
-
-# Sampling chunks hold about this many matrix entries.
-_CHUNK_ENTRIES = 1 << 20
+# Each (n, n, B) stack, of determinants or of sampling chunks, holds about
+# this many matrix entries.
+_STACK_ENTRIES = 1 << 20
 # Rounding may take a conditional probability this far outside [0, 1].
 _PROBABILITY_TOL = 1e-8
 # Configurations and patterns less likely than this count as impossible.
@@ -148,12 +145,7 @@ class Pmf:
         probs = np.array(probs, dtype=float)
         if probs.shape != (1 << window.size,):
             raise ValueError(f"need {1 << window.size} probabilities, got {probs.shape}")
-        if probs.min() < _CLAMP_FLOOR:
-            raise NumericalError(f"probability {probs.min():g} below clamp floor")
-        negative = probs < 0.0
-        if negative.any():
-            clamp_counter.count += int(negative.sum())
-            probs[negative] = 0.0
+        _clamp(probs)
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise NumericalError(f"pmf total {total!r} deviates from 1 by more than 1e-9")
@@ -208,27 +200,32 @@ def _sector_masks(n: int, count: int) -> np.ndarray:
     return masks[_occupancy(masks, n).sum(axis=1) == count]
 
 
-def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
-    """Exact probabilities of the (S, n) bool occupancy rows, in batches of stacked determinants.
-
-    Tiny negative determinants (floating noise) are clamped to zero and
-    counted in :data:`clamp_counter`; one below -1e-12 raises NumericalError.
-    """
-    entries = k.entries
-    complement = np.eye(k.size) - entries
-    probs = np.empty(len(occupied))
-    batch = max(1, _DET_ENTRIES // k.size ** 2)
-    for start in range(0, len(occupied), batch):
-        rows = occupied[start:start + batch, np.newaxis, :]
-        probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
+def _clamp(probs: np.ndarray) -> np.ndarray:
+    """Zero the entries of `probs` in [-1e-12, 0) in place, counted in :data:`clamp_counter`."""
     lowest = probs.min(initial=0.0)
     if lowest < 0.0:
         if lowest < _CLAMP_FLOOR:
-            raise NumericalError(f"configuration determinant {lowest:g} below clamp floor")
+            raise NumericalError(f"probability {lowest:g} below clamp floor {_CLAMP_FLOOR:g}")
         negative = probs < 0.0
         clamp_counter.count += int(negative.sum())
         probs[negative] = 0.0
     return probs
+
+
+def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
+    """Exact probabilities of the (S, n) bool occupancy rows, clamped by :func:`_clamp`.
+
+    Determinants go in stacks of about 2^20 matrix entries, each factored on
+    its own, so the values do not depend on the stack size.
+    """
+    entries = k.entries
+    complement = np.eye(k.size) - entries
+    probs = np.empty(len(occupied))
+    batch = max(1, _STACK_ENTRIES // k.size ** 2)
+    for start in range(0, len(occupied), batch):
+        rows = occupied[start:start + batch, np.newaxis, :]
+        probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
+    return _clamp(probs)
 
 
 def _check_ratio_defined(window: Window, occupied, probs) -> None:
@@ -271,8 +268,8 @@ def correlation(k: KernelMatrix, sites: Iterable[Site]) -> float:
 def enumerate_distribution(k: KernelMatrix) -> Pmf:
     """The full law over all 2^n configurations (n <= 20).
 
-    Determinants are evaluated in batches of stacked matrices so that the
-    million-state case stays within a few seconds and modest memory.
+    One batched determinant per configuration (:func:`_probabilities`) keeps
+    the million-state case within a few seconds and modest memory.
     """
     n = k.size
     if n > MAX_ENUMERATION_SITES:
@@ -344,7 +341,7 @@ def sample_many(
     # Equal draws share one immutable Configuration; small windows repeat them often.
     shared: dict[tuple, Configuration] = {}
     draws = []
-    chunk = max(1, _CHUNK_ENTRIES // max(1, free.size ** 2))
+    chunk = max(1, _STACK_ENTRIES // max(1, free.size ** 2))
     for first in range(0, count, chunk):
         u = rng.random((min(chunk, count - first), free.size))
         probs = _sequential_pass(m.repeat(len(u), axis=2), u.T)

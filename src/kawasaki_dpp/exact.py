@@ -66,9 +66,6 @@ class GeneratorMatrix:
     measure: np.ndarray
     pairs: tuple[SwapPair, ...]
 
-    def __post_init__(self):
-        self._index = {int(m): i for i, m in enumerate(self.states)}
-
     @property
     def window(self):
         return self.kernel.window
@@ -78,7 +75,11 @@ class GeneratorMatrix:
         return len(self.states)
 
     def index_of(self, mask: int) -> int:
-        return self._index[int(mask)]
+        """Row of the state `mask`, by binary search of the ascending states; KeyError if absent."""
+        i = int(np.searchsorted(self.states, mask))
+        if i == len(self.states) or self.states[i] != mask:
+            raise KeyError(mask)
+        return i
 
     def configuration(self, i: int) -> Configuration:
         return Configuration.from_bitmask(self.window, int(self.states[i]))

@@ -80,9 +80,6 @@ class Site:
     def value(self) -> float:
         return self.index + 0.5
 
-    def shifted(self, offset: int) -> "Site":
-        return Site(self.index + offset)
-
     def __str__(self) -> str:
         return f"{self.value:g}"
 

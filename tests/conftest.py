@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kawasaki_dpp
 from kawasaki_dpp import (
     AdmissiblePair,
     SeededRng,
@@ -12,6 +18,25 @@ from kawasaki_dpp import (
     sample_many,
 )
 from kawasaki_dpp.kernel import Window
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """``run(args, cwd)``: ``python *args`` in a subprocess, on this suite's package source.
+
+    The source root of the package this process imported goes first on the
+    child's PYTHONPATH, absolute, so the child runs the same code from any
+    cwd, whether or not the package is installed.
+    """
+    source_root = str(Path(kawasaki_dpp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+
+    def run(args: list[str], cwd) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -9,16 +9,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kawasaki_dpp
 from kawasaki_dpp.dpp import (
     Configuration,
     config_probability,
@@ -260,19 +255,7 @@ def test_criterion_10_spectral_projection_convergence():
            + ", conj " + "->".join(f"{results['conj'][s]:.4f}" for s in (40, 60, 80)))
 
 
-def _cli(args: list[str], cwd) -> subprocess.CompletedProcess:
-    # Put the source root of the package this process imported first on the
-    # child's path, absolute, so the CLI runs the same code from any cwd.
-    source_root = str(Path(kawasaki_dpp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "kawasaki_dpp", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
-    )
-
-
-def test_criterion_11_reproducibility(tmp_path):
+def test_criterion_11_reproducibility(tmp_path, run_python):
     commands = [
         ["kernel", "--z", "1.5", "--zp", "1.7", "--window", "-3..3"],
         ["sample", "--z", "0.3+0.4i", "--zp", "0.3-0.4i", "--window", "-3..2",
@@ -292,7 +275,7 @@ def test_criterion_11_reproducibility(tmp_path):
         for attempt in ("first", "second"):
             run_dir = tmp_path / f"cmd{index}_{attempt}"
             run_dir.mkdir()
-            proc = _cli(args + ["--output-dir", "."], run_dir)
+            proc = run_python(["-m", "kawasaki_dpp", *args, "--output-dir", "."], run_dir)
             assert proc.returncode == 0, proc.stderr
             dirs.append(run_dir)
             outputs.append(proc.stdout)

@@ -128,6 +128,15 @@ class TestArtifacts:
         assert echo["z"] == "1.5"
         assert "timestamp" in echo
 
+    def test_out_creates_its_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["kernel", "--window", "-2..1", "--out"]
+        assert run(capsys, *argv, "a/b/k.csv")[0] == 0
+        assert run(capsys, *argv, "k.csv")[0] == 0
+        assert Path("a/b/k.csv").read_bytes() == Path("k.csv").read_bytes()
+        assert run(capsys, "verify", "--suite", "kernel", "--out", "a/r.json")[0] == 0
+        assert json.loads(Path("a/r.json").read_text())["suite"] == "kernel"
+
     def test_sample_reproducible_bytes(self, capsys, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -219,6 +228,14 @@ class TestConfigFile:
         echo = json.loads(stderr.splitlines()[-1])
         assert echo["window"] == "-1..1"   # flag beat the file
         assert echo["seed"] == 5           # file beat the default
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "kernel", "--config", str(tmp_path / name))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: --config: ")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_config_key(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -64,6 +64,18 @@ def _inclusion_exclusion_probability(k: KernelMatrix, config: Configuration) -> 
     return total
 
 
+def _pmf_entry(value: float) -> float:
+    """Bitmask 1 of a hand-built one-site Pmf whose entries are 1 and `value`."""
+    return float(Pmf(Window.from_indices(0, 0), np.array([1.0, value])).probs[1])
+
+
+def _determinant(value: float) -> float:
+    """The both-occupied probability of a two-site K = [[0, b], [b, 0]]: -b^2 = `value`."""
+    b = math.sqrt(-value)
+    k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.0, b], [b, 0.0]]))
+    return float(dpp_mod._probabilities(k, np.array([[True, True]]))[0])
+
+
 class TestConfiguration:
     def test_bitmask_roundtrip(self, window6):
         for mask in range(1 << 6):
@@ -179,6 +191,17 @@ class TestEnumerateDistribution:
         with pytest.raises(SizeError):
             enumerate_distribution(kernel_matrix(real_pair, Window.centered(21)))
 
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_probabilities_do_not_depend_on_stack_size(self, request, branch):
+        n = 14
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(n))
+        assert dpp_mod._STACK_ENTRIES // n ** 2 < 1 << n  # the library splits the states
+        # Reference: all 2^14 matrices in one stack, negatives clamped.
+        occupied = dpp_mod._occupancy(np.arange(1 << n), n)[:, np.newaxis, :]
+        want = np.linalg.det(np.where(occupied, k.entries, np.eye(n) - k.entries))
+        want[want < 0.0] = 0.0
+        assert enumerate_distribution(k).probs.tobytes() == want.tobytes()
+
     def test_sector_normalization(self, pmf8):
         masks, probs = pmf8.sector(3)
         assert len(masks) == math.comb(8, 3)
@@ -242,7 +265,7 @@ class TestSample:
     def test_sample_many_matches_repeated_sample(self, request, branch, count):
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(20))
         if count == 4096:
-            assert count > dpp_mod._CHUNK_ENTRIES // (20 * 20)  # spans a chunk boundary
+            assert count > dpp_mod._STACK_ENTRIES // (20 * 20)  # spans a chunk boundary
         batch_rng, single_rng = SeededRng(11), SeededRng(11)
         batch = sample_many(k, batch_rng, count)
         singles = [sample(k, single_rng) for _ in range(count)]
@@ -339,3 +362,11 @@ class TestCsvAndCounters:
     def test_clamp_counter_interface(self):
         clamp_counter.reset()
         assert clamp_counter.count == 0
+
+    @pytest.mark.parametrize("probability_of", [_pmf_entry, _determinant], ids=["pmf", "det"])
+    def test_clamp_rule_is_shared(self, probability_of):
+        clamp_counter.reset()
+        assert probability_of(-5e-13) == 0.0
+        assert clamp_counter.count == 1
+        with pytest.raises(NumericalError, match="below clamp floor -1e-12"):
+            probability_of(-2e-12)

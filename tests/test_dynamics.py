@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki_dpp.dpp import _DET_ENTRIES, Configuration, config_probability, sample_many
+from kawasaki_dpp.dpp import _STACK_ENTRIES, Configuration, config_probability, sample_many
 from kawasaki_dpp.dynamics import (
     ProximitySpec,
     RateKind,
@@ -289,7 +289,7 @@ class TestTotalJumpRate:
         monkeypatch.setattr(np.linalg, "det", recording_det)
         model = RateModel.metropolis(ProximitySpec.finite_range(16, 0.7))
         _, per_pair = total_jump_rate(model, k, config)
-        assert max(stacks) <= _DET_ENTRIES < sum(stacks)
+        assert max(stacks) <= _STACK_ENTRIES < sum(stacks)
         for swap, r in per_pair[:3]:
             assert r == 2.0 * rate(model, k, config, swap)
 

@@ -137,6 +137,14 @@ class TestBuildGenerator:
             build_generator(_models()[0], k19, sector=2)
 
 
+    def test_index_of_is_row_of_state(self, k10):
+        g = build_generator(RateModel.metropolis(ProximitySpec.nearest_neighbor()), k10, sector=5)
+        assert [g.index_of(mask) for mask in g.states] == list(range(g.n_states))
+        for absent in (0b11, (1 << 10) - 1):  # 2 and 10 particles, first and past the end
+            with pytest.raises(KeyError):
+                g.index_of(absent)
+
+
 class TestReversibility:
     def test_symmetric_two_state_chain(self, k6):
         states = np.array([1, 2])

@@ -11,12 +11,16 @@ exhaustive enumeration of the full law on small windows, and an exact
 sequential Schur-complement sampler (Poulson, arXiv:1905.00165; Launay,
 Galerne and Desolneux, arXiv:1802.08429): no eigendecomposition, batched
 draws, and exact conditioning on a local pattern by forcing its sites first.
+On windows of up to 13 sites, unconditioned draws read their conditional
+probabilities off a table that one Schur pass per kernel fills in
+(:class:`_DrawTable`), with the same values, bit for bit, as a pass per draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,8 +61,9 @@ _CLAMP_FLOOR = -1e-12
 # Each (n, n, B) stack, of determinants or of sampling chunks, holds about
 # this many matrix entries.
 _STACK_ENTRIES = 1 << 20
-# Rounding may take a conditional probability this far outside [0, 1].
-_PROBABILITY_TOL = 1e-8
+# Rounding may take a conditional probability p up to 1e-8 outside [0, 1]:
+# p is valid when |p - 0.5| is at most this.
+_HALF_WIDTH = 0.5 + 1e-8
 # Configurations and patterns less likely than this count as impossible.
 _PROBABILITY_FLOOR = 1e-300
 
@@ -117,11 +122,11 @@ class Configuration:
     def full(cls, window: Window) -> "Configuration":
         return cls(window, (1,) * window.size)
 
-    @property
+    @cached_property
     def particle_count(self) -> int:
         return sum(self.occupancy)
 
-    @property
+    @cached_property
     def bitmask(self) -> int:
         mask = 0
         for i, b in enumerate(self.occupancy):
@@ -297,9 +302,68 @@ def _sequential_pass(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _require_probabilities(probs: np.ndarray) -> None:
     """NumericalError unless every conditional probability (not NaN) is in [-1e-8, 1 + 1e-8]."""
     distance = np.abs(probs - 0.5)
-    if not distance.max(initial=0.0) <= 0.5 + _PROBABILITY_TOL:
+    if not distance.max(initial=0.0) <= _HALF_WIDTH:
         worst = probs.flat[np.argmax(distance)]
         raise NumericalError(f"conditional probability {worst:g} outside [-1e-8, 1+1e-8]")
+
+
+class _DrawTable:
+    """Every conditional probability an unconditioned draw on one kernel can visit.
+
+    Site i's probability depends only on the occupancy of sites 0..i-1, so
+    ``columns[i][prefix]``, with `prefix` their bitmask, holds all 2^(n-1) * n
+    of them.  One stack pass fills them in, each prefix forced by u = -inf
+    (in) or +inf (out), through the element-wise operations of a draw's own
+    pass, so they equal a draw's bit for bit.  Prefixes that no draw reaches
+    (after a pivot of 0) hold NaN and are never read.
+    """
+
+    def __init__(self, k: KernelMatrix):
+        forced = np.where(_occupancy(np.arange(1 << (k.size - 1)), k.size), -np.inf, np.inf)
+        with np.errstate(all="ignore"):
+            self.probs = _sequential_pass(k.entries[:, :, np.newaxis].repeat(len(forced), axis=2),
+                                          forced.T).T.copy()
+        self.columns = self.probs.tolist()
+        self.window = k.window
+        self.configs: dict[int, Configuration] = {}
+
+    def config(self, mask: int) -> Configuration:
+        """The one Configuration of draw `mask`, made after the probabilities on its way are checked."""
+        config = self.configs.get(mask)
+        if config is None:
+            _require_probabilities(np.array([column[mask & ((1 << i) - 1)]
+                                              for i, column in enumerate(self.columns)]))
+            config = self.configs[mask] = Configuration.from_bitmask(self.window, mask)
+        return config
+
+    def draw(self, u: list[float]) -> Configuration:
+        """The draw for one uniform per site, walked in Python."""
+        mask = 0
+        for i, (x, column) in enumerate(zip(u, self.columns)):
+            if x < column[mask]:
+                mask |= 1 << i
+        return self.config(mask)
+
+    def draw_many(self, u: np.ndarray) -> list[Configuration]:
+        """The draws for the (B, n) uniforms `u`, in one vector step per site."""
+        masks = np.zeros(len(u), dtype=np.int64)
+        visited = np.empty_like(u)
+        for i, column in enumerate(self.probs):
+            p = visited[:, i] = column[masks]
+            masks |= np.left_shift(u[:, i] < p, i)
+        _require_probabilities(visited)  # reports the worst of the chunk, as the stack pass does
+        return [self.config(mask) for mask in masks.tolist()]
+
+
+def _draw_table(k: KernelMatrix) -> _DrawTable | None:
+    """`k`'s draw table, kept on `k` as its eigh is; None when the build stack passes the budget.
+
+    2^(n-1) matrices of n^2 entries fit 2^20 up to n = 13.
+    """
+    if "_draw_table" not in vars(k):
+        n = k.size
+        k._draw_table = _DrawTable(k) if (1 << (n - 1)) * n * n <= _STACK_ENTRIES else None
+    return k._draw_table
 
 
 def sample_many(
@@ -311,15 +375,20 @@ def sample_many(
     probability given the sites before it: the diagonal entry of the running
     Schur complement of K.  Draws run as a batch, in chunks of about 2^20
     matrix entries; each takes one uniform per free site, in (draw, site)
-    order, so the draws equal `count` successive :func:`sample` calls.  The
+    order, so the draws equal `count` successive :func:`sample` calls.
+    Unconditioned draws on up to 13 sites read the kernel's table of
+    conditional probabilities (:class:`_DrawTable`), a chunk in one vector
+    step per site; the others run the Schur updates on each chunk.  The
     pattern's sites are forced first, once; its probability is the product
     of the forced factors p or 1 - p, summed in log space.  Raises
     WindowMismatchError for a pattern outside the window, ZeroProbabilityError
-    for one of probability below 1e-300, and NumericalError for a conditional
-    probability outside [-1e-8, 1 + 1e-8], which no valid kernel gives.
+    for one of probability below 1e-300, and NumericalError for a visited
+    conditional probability outside [-1e-8, 1 + 1e-8], which no valid kernel
+    gives.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    table = _draw_table(k) if pattern is None else None
     bits, order, m = (), np.arange(k.size), k.entries[:, :, np.newaxis]
     if pattern is not None:
         inner = pattern.window
@@ -344,6 +413,9 @@ def sample_many(
     chunk = max(1, _STACK_ENTRIES // max(1, free.size ** 2))
     for first in range(0, count, chunk):
         u = rng.random((min(chunk, count - first), free.size))
+        if table is not None:
+            draws += table.draw_many(u)
+            continue
         probs = _sequential_pass(m.repeat(len(u), axis=2), u.T)
         _require_probabilities(probs)
         occupancy = np.empty((len(u), k.size), dtype=np.int8)
@@ -355,8 +427,14 @@ def sample_many(
 
 
 def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
-    """One exact draw from the window process: ``sample_many(k, rng, 1)[0]``."""
-    return sample_many(k, rng, 1)[0]
+    """One exact draw from the window process, equal to ``sample_many(k, rng, 1)[0]``.
+
+    On up to 13 sites it walks the kernel's :class:`_DrawTable` in Python.
+    """
+    table = _draw_table(k)
+    if table is None:
+        return sample_many(k, rng, 1)[0]
+    return table.draw(rng.random(k.size).tolist())
 
 
 def empirical_correlation(samples: Sequence[Configuration], sites: Iterable[Site]) -> float:

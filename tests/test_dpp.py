@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def _pmf_entry(value: float) -> float:
     return float(Pmf(Window.from_indices(0, 0), np.array([1.0, value])).probs[1])
 
 
+def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmasks of the draws for the (B, n) uniforms `u`, one Schur pass per draw,
+    and the (B, n) conditional probabilities they visit.
+
+    A copy of the stack pass that the kernel's draw table replaces on small
+    windows: site i is occupied when u[:, i] is below the running diagonal,
+    and a rank-one update with pivot p (in) or p - 1 (out) conditions the
+    later sites.
+    """
+    m = k.entries[:, :, np.newaxis].repeat(len(u), axis=2)
+    for i in range(k.size - 1):
+        p = m[i, i]
+        column = m[i + 1:, i:i + 1] / (p - (u[:, i] >= p))
+        m[i + 1:, i + 1:] -= column * m[i, i + 1:]
+    probs = np.diagonal(m)
+    return ((u < probs) << np.arange(k.size)).sum(axis=1), probs
+
+
 def _determinant(value: float) -> float:
     """The both-occupied probability of a two-site K = [[0, b], [b, 0]]: -b^2 = `value`."""
     b = math.sqrt(-value)
@@ -86,6 +105,13 @@ class TestConfiguration:
     def test_string_form(self, window6):
         config = Configuration(window6, (1, 0, 1, 0, 0, 1))
         assert str(config) == "101001"
+
+    def test_cached_counts_leave_equality_hash_and_repr(self, window6):
+        read, fresh = (Configuration(window6, (1, 0, 1, 1, 0, 0)) for _ in range(2))
+        assert (read.bitmask, read.particle_count) == (13, 3)
+        assert {"bitmask", "particle_count"} <= vars(read).keys()
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert read != Configuration(window6, (1, 0, 1, 1, 0, 1))
 
     def test_occupancy_validation(self, window6):
         with pytest.raises(ValueError):
@@ -255,17 +281,75 @@ class TestSample:
         # goes, the second site's conditional probability is -7.5 or 8.5
         k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.5]]))
         for seed in range(5):
-            with pytest.raises(NumericalError):
+            # the stack pass reports the first draw's value: -7.5 after site 0 is taken
+            worst = "-7.5" if SeededRng(seed).random() < 0.5 else "8.5"
+            message = rf"^conditional probability {worst} outside \[-1e-8, 1\+1e-8\]$"
+            with pytest.raises(NumericalError, match=message):
                 sample(k, SeededRng(seed))
-        with pytest.raises(NumericalError):
-            sample_many(k, SeededRng(0), 100)
+            with pytest.raises(NumericalError, match=message):
+                sample_many(k, SeededRng(seed), 100)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invalid_kernel_reports_the_stack_pass_worst(self, seed):
+        # random symmetric entries, diagonal in [0, 1]: accepted, but not a kernel
+        rnd = np.random.default_rng(seed)
+        half = rnd.uniform(-0.7, 0.7, (5, 5))
+        entries = half + half.T
+        np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, 5))
+        k = KernelMatrix(Window.centered(5), entries)
+        with np.errstate(all="ignore"):
+            _, probs = _schur_pass(k, SeededRng(seed).random((50, 5)))
+        for draws in (1, 50):
+            distance = np.abs(probs[:draws] - 0.5)
+            assert distance.max() > 0.5 + 1e-8
+            worst = f"{probs[:draws].flat[np.argmax(distance)]:g}"
+            with pytest.raises(NumericalError, match=rf"^conditional probability {re.escape(worst)} "):
+                sample_many(k, SeededRng(seed), draws)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1, 6, 13])
+    def test_degenerate_kernels_draw_past_unreachable_nan_rows(self, size):
+        window = Window.centered(size)
+        for entries, expected in ((np.zeros((size, size)), 0), (np.eye(size), size)):
+            k = KernelMatrix(window, entries)
+            rng = SeededRng(4)
+            draws = [sample(k, rng) for _ in range(20)] + sample_many(k, rng, 200)
+            assert {c.particle_count for c in draws} == {expected}
+            # a pivot of 0 leaves NaN behind every prefix no draw takes
+            assert np.isnan(dpp_mod._draw_table(k).probs).any() == (size > 1)
+
+    def test_draw_table_is_built_once_per_kernel(self, monkeypatch, real_pair):
+        passes = []
+        schur_pass = dpp_mod._sequential_pass
+        monkeypatch.setattr(dpp_mod, "_sequential_pass",
+                            lambda m, u: passes.append(m.shape) or schur_pass(m, u))
+        k = kernel_matrix(real_pair, Window.centered(8))
+        rng = SeededRng(2)
+        draws = [sample(k, rng) for _ in range(500)] + sample_many(k, rng, 500)
+        assert passes == [(8, 8, 1 << 7)]
+        # one shared Configuration per drawn mask
+        assert len({id(c) for c in draws}) == len(set(draws)) > 1
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
-    @pytest.mark.parametrize("count", [1, 7, 4096])
-    def test_sample_many_matches_repeated_sample(self, request, branch, count):
-        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(20))
-        if count == 4096:
-            assert count > dpp_mod._STACK_ENTRIES // (20 * 20)  # spans a chunk boundary
+    @pytest.mark.parametrize("size, centre", [(1, 0), (2, -20), (8, 0), (8, 17), (13, 0),
+                                              (13, -20), (14, 0), (14, 17)])
+    def test_draws_match_one_schur_pass_per_draw(self, request, branch, size, centre):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, centre))
+        assert (dpp_mod._draw_table(k) is None) == (size > 13)  # 13 sites: the largest table
+        rng, reference_rng = SeededRng(21), SeededRng(21)
+        draws = [sample(k, rng) for _ in range(200)] + sample_many(k, rng, 500)
+        expected, _ = _schur_pass(k, reference_rng.random((700, size)))
+        assert [c.bitmask for c in draws] == expected.tolist()
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size, count", [
+        pytest.param(20, 1, id="1"), pytest.param(20, 7, id="7"), pytest.param(20, 4096, id="4096"),
+        pytest.param(8, 20_000, id="8_sites-20000")])
+    def test_sample_many_matches_repeated_sample(self, request, branch, size, count):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
+        if count > 7:
+            assert count > dpp_mod._STACK_ENTRIES // size ** 2  # spans a chunk boundary
         batch_rng, single_rng = SeededRng(11), SeededRng(11)
         batch = sample_many(k, batch_rng, count)
         singles = [sample(k, single_rng) for _ in range(count)]

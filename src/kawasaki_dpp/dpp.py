@@ -11,14 +11,16 @@ exhaustive enumeration of the full law on small windows, and an exact
 sequential Schur-complement sampler (Poulson, arXiv:1905.00165; Launay,
 Galerne and Desolneux, arXiv:1802.08429): no eigendecomposition, batched
 draws, and exact conditioning on a local pattern by forcing its sites first.
-On windows of up to 13 sites, unconditioned draws read their conditional
-probabilities off a table that one Schur pass per kernel fills in
-(:class:`_DrawTable`), with the same values, bit for bit, as a pass per draw.
+On windows of up to 12 sites, unconditioned draws are by inverse CDF
+(Devroye, Non-Uniform Random Variate Generation, 1986, ch. III) over the
+full law, built once per kernel from the enumeration's determinants
+(:class:`_LawTable`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -151,9 +153,7 @@ class Pmf:
         if probs.shape != (1 << window.size,):
             raise ValueError(f"need {1 << window.size} probabilities, got {probs.shape}")
         _clamp(probs)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise NumericalError(f"pmf total {total!r} deviates from 1 by more than 1e-9")
+        _require_total(probs.sum())
         probs.setflags(write=False)
         self.window = window
         self.probs = probs
@@ -190,6 +190,12 @@ class Pmf:
         if total <= 0.0:
             raise NumericalError(f"sector {count} has zero total probability")
         return masks, weights / total
+
+
+def _require_total(total: float) -> None:
+    """NumericalError unless the law's total (not NaN) is within 1e-9 of 1."""
+    if not abs(total - 1.0) <= 1e-9:
+        raise NumericalError(f"pmf total {float(total)!r} deviates from 1 by more than 1e-9")
 
 
 def _occupancy(masks: np.ndarray, n: int) -> np.ndarray:
@@ -307,63 +313,36 @@ def _require_probabilities(probs: np.ndarray) -> None:
         raise NumericalError(f"conditional probability {worst:g} outside [-1e-8, 1+1e-8]")
 
 
-class _DrawTable:
-    """Every conditional probability an unconditioned draw on one kernel can visit.
+class _LawTable:
+    """The cumulative law of a window of up to 12 sites, for draws by inverse CDF.
 
-    Site i's probability depends only on the occupancy of sites 0..i-1, so
-    ``columns[i][prefix]``, with `prefix` their bitmask, holds all 2^(n-1) * n
-    of them.  One stack pass fills them in, each prefix forced by u = -inf
-    (in) or +inf (out), through the element-wise operations of a draw's own
-    pass, so they equal a draw's bit for bit.  Prefixes that no draw reaches
-    (after a pivot of 0) hold NaN and are never read.
+    ``cumulative[m]`` is P(bitmask <= m): the running sum of the 2^n
+    probabilities :func:`enumerate_distribution` takes, divided by its last
+    entry, which is then exactly 1.  A uniform u in [0, 1) draws the first
+    mask whose entry exceeds u, so a mask of probability 0 is never drawn.
     """
 
     def __init__(self, k: KernelMatrix):
-        forced = np.where(_occupancy(np.arange(1 << (k.size - 1)), k.size), -np.inf, np.inf)
-        with np.errstate(all="ignore"):
-            self.probs = _sequential_pass(k.entries[:, :, np.newaxis].repeat(len(forced), axis=2),
-                                          forced.T).T.copy()
-        self.columns = self.probs.tolist()
+        n = k.size
+        cumulative = np.cumsum(_probabilities(k, _occupancy(np.arange(1 << n), n)))
+        _require_total(cumulative[-1])
+        self.cumulative = cumulative / cumulative[-1]
+        self.bounds = self.cumulative.tolist()
         self.window = k.window
         self.configs: dict[int, Configuration] = {}
 
     def config(self, mask: int) -> Configuration:
-        """The one Configuration of draw `mask`, made after the probabilities on its way are checked."""
-        config = self.configs.get(mask)
-        if config is None:
-            _require_probabilities(np.array([column[mask & ((1 << i) - 1)]
-                                              for i, column in enumerate(self.columns)]))
-            config = self.configs[mask] = Configuration.from_bitmask(self.window, mask)
-        return config
-
-    def draw(self, u: list[float]) -> Configuration:
-        """The draw for one uniform per site, walked in Python."""
-        mask = 0
-        for i, (x, column) in enumerate(zip(u, self.columns)):
-            if x < column[mask]:
-                mask |= 1 << i
-        return self.config(mask)
-
-    def draw_many(self, u: np.ndarray) -> list[Configuration]:
-        """The draws for the (B, n) uniforms `u`, in one vector step per site."""
-        masks = np.zeros(len(u), dtype=np.int64)
-        visited = np.empty_like(u)
-        for i, column in enumerate(self.probs):
-            p = visited[:, i] = column[masks]
-            masks |= np.left_shift(u[:, i] < p, i)
-        _require_probabilities(visited)  # reports the worst of the chunk, as the stack pass does
-        return [self.config(mask) for mask in masks.tolist()]
+        """The one Configuration of draw `mask`."""
+        return self.configs.get(mask) or self.configs.setdefault(
+            mask, Configuration.from_bitmask(self.window, mask))
 
 
-def _draw_table(k: KernelMatrix) -> _DrawTable | None:
-    """`k`'s draw table, kept on `k` as its eigh is; None when the build stack passes the budget.
-
-    2^(n-1) matrices of n^2 entries fit 2^20 up to n = 13.
-    """
-    if "_draw_table" not in vars(k):
+def _law_table(k: KernelMatrix) -> _LawTable | None:
+    """`k`'s law table, kept on `k` as its eigh is; None past 12 sites (2^n n^2 > 2^20 entries)."""
+    if "_law_table" not in vars(k):
         n = k.size
-        k._draw_table = _DrawTable(k) if (1 << (n - 1)) * n * n <= _STACK_ENTRIES else None
-    return k._draw_table
+        k._law_table = _LawTable(k) if (1 << n) * n * n <= _STACK_ENTRIES else None
+    return k._law_table
 
 
 def sample_many(
@@ -371,24 +350,27 @@ def sample_many(
 ) -> list[Configuration]:
     """`count` exact draws, conditioned on `pattern` (a configuration on a sub-window) if given.
 
-    Sites are visited in window order, each kept with its conditional
-    probability given the sites before it: the diagonal entry of the running
-    Schur complement of K.  Draws run as a batch, in chunks of about 2^20
-    matrix entries; each takes one uniform per free site, in (draw, site)
-    order, so the draws equal `count` successive :func:`sample` calls.
-    Unconditioned draws on up to 13 sites read the kernel's table of
-    conditional probabilities (:class:`_DrawTable`), a chunk in one vector
-    step per site; the others run the Schur updates on each chunk.  The
-    pattern's sites are forced first, once; its probability is the product
-    of the forced factors p or 1 - p, summed in log space.  Raises
-    WindowMismatchError for a pattern outside the window, ZeroProbabilityError
-    for one of probability below 1e-300, and NumericalError for a visited
-    conditional probability outside [-1e-8, 1 + 1e-8], which no valid kernel
-    gives.
+    Unconditioned draws on up to 12 sites take one uniform each and find
+    their masks in the kernel's cumulative law (:class:`_LawTable`) with one
+    ``np.searchsorted``.  Other draws visit the sites in window order, each
+    kept with its conditional probability given the sites before it: the
+    diagonal entry of the running Schur complement of K.  They run as a
+    batch, in chunks of about 2^20 matrix entries, each draw taking one
+    uniform per free site in (draw, site) order.  Either way the draws equal
+    `count` successive :func:`sample` calls.  The pattern's sites are forced
+    first, once; its probability is the product of the forced factors p or
+    1 - p, summed in log space.  Raises WindowMismatchError for a pattern
+    outside the window, ZeroProbabilityError for one of probability below
+    1e-300, and NumericalError for a probability below the clamp floor or a
+    visited conditional probability outside [-1e-8, 1 + 1e-8], which no
+    valid kernel gives.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    table = _draw_table(k) if pattern is None else None
+    table = _law_table(k) if pattern is None else None
+    if table is not None:
+        masks = np.searchsorted(table.cumulative, rng.random(count), side="right")
+        return [table.config(mask) for mask in masks.tolist()]
     bits, order, m = (), np.arange(k.size), k.entries[:, :, np.newaxis]
     if pattern is not None:
         inner = pattern.window
@@ -413,9 +395,6 @@ def sample_many(
     chunk = max(1, _STACK_ENTRIES // max(1, free.size ** 2))
     for first in range(0, count, chunk):
         u = rng.random((min(chunk, count - first), free.size))
-        if table is not None:
-            draws += table.draw_many(u)
-            continue
         probs = _sequential_pass(m.repeat(len(u), axis=2), u.T)
         _require_probabilities(probs)
         occupancy = np.empty((len(u), k.size), dtype=np.int8)
@@ -429,12 +408,13 @@ def sample_many(
 def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
     """One exact draw from the window process, equal to ``sample_many(k, rng, 1)[0]``.
 
-    On up to 13 sites it walks the kernel's :class:`_DrawTable` in Python.
+    On up to 12 sites it bisects the kernel's cumulative law (:class:`_LawTable`)
+    with one uniform.
     """
-    table = _draw_table(k)
+    table = _law_table(k)
     if table is None:
         return sample_many(k, rng, 1)[0]
-    return table.draw(rng.random(k.size).tolist())
+    return table.config(bisect_right(table.bounds, rng.random()))
 
 
 def empirical_correlation(samples: Sequence[Configuration], sites: Iterable[Site]) -> float:

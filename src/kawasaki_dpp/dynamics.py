@@ -166,13 +166,16 @@ def symmetry_check(
 ) -> float:
     """Detailed-balance residual |P(gamma) c(gamma) - P(sigma gamma) c(sigma gamma)|.
 
-    Both rates are read off the two probabilities, taken in one batched call.
+    Both rates are read off the two probabilities.  The state's own
+    probability is taken and checked first, as in :func:`total_jump_rate`.
     """
     swapped = apply_transposition(config, swap)
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
     occupied = np.array([config.occupancy, swapped.occupancy], dtype=bool)
-    probs = _probabilities(k, occupied)
+    own = _probabilities(k, occupied[:1])
+    _check_ratio_defined(k.window, occupied, own)
+    probs = np.append(own, _probabilities(k, occupied[1:]))
     if probs.min() <= 0.0:
         raise ZeroProbabilityError("symmetry check needs both configurations to be possible")
     u = proximity_u(model.proximity, swap.x, swap.y)
@@ -187,15 +190,16 @@ def _pair_table(window: Window, proximity: ProximitySpec) -> tuple[np.ndarray, n
     """The (P, 2) window positions and the weights u of the window's candidate pairs.
 
     Pairs are listed by first position, then by second, and u is taken once
-    per separation from :func:`proximity_u`.
+    per separation from :func:`proximity_u`.  Pairs whose weight is 0 (an
+    exponential weight can underflow) are left out.
     """
     bound = proximity.max_separation()
     reach = max(1, window.size - 1 if bound is None else min(bound, window.size - 1))
     first, step = np.divmod(np.arange(window.size * reach), reach)
     second = first + step + 1
-    inside = second < window.size
     separation = np.array([proximity_u(proximity, Site(0), Site(d)) for d in range(1, reach + 1)])
-    return np.column_stack([first[inside], second[inside]]), separation[step[inside]]
+    kept = (second < window.size) & (separation[step] > 0.0)
+    return np.column_stack([first[kept], second[kept]]), separation[step[kept]]
 
 
 def candidate_pairs(window: Window, proximity: ProximitySpec) -> tuple[SwapPair, ...]:
@@ -217,7 +221,7 @@ def _state_edges(
     state is listed.
     """
     moves = occupied[:, positions[:, 0]] != occupied[:, positions[:, 1]]
-    src, pair = np.nonzero(moves & (u > 0.0))
+    src, pair = np.nonzero(moves)
     dst = np.searchsorted(states, states[src] ^ (1 << positions).sum(axis=1)[pair])
     return src, dst, pair
 
@@ -229,7 +233,7 @@ def _rate_table(
 
     The row's own probability is checked before its swapped rows are evaluated.
     """
-    pair = np.flatnonzero((occupied[positions[:, 0]] != occupied[positions[:, 1]]) & (u > 0.0))
+    pair = np.flatnonzero(occupied[positions[:, 0]] != occupied[positions[:, 1]])
     if not len(pair):
         return pair, np.empty(0)
     row = occupied[np.newaxis]

@@ -278,8 +278,9 @@ class KernelMatrix:
     """Dense symmetric restriction of the kernel to a window.
 
     Immutable after construction (the entry array is marked read-only).
-    Construction checks symmetry to 1e-12 and the diagonal against [0, 1];
-    the O(n^3) eigenvalue range check is available via :meth:`validate`.
+    Construction checks that the entries are finite, symmetry to 1e-12 and
+    the diagonal against [0, 1]; the O(n^3) eigenvalue range check is
+    available via :meth:`validate`.
     """
 
     def __init__(self, window: Window, entries: np.ndarray):
@@ -287,6 +288,8 @@ class KernelMatrix:
         n = window.size
         if given.shape != (n, n):
             raise ValueError(f"entries shape {given.shape} != window size {n}")
+        if not np.isfinite(given).all():
+            raise NumericalError("kernel matrix has non-finite entries")
         # Checked before the private copy is made, by blocks of 128 rows against
         # the matching columns: a whole transpose strides a row per element.
         b = 128

@@ -10,6 +10,9 @@ import pytest
 
 import kawasaki_dpp.cli as cli
 from kawasaki_dpp.cli import main
+from kawasaki_dpp.dpp import sample
+from kawasaki_dpp.kernel import AdmissiblePair, kernel_matrix
+from kawasaki_dpp.rng import SeededRng
 from kawasaki_dpp.util import format_complex, parse_complex, parse_window_spec
 from kawasaki_dpp.verification import Check, Report
 
@@ -104,6 +107,7 @@ class TestExitCodes:
         (["simulate", "--proximity", "exp:-1"], "--proximity"),
         (["simulate", "--proximity", "range:0"], "--proximity"),
         (["simulate", "--weight", "-1"], "--weight"),
+        (["simulate", "--window", "-2..1", "--initial", "0120"], "--initial"),
     ])
     def test_malformed_value_is_usage_error(self, capsys, tmp_path, argv, option):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
@@ -175,6 +179,33 @@ class TestArtifacts:
         a = (tmp_path / "trajectory_000.csv").read_text()
         b = (tmp_path / "trajectory_001.csv").read_text()
         assert a != b  # distinct streams
+
+    # 10 sites draw from the kernel's law table, 14 sites by the Schur pass
+    @pytest.mark.parametrize("span", ["-5..4", "-7..6"])
+    def test_simulate_dpp_start_takes_the_stream_after_the_replicas(self, capsys, tmp_path, span):
+        code, _, _ = run(capsys, "simulate", "--window", span, "--initial", "dpp",
+                         "--replicas", "2", "--t-max", "1", "--seed", "9",
+                         "--output-dir", str(tmp_path))
+        assert code == 0
+        k = kernel_matrix(AdmissiblePair(1.5, 1.7), parse_window_spec(span))
+        want = sample(k, SeededRng(9, 2)).bitmask
+        for stream in (0, 1):
+            sidecar = json.loads((tmp_path / f"trajectory_{stream:03d}.json").read_text())
+            assert sidecar["initial_bitmask"] == want
+
+    def test_simulate_starts_from_a_bit_string(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "simulate", "--window", "-2..1", "--initial", "0110",
+                         "--t-max", "1", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads((tmp_path / "trajectory_000.json").read_text())["initial_bitmask"] == 0b0110
+
+    @pytest.mark.parametrize("spec, label", [("exp:0.5", "exp(alpha=0.5, weight=1)"),
+                                             ("range:3", "range(reach=3, weight=1)")])
+    def test_echo_labels_the_proximity(self, capsys, tmp_path, spec, label):
+        code, _, stderr = run(capsys, "simulate", "--window", "-2..1", "--proximity", spec,
+                              "--t-max", "1", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(stderr.splitlines()[-1])["proximity"] == label
 
     def test_spectrum_json(self, capsys, tmp_path):
         out = tmp_path / "spec.json"

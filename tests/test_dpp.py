@@ -74,10 +74,10 @@ def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Bitmasks of the draws for the (B, n) uniforms `u`, one Schur pass per draw,
     and the (B, n) conditional probabilities they visit.
 
-    A copy of the stack pass that the kernel's draw table replaces on small
-    windows: site i is occupied when u[:, i] is below the running diagonal,
-    and a rank-one update with pivot p (in) or p - 1 (out) conditions the
-    later sites.
+    A copy of the stack pass that unconditioned draws take on windows of
+    more than 12 sites: site i is occupied when u[:, i] is below the running
+    diagonal, and a rank-one update with pivot p (in) or p - 1 (out)
+    conditions the later sites.
     """
     m = k.entries[:, :, np.newaxis].repeat(len(u), axis=2)
     for i in range(k.size - 1):
@@ -86,6 +86,16 @@ def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         m[i + 1:, i + 1:] -= column * m[i, i + 1:]
     probs = np.diagonal(m)
     return ((u < probs) << np.arange(k.size)).sum(axis=1), probs
+
+
+def _inverse_cdf(k: KernelMatrix, u: np.ndarray) -> np.ndarray:
+    """Bitmasks of the draws for the uniforms `u`, one each, by inverse CDF over the enumerated law.
+
+    A draw is the first mask whose cumulative probability exceeds its
+    uniform: the number of masks whose cumulative probability is at most it.
+    """
+    cumulative = np.cumsum(enumerate_distribution(k).probs)
+    return (u[:, np.newaxis] >= cumulative / cumulative[-1]).sum(axis=1)
 
 
 def _determinant(value: float) -> float:
@@ -236,6 +246,8 @@ class TestEnumerateDistribution:
     def test_pmf_guards(self, window6):
         with pytest.raises(NumericalError):
             Pmf(window6, np.full(64, -1.0))
+        with pytest.raises(NumericalError, match="pmf total nan"):
+            Pmf(window6, np.full(64, np.nan))
         with pytest.raises(ValueError):
             Pmf(window6, np.full(8, 0.125))
 
@@ -277,28 +289,35 @@ class TestSample:
 
     def test_invalid_kernel_raises(self):
         # symmetric with its diagonal in [0, 1], so KernelMatrix accepts it,
-        # but its eigenvalues are 2.5 and -1.5: whichever way the first site
-        # goes, the second site's conditional probability is -7.5 or 8.5
+        # but its eigenvalues are 2.5 and -1.5: the empty and the full
+        # configuration both get the determinant 0.25 - 4
         k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.5]]))
-        for seed in range(5):
-            # the stack pass reports the first draw's value: -7.5 after site 0 is taken
-            worst = "-7.5" if SeededRng(seed).random() < 0.5 else "8.5"
-            message = rf"^conditional probability {worst} outside \[-1e-8, 1\+1e-8\]$"
-            with pytest.raises(NumericalError, match=message):
-                sample(k, SeededRng(seed))
-            with pytest.raises(NumericalError, match=message):
-                sample_many(k, SeededRng(seed), 100)
+        message = r"^probability -3.75 below clamp floor -1e-12$"
+        with pytest.raises(NumericalError, match=message):
+            sample(k, SeededRng(0))
+        with pytest.raises(NumericalError, match=message):
+            sample_many(k, SeededRng(0), 100)
+
+    def test_law_table_total_is_checked(self, monkeypatch, k6):
+        # no kernel accepted by KernelMatrix gets here: its determinants sum to
+        # det(K + I - K) = 1 up to rounding
+        for law in (np.full(64, 1 / 32), np.full(64, np.nan)):
+            monkeypatch.setattr(dpp_mod, "_probabilities", lambda k, occupied: law)
+            with pytest.raises(NumericalError, match="^pmf total (2.0|nan) deviates"):
+                sample(KernelMatrix(k6.window, k6.entries), SeededRng(0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_invalid_kernel_reports_the_stack_pass_worst(self, seed):
-        # random symmetric entries, diagonal in [0, 1]: accepted, but not a kernel
+        # random symmetric entries, diagonal in [0, 1]: accepted, but not a
+        # kernel; 13 sites, so draws take the stack pass
         rnd = np.random.default_rng(seed)
-        half = rnd.uniform(-0.7, 0.7, (5, 5))
+        half = rnd.uniform(-0.7, 0.7, (13, 13))
         entries = half + half.T
-        np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, 5))
-        k = KernelMatrix(Window.centered(5), entries)
+        np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, 13))
+        k = KernelMatrix(Window.centered(13), entries)
+        assert dpp_mod._law_table(k) is None
         with np.errstate(all="ignore"):
-            _, probs = _schur_pass(k, SeededRng(seed).random((50, 5)))
+            _, probs = _schur_pass(k, SeededRng(seed).random((50, 13)))
         for draws in (1, 50):
             distance = np.abs(probs[:draws] - 0.5)
             assert distance.max() > 0.5 + 1e-8
@@ -306,39 +325,42 @@ class TestSample:
             with pytest.raises(NumericalError, match=rf"^conditional probability {re.escape(worst)} "):
                 sample_many(k, SeededRng(seed), draws)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("size", [1, 6, 13])
-    def test_degenerate_kernels_draw_past_unreachable_nan_rows(self, size):
+    def test_degenerate_kernels_draw_without_warnings(self, size):
         window = Window.centered(size)
         for entries, expected in ((np.zeros((size, size)), 0), (np.eye(size), size)):
             k = KernelMatrix(window, entries)
             rng = SeededRng(4)
             draws = [sample(k, rng) for _ in range(20)] + sample_many(k, rng, 200)
             assert {c.particle_count for c in draws} == {expected}
-            # a pivot of 0 leaves NaN behind every prefix no draw takes
-            assert np.isnan(dpp_mod._draw_table(k).probs).any() == (size > 1)
 
     def test_draw_table_is_built_once_per_kernel(self, monkeypatch, real_pair):
-        passes = []
-        schur_pass = dpp_mod._sequential_pass
-        monkeypatch.setattr(dpp_mod, "_sequential_pass",
-                            lambda m, u: passes.append(m.shape) or schur_pass(m, u))
+        builds = []
+        probabilities = dpp_mod._probabilities
+        monkeypatch.setattr(dpp_mod, "_probabilities",
+                            lambda k, occupied: builds.append(occupied.shape)
+                            or probabilities(k, occupied))
         k = kernel_matrix(real_pair, Window.centered(8))
         rng = SeededRng(2)
         draws = [sample(k, rng) for _ in range(500)] + sample_many(k, rng, 500)
-        assert passes == [(8, 8, 1 << 7)]
+        assert builds == [(1 << 8, 8)]
         # one shared Configuration per drawn mask
         assert len({id(c) for c in draws}) == len(set(draws)) > 1
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
-    @pytest.mark.parametrize("size, centre", [(1, 0), (2, -20), (8, 0), (8, 17), (13, 0),
-                                              (13, -20), (14, 0), (14, 17)])
+    @pytest.mark.parametrize("size, centre", [(1, 0), (2, -20), (8, 0), (8, 17), (12, 0),
+                                              (12, -20), (13, 0), (13, -20), (14, 0), (14, 17)])
     def test_draws_match_one_schur_pass_per_draw(self, request, branch, size, centre):
+        # up to 12 sites a draw takes one uniform and the reference is the
+        # inverse CDF over the enumerated law; above, one Schur pass per draw
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, centre))
-        assert (dpp_mod._draw_table(k) is None) == (size > 13)  # 13 sites: the largest table
+        assert (dpp_mod._law_table(k) is None) == (size > 12)  # 12 sites: the largest table
         rng, reference_rng = SeededRng(21), SeededRng(21)
         draws = [sample(k, rng) for _ in range(200)] + sample_many(k, rng, 500)
-        expected, _ = _schur_pass(k, reference_rng.random((700, size)))
+        if size <= 12:
+            expected = _inverse_cdf(k, reference_rng.random(700))
+        else:
+            expected, _ = _schur_pass(k, reference_rng.random((700, size)))
         assert [c.bitmask for c in draws] == expected.tolist()
         assert rng.random() == reference_rng.random()
 
@@ -348,7 +370,7 @@ class TestSample:
         pytest.param(8, 20_000, id="8_sites-20000")])
     def test_sample_many_matches_repeated_sample(self, request, branch, size, count):
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
-        if count > 7:
+        if size > 12 and count > 7:  # the stack pass, which runs in chunks
             assert count > dpp_mod._STACK_ENTRIES // size ** 2  # spans a chunk boundary
         batch_rng, single_rng = SeededRng(11), SeededRng(11)
         batch = sample_many(k, batch_rng, count)

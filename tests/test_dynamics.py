@@ -162,6 +162,19 @@ class TestSymmetryCheck:
                         backward = config_probability(k6, swapped) * rate(model, k6, swapped, swap)
                         assert symmetry_check(model, k6, config, swap) == abs(forward - backward)
 
+    def test_state_is_checked_before_its_swap(self):
+        # as in TestTotalJumpRate: 110 is impossible, and its swap 011 has a
+        # determinant far below the clamp floor; the state's own undefined
+        # ratio is what gets reported
+        entries = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 2.0], [0.0, 2.0, 0.5]])
+        k = KernelMatrix(Window.from_indices(0, 2), entries)
+        config, swap = Configuration(k.window, (1, 1, 0)), SwapPair(Site(0), Site(2))
+        for check in (lambda: rn_derivative(k, config, swap),
+                      lambda: total_jump_rate(_all_models()[0], k, config),
+                      lambda: symmetry_check(_all_models()[0], k, config, swap)):
+            with pytest.raises(ZeroProbabilityError, match="^configuration 110 has probability 0;"):
+                check()
+
     def test_metropolis_relative_residual(self, k6):
         model = _all_models()[0]
         rng = np.random.default_rng(1)
@@ -309,6 +322,16 @@ class TestTotalJumpRate:
         assert len(nn_pairs) == 7
         all_pairs = candidate_pairs(window8, ProximitySpec.exp_decay(alpha=0.5))
         assert len(all_pairs) == 28
+
+    def test_zero_weight_pairs_are_left_out(self):
+        # exp(-100 d) underflows to 0 from separation 8 on: 10 of the 66 pairs of 12 sites
+        window, proximity = Window.centered(12), ProximitySpec.exp_decay(100.0)
+        positions, u = _pair_table(window, proximity)
+        assert len(u) == 56 and (u > 0.0).all()
+        assert (positions[:, 1] - positions[:, 0] <= 7).all()
+        pairs = candidate_pairs(window, proximity)
+        assert pairs == tuple(p for p in _loop_candidate_pairs(window, proximity)
+                              if proximity_u(proximity, p.x, p.y) > 0.0)
 
 
 class TestSimulate:

@@ -117,6 +117,13 @@ class TestBuildGenerator:
             np.fill_diagonal(want, -want.sum(axis=1))
             assert np.array_equal(g.Q, want)
 
+    def test_pairs_leave_out_zero_weight(self, real_pair):
+        # exp(-100 d) underflows to 0 at separation 8, the end sites of 9
+        k = kernel_matrix(real_pair, Window.centered(9))
+        g = build_generator(RateModel.metropolis(ProximitySpec.exp_decay(100.0)), k, sector=4)
+        assert len(g.pairs) == 35
+        assert all(swap.separation <= 7 for swap in g.pairs)
+
     def test_zero_probability_state_raises(self):
         # Site 0 is surely occupied, so every state that leaves it empty is impossible.
         w = Window.from_indices(0, 2)

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kawasaki_dpp.errors import DomainError, SizeError
+from kawasaki_dpp.errors import DomainError, NumericalError, SizeError
 from kawasaki_dpp.kernel import (
     MAX_WINDOW_SITES,
     AdmissiblePair,
@@ -211,6 +211,16 @@ class TestKernelMatrix:
         k = kernel_matrix(real_pair, w)
         assert k.entries.shape == (1, 1)
         assert k.entries[0, 0] == kernel_entry(real_pair, Site(2), Site(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        # NaN fails every comparison, so the symmetry and diagonal checks alone pass it
+        window = Window.from_indices(0, 2)
+        off_diagonal = np.eye(3)
+        off_diagonal[0, 2] = off_diagonal[2, 0] = value
+        for entries in (np.full((3, 3), value), off_diagonal):
+            with pytest.raises(NumericalError, match="^kernel matrix has non-finite entries$"):
+                KernelMatrix(window, entries)
 
     def test_matches_entry_loop_bitwise(self, real_pair, conj_pair):
         w = Window.from_indices(-6, 5)

@@ -22,12 +22,20 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks
-from .errors import SamePointError, WindowMismatchError, ZeroProbabilityError
+from .dpp import (
+    _STACK_ENTRIES,
+    Configuration,
+    _check_ratio_defined,
+    _occupancy,
+    _probabilities,
+    _sector_masks,
+)
+from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
 from .rng import SeededRng
@@ -50,6 +58,9 @@ __all__ = [
     "write_trajectory_csv",
     "trajectory_sidecar",
 ]
+
+# simulate draws its uniforms this many at a time; even, as an event takes two.
+_UNIFORM_BLOCK = 512
 
 
 class ProximityKind(enum.Enum):
@@ -287,11 +298,16 @@ class Trajectory:
     def _masks(self) -> list[int]:
         """Bitmask of the state before each event, then of the final state."""
         window = self.initial.window
-        masks = [self.initial.bitmask]
+        lo, n = window.lo.index, window.size
+        mask = self.initial.bitmask
+        masks = [mask]
         for _, swap in self.events:
-            i, j = window.position(swap.x), window.position(swap.y)
-            mask = masks[-1]
-            masks.append(mask ^ (1 << i | 1 << j) if (mask >> i ^ mask >> j) & 1 else mask)
+            i, j = swap.x.index - lo, swap.y.index - lo
+            if not (0 <= i < n and 0 <= j < n):
+                raise WindowMismatchError(f"swap {swap} outside window {window}")
+            if (mask >> i ^ mask >> j) & 1:
+                mask ^= 1 << i | 1 << j
+            masks.append(mask)
         return masks
 
     def final_configuration(self) -> Configuration:
@@ -306,6 +322,60 @@ class Trajectory:
         return holding
 
 
+class _RateStore:
+    """The jump chain's rate tables of one kernel: by rate model, then by state bitmask.
+
+    A table is ``(total, pairs, cumulative)``: the total exit rate, the
+    pair-table indices of the positive-rate swaps and the running sum of
+    their rates, all plain Python lists.  It is a pure function of the
+    kernel, the model and the state, so every :func:`simulate` call on the
+    kernel shares it.  The stored rates count against the budget of 2^20
+    entries that bounds each determinant stack; a table that would overflow
+    it clears the store first.
+    """
+
+    def __init__(self):
+        self.tables: dict[RateModel, dict[int, tuple[float, list[int], list[float]]]] = {}
+        self.entries = 0
+
+    def keep(self, model: RateModel, mask: int, table: tuple) -> None:
+        """Store `table`, of state `mask` under `model`; a full store is emptied in place."""
+        size = len(table[2]) + 1
+        if self.entries + size > _STACK_ENTRIES:
+            for kept in self.tables.values():
+                kept.clear()
+            self.entries = 0
+        self.tables.setdefault(model, {})[mask] = table
+        self.entries += size
+
+
+def _rate_store(k: KernelMatrix) -> _RateStore:
+    """`k`'s rate-table store, kept on `k` as its law table is."""
+    if "_rate_store" not in vars(k):
+        k._rate_store = _RateStore()
+    return k._rate_store
+
+
+def _mask_table(
+    model: RateModel, k: KernelMatrix, mask: int, positions: np.ndarray, u: np.ndarray
+) -> tuple[float, list[int], list[float]]:
+    """The :class:`_RateStore` table of the state with bitmask `mask`.
+
+    The bool occupancy row is unpacked from the mask's bytes, so a mask of
+    any width works.  A total rate that is not finite raises NumericalError.
+    """
+    n = k.size
+    occupied = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8),
+                             count=n, bitorder="little").view(bool)
+    pair, rates = _rate_table(model, k, occupied, positions, u)
+    cumulative = np.cumsum(rates).tolist()
+    total = cumulative[-1] if cumulative else 0.0
+    if not math.isfinite(total):
+        config = Configuration.from_bitmask(k.window, mask)
+        raise NumericalError(f"configuration {config} has total jump rate {total:g}")
+    return total, pair.tolist(), cumulative
+
+
 def simulate(
     model: RateModel,
     k: KernelMatrix,
@@ -317,12 +387,17 @@ def simulate(
 
     Waiting times are exponential at the current total rate; the executed
     swap is chosen proportionally to the per-pair rates.  The chain runs on
-    a bitmask and a bool occupancy row, with a state's rate table (the pairs
-    and rates of :func:`total_jump_rate`) held as indices into one pair
-    table.  Tables are memoized by bitmask (the swap ratio depends on the
-    whole configuration, so a swap invalidates every pair's rate; caching by
-    state keeps revisits cheap without approximating).  If the total rate
-    hits zero the state is absorbing and the trajectory idles until t_max.
+    an integer bitmask.  Each state's rate table (the pairs and rates of
+    :func:`total_jump_rate`) is kept in the kernel's :class:`_RateStore`, so
+    later calls on the kernel, such as replicas and continuations of one
+    run, share it (the swap ratio depends on the whole configuration, so a
+    swap invalidates every pair's rate; caching by state keeps revisits
+    cheap without approximating).  If the total rate hits zero the state is
+    absorbing and the trajectory idles until t_max.
+
+    Each event takes two uniforms from `rng`, the wait and then the choice,
+    and the final wait past t_max takes one.  They are drawn in blocks, and
+    `rng` is left exactly where one scalar draw per uniform would leave it.
     """
     if initial.window != k.window:
         raise WindowMismatchError("initial configuration window differs from kernel window")
@@ -330,33 +405,44 @@ def simulate(
         raise ValueError("t_max must be nonnegative")
     positions, u = _pair_table(k.window, model.proximity)
     ends = positions.tolist()
-    tables: dict[int, tuple[float, list[int], np.ndarray]] = {}
-    occupied = np.array(initial.occupancy, dtype=bool)
+    store = _rate_store(k)
+    tables = store.tables.setdefault(model, {})
+    generator = rng.generator
+    bits = generator.bit_generator
     mask = initial.bitmask
     t = 0.0
     executed: list[tuple[float, int]] = []
     absorbed = False
-    while True:
-        table = tables.get(mask)
-        if table is None:
-            pair, rates = _rate_table(model, k, occupied, positions, u)
-            cumulative = np.cumsum(rates)
-            total = float(cumulative[-1]) if len(rates) else 0.0
-            table = tables[mask] = (total, pair.tolist(), cumulative)
-        total, pairs, cumulative = table
-        if total <= 0.0:
-            absorbed = True
-            break
-        t_next = t + rng.exponential(total)
-        if t_next > t_max:
-            break
-        choice = min(int(cumulative.searchsorted(rng.random() * total, side="right")),
-                     len(pairs) - 1)
-        i, j = ends[pairs[choice]]
-        occupied[i], occupied[j] = occupied[j], occupied[i]
-        mask ^= 1 << i | 1 << j
-        t = t_next
-        executed.append((t, pairs[choice]))
+    # `block` was drawn from state `before`, and `used` of its uniforms are taken.
+    before, used = bits.state, 0
+    block = generator.random(_UNIFORM_BLOCK).tolist()
+    try:
+        while True:
+            table = tables.get(mask)
+            if table is None:
+                table = _mask_table(model, k, mask, positions, u)
+                store.keep(model, mask, table)
+            total, pairs, cumulative = table
+            if total <= 0.0:
+                absorbed = True
+                break
+            if used == _UNIFORM_BLOCK:
+                before, used = bits.state, 0
+                block = generator.random(_UNIFORM_BLOCK).tolist()
+            t_next = t - math.log1p(-block[used]) / total
+            if t_next > t_max:
+                used += 1
+                break
+            choice = bisect_right(cumulative, block[used + 1] * total)
+            used += 2
+            pair = pairs[choice] if choice < len(pairs) else pairs[-1]
+            i, j = ends[pair]
+            mask ^= 1 << i | 1 << j
+            t = t_next
+            executed.append((t, pair))
+    finally:
+        bits.state = before
+        generator.random(used)
     sites = k.window.sites
     swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in {p for _, p in executed}}
     events = [(when, swaps[p]) for when, p in executed]
@@ -376,9 +462,16 @@ def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Export events as CSV: ``time,x,y`` with %.17g times."""
-    write_csv(path, "time,x,y", "%.17g,%s,%s",
-              ((when, swap.x, swap.y) for when, swap in trajectory.events))
+    """Export events as CSV: ``time,x,y`` with %.17g times.
+
+    Each distinct swap object's ``x,y`` text is formatted once.  Labels are
+    keyed by identity: :func:`simulate` shares one SwapPair per pair, and
+    hashing a SwapPair costs about as much as formatting it.
+    """
+    swaps = {id(swap): swap for _, swap in trajectory.events}
+    labels = {key: f"{swap.x},{swap.y}" for key, swap in swaps.items()}
+    write_csv(path, "time,x,y", "%.17g,%s",
+              ((when, labels[id(swap)]) for when, swap in trajectory.events))
 
 
 def trajectory_sidecar(trajectory: Trajectory, z: complex, z_prime: complex, model: RateModel) -> dict:

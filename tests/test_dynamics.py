@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from kawasaki_dpp import dynamics
 from kawasaki_dpp.dpp import _STACK_ENTRIES, Configuration, config_probability, sample_many
 from kawasaki_dpp.dynamics import (
+    _UNIFORM_BLOCK,
     ProximitySpec,
     RateKind,
     RateModel,
@@ -26,7 +28,12 @@ from kawasaki_dpp.dynamics import (
     trajectory_sidecar,
     write_trajectory_csv,
 )
-from kawasaki_dpp.errors import SamePointError, WindowMismatchError, ZeroProbabilityError
+from kawasaki_dpp.errors import (
+    NumericalError,
+    SamePointError,
+    WindowMismatchError,
+    ZeroProbabilityError,
+)
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
 from kawasaki_dpp.rng import SeededRng
@@ -359,6 +366,14 @@ class TestSimulate:
         assert trajectory.final_configuration() == config
         assert trajectory.state_occupation() == {config.bitmask: 2.0}
 
+    @pytest.mark.parametrize("swap", [SwapPair(Site(2), Site(3)), SwapPair(Site(-3), Site(-4))])
+    def test_replay_rejects_an_event_outside_the_window(self, k6, swap):
+        config = Configuration(k6.window, (1, 1, 0, 1, 0, 0))
+        trajectory = Trajectory(0, 0, config, [(1.0, swap)], 2.0)
+        for replay in (trajectory.final_configuration, trajectory.state_occupation):
+            with pytest.raises(WindowMismatchError, match="outside window"):
+                replay()
+
     def test_seed_determinism(self, k6):
         config = Configuration(k6.window, (1, 0, 1, 0, 0, 0))
         a = simulate(_all_models()[0], k6, config, 50.0, SeededRng(11, 2))
@@ -417,6 +432,109 @@ class TestSimulate:
                 assert trajectory.state_occupation() == holding
                 farthest = max([farthest] + [window.position(s.y) for _, s in events])
         assert farthest >= 63
+
+
+class TestSimulateStream:
+    """simulate draws its uniforms in blocks but leaves the stream where scalar draws would."""
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("case", ["longer_than_a_block", "zero_horizon", "absorbing"])
+    def test_stream_continues_as_after_scalar_draws(self, request, branch, case):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(-3, 2))
+        model = _all_models()[0]
+        initial, t_max = {
+            "longer_than_a_block": (Configuration(k.window, (1, 0, 1, 0, 1, 0)), 400.0),
+            "zero_horizon": (Configuration(k.window, (1, 0, 1, 0, 1, 0)), 0.0),
+            "absorbing": (Configuration.full(k.window), 5.0),
+        }[case]
+        rng, reference = SeededRng(8, 3), SeededRng(8, 3)
+        trajectory = simulate(model, k, initial, t_max, rng)
+        events, absorbed, _, _ = _loop_simulate(model, k, initial, t_max, reference)
+        assert trajectory.events == events and trajectory.absorbed == absorbed
+        assert rng.random() == reference.random()
+        # Each event takes two uniforms and the wait past t_max one more.
+        used = 2 * len(events) + (not absorbed)
+        assert rng.random() == SeededRng(8, 3).random(used + 2)[-1]
+        if case == "longer_than_a_block":
+            assert 2 * len(events) > _UNIFORM_BLOCK
+        else:
+            assert used == (case == "zero_horizon")
+
+
+def _counting_rate_table(monkeypatch) -> list:
+    """Patch dynamics._rate_table to record one entry per table built."""
+    built = []
+    build = dynamics._rate_table
+
+    def counting(*args):
+        built.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(dynamics, "_rate_table", counting)
+    return built
+
+
+class TestRateStore:
+    """Rate tables are kept per kernel and model, within the determinant stack budget."""
+
+    def test_second_run_builds_no_table(self, real_pair, window8, monkeypatch):
+        k = kernel_matrix(real_pair, window8)
+        model, initial = _all_models()[0], Configuration(window8, (1, 0, 1, 0, 1, 0, 0, 1))
+        built = _counting_rate_table(monkeypatch)
+        first = simulate(model, k, initial, 40.0, SeededRng(2))
+        assert len(built) == len(first.state_occupation()) > 1
+        built.clear()
+        assert simulate(model, k, initial, 40.0, SeededRng(2)).events == first.events
+        assert built == []
+
+    def test_models_and_kernels_keep_their_own_tables(self, real_pair, window8, monkeypatch):
+        k = kernel_matrix(real_pair, window8)
+        initial = Configuration(window8, (1, 0, 1, 0, 1, 0, 0, 1))
+        built = _counting_rate_table(monkeypatch)
+        metropolis, sqrt_ratio = _all_models()[:2]
+        simulate(metropolis, k, initial, 20.0, SeededRng(2))
+        built.clear()
+        other_model = simulate(sqrt_ratio, k, initial, 20.0, SeededRng(2))
+        assert len(built) == len(other_model.state_occupation())
+        assert set(built) == {sqrt_ratio}
+        assert set(k._rate_store.tables) == {metropolis, sqrt_ratio}
+        built.clear()
+        other_kernel = simulate(metropolis, kernel_matrix(real_pair, window8), initial, 20.0,
+                                SeededRng(2))
+        assert len(built) == len(other_kernel.state_occupation())
+
+    def test_store_stays_within_a_small_budget(self, conj_pair, window8, monkeypatch):
+        model, initial = _all_models()[2], Configuration(window8, (1, 1, 0, 1, 0, 0, 1, 0))
+        want = simulate(model, kernel_matrix(conj_pair, window8), initial, 60.0, SeededRng(4))
+        budget = 40
+        monkeypatch.setattr(dynamics, "_STACK_ENTRIES", budget)
+        k = kernel_matrix(conj_pair, window8)
+        store = dynamics._rate_store(k)
+        keep = store.keep
+        counts = []
+
+        def watched_keep(*args):
+            keep(*args)
+            stored = sum(len(table[2]) + 1 for tables in store.tables.values()
+                         for table in tables.values())
+            assert stored == store.entries <= budget
+            counts.append(stored)
+
+        monkeypatch.setattr(store, "keep", watched_keep)
+        got = simulate(model, k, initial, 60.0, SeededRng(4))
+        assert got.events == want.events
+        assert got.state_occupation() == want.state_occupation()
+        # The stored count fell at least once: the store was cleared.
+        assert sorted(counts) != counts
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_total_rate_names_the_state(self, real_pair, window6, monkeypatch, bad):
+        k = kernel_matrix(real_pair, window6)
+        monkeypatch.setattr(dynamics, "_rate_table",
+                            lambda *args: (np.array([0]), np.array([1.0, bad])))
+        with pytest.raises(NumericalError, match="^configuration 101000 has total jump rate"):
+            simulate(_all_models()[0], k, Configuration(window6, (1, 0, 1, 0, 0, 0)), 5.0,
+                     SeededRng(0))
 
 
 class TestSectorGraph:

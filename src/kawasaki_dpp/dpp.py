@@ -227,29 +227,39 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
     """Exact probabilities of the (S, n) bool occupancy rows, clamped by :func:`_clamp`.
 
     Determinants go in stacks of about 2^20 matrix entries, each factored on
-    its own, so the values do not depend on the stack size.
+    its own, so the values do not depend on the stack size.  NumericalError
+    names the first row whose determinant is not finite (overflow, say).
     """
     entries = k.entries
     complement = np.eye(k.size) - entries
     probs = np.empty(len(occupied))
     batch = max(1, _STACK_ENTRIES // k.size ** 2)
-    for start in range(0, len(occupied), batch):
-        rows = occupied[start:start + batch, np.newaxis, :]
-        probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(occupied), batch):
+            rows = occupied[start:start + batch, np.newaxis, :]
+            probs[start:start + len(rows)] = np.linalg.det(np.where(rows, entries, complement))
+    if not np.isfinite(probs).all():
+        first = np.argmin(np.isfinite(probs))
+        config = Configuration(k.window, tuple(map(int, occupied[first])))
+        raise NumericalError(f"configuration {config} has determinant {probs[first]:g}, not finite")
     return _clamp(probs)
 
 
-def _check_ratio_defined(window: Window, occupied, probs) -> None:
-    """ZeroProbabilityError at the first state below 1e-300: a swap ratio out of it is undefined.
+def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
+    """(P(swapped), P(swapped) / own) out of the states of bool rows `occupied`.
 
-    `occupied` holds the states' occupancy rows and `probs` their probabilities.
+    ZeroProbabilityError names the first state with `own` below 1e-300; only
+    then are the probabilities of `swapped` taken, if it holds bool rows.
     """
-    low = np.flatnonzero(np.asarray(probs) < _PROBABILITY_FLOOR)
+    low = np.flatnonzero(own < _PROBABILITY_FLOOR)
     if len(low):
-        config = Configuration(window, tuple(int(b) for b in occupied[low[0]]))
+        config = Configuration(k.window, tuple(map(int, occupied[low[0]])))
         raise ZeroProbabilityError(
-            f"configuration {config} has probability {probs[low[0]]:g}; ratio undefined"
+            f"configuration {config} has probability {own[low[0]]:g}; ratio undefined"
         )
+    if swapped.dtype == bool:
+        swapped = _probabilities(k, swapped)
+    return swapped, swapped / own
 
 
 def config_probability(k: KernelMatrix, config: Configuration) -> float:

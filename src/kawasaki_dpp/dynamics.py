@@ -30,12 +30,13 @@ import numpy as np
 from .dpp import (
     _STACK_ENTRIES,
     Configuration,
-    _check_ratio_defined,
     _occupancy,
     _probabilities,
     _sector_masks,
+    _swap_ratios,
+    config_probability,
 )
-from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
+from .errors import NumericalError, SamePointError, WindowMismatchError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
 from .rng import SeededRng
@@ -177,24 +178,18 @@ def symmetry_check(
 ) -> float:
     """Detailed-balance residual |P(gamma) c(gamma) - P(sigma gamma) c(sigma gamma)|.
 
-    Both rates are read off the two probabilities.  The state's own
-    probability is taken and checked first, as in :func:`total_jump_rate`.
+    Both ratios come from :func:`dpp._swap_ratios`, out of the state first:
+    ZeroProbabilityError names the state or its swap, whatever the weight.
     """
-    swapped = apply_transposition(config, swap)
-    if config.window != k.window:
-        raise WindowMismatchError("configuration window differs from kernel window")
-    occupied = np.array([config.occupancy, swapped.occupancy], dtype=bool)
-    own = _probabilities(k, occupied[:1])
-    _check_ratio_defined(k.window, occupied, own)
-    probs = np.append(own, _probabilities(k, occupied[1:]))
-    if probs.min() <= 0.0:
-        raise ZeroProbabilityError("symmetry check needs both configurations to be possible")
+    own = np.array([config_probability(k, config)])
+    rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
+    back, phi = _swap_ratios(k, rows[:1], own, rows[1:])
+    _, inverse = _swap_ratios(k, rows[1:], back, own)
     u = proximity_u(model.proximity, swap.x, swap.y)
     if u == 0.0:
         return 0.0
-    _check_ratio_defined(k.window, occupied, probs)
-    forward, backward = probs * rate_from_ratio(model.kind, u, probs[::-1] / probs)
-    return float(abs(forward - backward))
+    fluxes = np.append(own, back) * rate_from_ratio(model.kind, u, np.append(phi, inverse))
+    return float(abs(fluxes[0] - fluxes[1]))
 
 
 def _pair_table(window: Window, proximity: ProximitySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -242,17 +237,16 @@ def _rate_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pair index, rate 2c) of each positive-rate swap out of the bool occupancy row `occupied`.
 
-    The row's own probability is checked before its swapped rows are evaluated.
+    The ratios come from :func:`dpp._swap_ratios`, which checks the row's probability first.
     """
     pair = np.flatnonzero(occupied[positions[:, 0]] != occupied[positions[:, 1]])
     if not len(pair):
         return pair, np.empty(0)
     row = occupied[np.newaxis]
-    own = _probabilities(k, row)
-    _check_ratio_defined(k.window, row, own)
     swapped = row.repeat(len(pair), axis=0)
     swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
-    rates = 2.0 * rate_from_ratio(model.kind, u[pair], _probabilities(k, swapped) / own[0])
+    _, phi = _swap_ratios(k, row, _probabilities(k, row), swapped)
+    rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     positive = rates > 0.0
     return pair[positive], rates[positive]
 
@@ -265,10 +259,9 @@ def total_jump_rate(
     Each unordered pair with unequal occupancy carries rate 2c (the
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
-    rate zero.  Pairs come in :func:`candidate_pairs` order.  The state's
-    own probability is checked first; the swap ratios then come from one
-    batched determinant call over its swapped neighbours, and the total is
-    summed in pair order.
+    rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
+    come from :func:`_rate_table`, the state's own probability checked
+    first, and the total is summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dpp import Configuration, _check_ratio_defined, _occupancy, _probabilities, _sector_masks
+from .dpp import Configuration, _occupancy, _probabilities, _sector_masks, _swap_ratios
 from .dynamics import RateModel, _pair_table, _state_edges, candidate_pairs, rate_from_ratio
 from .errors import DimensionMismatchError, NotReversibleError, NumericalError, SizeError
 from .kernel import KernelMatrix
@@ -91,7 +91,7 @@ def build_generator(
     """Assemble Q and the (sector-)normalized measure for a window chain.
 
     The state probabilities come from one batched determinant, and each
-    swap's rate is read off the ratio of the two states' probabilities.
+    swap's rate is read off its two states' ratio, from :func:`dpp._swap_ratios`.
     """
     n = k.size
     if sector is None:
@@ -110,10 +110,9 @@ def build_generator(
     measure = weights / total
     positions, u = _pair_table(k.window, model.proximity)
     src, dst, pair = _state_edges(states, occupied, positions, u)
-    moving = np.unique(src)
-    _check_ratio_defined(k.window, occupied[moving], weights[moving])
+    _, phi = _swap_ratios(k, occupied[src], weights[src], weights[dst])
     q = np.zeros((len(states), len(states)))
-    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], weights[dst] / weights[src])
+    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     np.fill_diagonal(q, -q.sum(axis=1))
     return GeneratorMatrix(model, k, sector, states, q, measure,
                            candidate_pairs(k.window, model.proximity))

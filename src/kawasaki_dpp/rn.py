@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import (Configuration, _check_ratio_defined, _probabilities, config_probability,
-                  sample_many)
+from .dpp import Configuration, _probabilities, _swap_ratios, config_probability, sample_many
 from .errors import SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
@@ -70,11 +69,11 @@ def apply_transposition(config: Configuration, swap: SwapPair) -> Configuration:
 
 
 def rn_derivative(k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
-    """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the kernel's window."""
-    denominator = config_probability(k, config)
-    _check_ratio_defined(k.window, [config.occupancy], [denominator])
-    numerator = config_probability(k, apply_transposition(config, swap))
-    return numerator / denominator
+    """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the window, by :func:`dpp._swap_ratios`."""
+    own = np.array([config_probability(k, config)])
+    rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
+    _, phi = _swap_ratios(k, rows[:1], own, rows[1:])
+    return float(phi[0])
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,12 @@ def rn_stabilization(
         draws = sample_many(k, stream, n_samples, pattern=pattern)
         occupied = np.array([d.occupancy for d in draws], dtype=bool).reshape(-1, size)
         own = _probabilities(k, occupied)
-        _check_ratio_defined(window, occupied, own)
         ends = [window.position(swap.x), window.position(swap.y)]
         swapped = occupied.copy()
         swapped[:, ends] = occupied[:, ends[::-1]]
-        back = _probabilities(k, swapped)
-        _check_ratio_defined(window, swapped, back)
-        phi = back / own
-        worst = float(np.abs(phi * (own / back) - 1.0).max(initial=0.0))
+        back, phi = _swap_ratios(k, occupied, own, swapped)
+        _, inverse = _swap_ratios(k, swapped, back, own)
+        worst = float(np.abs(phi * inverse - 1.0).max(initial=0.0))
         phis = phi.tolist()
         mean = sum(phis) / n_samples
         var = sum((p - mean) ** 2 for p in phis) / n_samples

@@ -21,8 +21,8 @@ import numpy as np
 
 from .dpp import (
     Configuration,
-    _check_ratio_defined,
     _occupancy,
+    _swap_ratios,
     clamp_counter,
     correlation,
     empirical_correlation,
@@ -234,7 +234,7 @@ def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     probs = enumerate_distribution(k).probs
     masks = np.arange(1 << rn_window.size)
     live = probs > 0.0
-    _check_ratio_defined(rn_window, _occupancy(masks[live], rn_window.size), probs[live])
+    occupied = _occupancy(masks[live], rn_window.size)
     inversion_worst = 0.0
     change_worst = 0.0
     square_probe = 0.0
@@ -242,8 +242,8 @@ def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     for swap in swaps:
         i, j = rn_window.position(swap.x), rn_window.position(swap.y)
         moves = (masks >> i ^ masks >> j) & 1 == 1
-        q = probs[np.where(moves, masks ^ (1 << i | 1 << j), masks)[live]]
-        phi = q / p
+        swapped = probs[np.where(moves, masks ^ (1 << i | 1 << j), masks)[live]]
+        q, phi = _swap_ratios(k, occupied, p, swapped)
         both = q > 0.0
         inversion = np.abs(phi[both] * (p[both] / q[both]) - 1.0)
         inversion_worst = max(inversion_worst, float(inversion.max(initial=0.0)))

@@ -28,6 +28,7 @@ from kawasaki_dpp.dpp import (
     write_pmf_csv,
     write_samples_csv,
 )
+from kawasaki_dpp.dynamics import ProximitySpec, RateModel, simulate, symmetry_check, total_jump_rate
 from kawasaki_dpp.errors import (
     DuplicateSiteError,
     EmptyInputError,
@@ -36,7 +37,9 @@ from kawasaki_dpp.errors import (
     WindowMismatchError,
     ZeroProbabilityError,
 )
+from kawasaki_dpp.exact import build_generator
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
+from kawasaki_dpp.rn import SwapPair, rn_derivative
 from kawasaki_dpp.rng import SeededRng
 
 # A correct sampler exceeds the total-variation bound with probability below this.
@@ -165,6 +168,26 @@ class TestConfigProbability:
     def test_window_mismatch(self, k6, window8):
         with pytest.raises(WindowMismatchError):
             config_probability(k6, Configuration.empty(window8))
+
+    def test_non_finite_determinant_names_the_configuration(self):
+        # Finite, symmetric, with its diagonal in [0, 1]: KernelMatrix accepts
+        # it, but every determinant overflows.  No RuntimeWarning escapes.
+        big = 1e200
+        k = KernelMatrix(Window.from_indices(0, 2),
+                         [[0.5, big, big], [big, 0.5, big], [big, big, 0.5]])
+        config, swap = Configuration(k.window, (1, 0, 1)), SwapPair(Site(0), Site(1))
+        model = RateModel.metropolis(ProximitySpec.nearest_neighbor())
+        for call in (lambda: config_probability(k, config),
+                     lambda: rn_derivative(k, config, swap),
+                     lambda: symmetry_check(model, k, config, swap),
+                     lambda: total_jump_rate(model, k, config),
+                     lambda: simulate(model, k, config, 1.0, SeededRng(0))):
+            with pytest.raises(NumericalError,
+                               match="^configuration 101 has determinant -inf, not finite$"):
+                call()
+        # the sector's first state, bitmask 3
+        with pytest.raises(NumericalError, match="^configuration 110 has determinant -inf,"):
+            build_generator(model, k, sector=2)
 
 
 class TestCorrelation:

@@ -34,8 +34,9 @@ from kawasaki_dpp.errors import (
     WindowMismatchError,
     ZeroProbabilityError,
 )
+from kawasaki_dpp.exact import build_generator
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
-from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
+from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative, rn_stabilization
 from kawasaki_dpp.rng import SeededRng
 
 
@@ -181,6 +182,16 @@ class TestSymmetryCheck:
                       lambda: symmetry_check(_all_models()[0], k, config, swap)):
             with pytest.raises(ZeroProbabilityError, match="^configuration 110 has probability 0;"):
                 check()
+
+    def test_impossible_swap_is_named_whatever_the_weight(self):
+        # Site 0 is surely occupied: 101 is possible, its swap 011 is not.
+        # exp(-1000) underflows, so the second model gives the pair weight 0.
+        k = KernelMatrix(Window.from_indices(0, 2), np.diag([1.0, 0.0, 0.5]))
+        config, swap = Configuration(k.window, (1, 0, 1)), SwapPair(Site(0), Site(1))
+        for proximity in (ProximitySpec.nearest_neighbor(), ProximitySpec.exp_decay(1000.0)):
+            with pytest.raises(ZeroProbabilityError,
+                               match="^configuration 011 has probability 0; ratio undefined$"):
+                symmetry_check(RateModel.metropolis(proximity), k, config, swap)
 
     def test_metropolis_relative_residual(self, k6):
         model = _all_models()[0]
@@ -339,6 +350,37 @@ class TestTotalJumpRate:
         pairs = candidate_pairs(window, proximity)
         assert pairs == tuple(p for p in _loop_candidate_pairs(window, proximity)
                               if proximity_u(proximity, p.x, p.y) > 0.0)
+
+
+class TestDeterminantCount:
+    def test_each_ratio_caller_takes_its_determinants(self, real_pair, monkeypatch):
+        # (np.linalg.det calls, matrices) of each caller of the swap ratios.
+        k = kernel_matrix(real_pair, Window.centered(8))
+        config = Configuration(k.window, (1, 0, 1, 1, 0, 0, 1, 0))  # 5 nn moves
+        swap = SwapPair(k.window.sites[0], k.window.sites[1])
+        model = _all_models()[0]
+        stacks = []
+        det = np.linalg.det
+
+        def recording_det(a):
+            stacks.append(len(a) if a.ndim == 3 else 1)
+            return det(a)
+
+        def counts(call) -> tuple[int, int]:
+            stacks.clear()
+            call()
+            return len(stacks), sum(stacks)
+
+        monkeypatch.setattr(np.linalg, "det", recording_det)
+        assert counts(lambda: rn_derivative(k, config, swap)) == (2, 2)
+        assert counts(lambda: total_jump_rate(model, k, config)) == (2, 1 + 5)
+        assert counts(lambda: symmetry_check(model, k, config, swap)) == (2, 2)
+        pattern = Configuration(Window.from_indices(0, 1), (1, 0))
+        sizes = [4, 6, 8]
+        calls, _ = counts(lambda: rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(1)),
+                                                   sizes, SeededRng(1), n_samples=10))
+        assert calls == 2 * len(sizes)
+        assert counts(lambda: build_generator(model, k, sector=4))[0] == 1
 
 
 class TestSimulate:

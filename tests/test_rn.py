@@ -21,6 +21,16 @@ from kawasaki_dpp.rn import (
 )
 from kawasaki_dpp.rng import SeededRng
 
+
+def _column_split(k: KernelMatrix, occupancy) -> np.ndarray:
+    """The matrix whose column j is K's at an occupied site j and (I - K)'s at an empty one."""
+    complement = np.eye(k.size) - k.entries
+    m = np.empty_like(k.entries)
+    for j, occupied in enumerate(occupancy):
+        m[:, j] = k.entries[:, j] if occupied else complement[:, j]
+    return m
+
+
 # 6-site window [-2.5..2.5], leftmost site occupied, swap leftmost<->rightmost.
 # Regression value pinned from the first computation; it equals the ratio of
 # the corresponding enumeration pmf entries to every printed digit.
@@ -84,6 +94,24 @@ class TestRnDerivative:
         pmf = enumerate_distribution(k)
         want = pmf.prob(apply_transposition(gamma, swap)) / pmf.prob(gamma)
         assert phi == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_equals_determinant_ratio_reference(self, request, branch):
+        # Every state and nn swap of 6 sites, and 3 draws on 40 sites: the
+        # ratio is exactly the quotient of the two column-split determinants.
+        pair = request.getfixturevalue(branch)
+        k6 = kernel_matrix(pair, Window.centered(6))
+        k40 = kernel_matrix(pair, Window.centered(40))
+        cases = [(k6, [Configuration.from_bitmask(k6.window, mask) for mask in range(64)]),
+                 (k40, sample_many(k40, SeededRng(3), 3))]
+        for k, configs in cases:
+            sites = k.window.sites
+            for config in configs:
+                for swap in (SwapPair(a, b) for a, b in zip(sites, sites[1:])):
+                    swapped = apply_transposition(config, swap)
+                    want = (np.linalg.det(_column_split(k, swapped.occupancy))
+                            / np.linalg.det(_column_split(k, config.occupancy)))
+                    assert rn_derivative(k, config, swap) == want
 
     def test_zero_probability_denominator(self, window6):
         k = KernelMatrix(window6, np.zeros((6, 6)))

@@ -53,7 +53,7 @@ from .kernel import (
 from .rn import SwapPair, rn_stabilization, write_stabilization_csv
 from .rng import SeededRng
 from .util import format_complex, format_float, parse_complex, parse_window_spec, write_json
-from .verification import SUITE_NAMES, run_suite
+from .verification import SUITE_NAMES, check_suite_window, run_suite
 
 __all__ = ["main", "console_main"]
 
@@ -404,6 +404,7 @@ def _cmd_spectrum(options: _Options) -> int:
 def _cmd_verify(options: _Options) -> int:
     config = _run_config("verify", options)
     suite = options.raw("suite")
+    options.get("window", lambda text: check_suite_window(suite, parse_window_spec(text)))
     report = run_suite(suite, config.pair, config.window, config.seed)
     config.echo(suite=suite, failures=report.failures)
     print(report.to_json())

@@ -443,15 +443,28 @@ def simulate(
 
 
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:
-    """Whether the swap graph restricted to a particle-count sector is connected."""
-    # Imported here: it adds about 5 MiB to every process that imports the package.
-    import scipy.sparse.csgraph
+    """Whether the swap graph restricted to a particle-count sector is connected.
 
+    Components by hooking and pointer jumping: each state points to a state
+    of its component with a smaller or equal index.  Every round hooks the
+    root of each edge's source under the smaller root of its destination,
+    then jumps each pointer to its root.  The edges come in both directions,
+    so the roots fall until no edge joins two trees; the sector is connected
+    when every state's root is state 0.
+    """
     masks = _sector_masks(window.size, count)
     positions, u = _pair_table(window, proximity)
     src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions, u)
-    graph = scipy.sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(masks),) * 2)
-    return scipy.sparse.csgraph.connected_components(graph, directed=False)[0] == 1
+    root = np.arange(len(masks))
+    while True:
+        np.minimum.at(root, root[src], root[dst])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        if np.array_equal(root[src], root[dst]):
+            return not root.any()
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

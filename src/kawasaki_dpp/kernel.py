@@ -8,7 +8,7 @@ Sites live on Z' = Z + 1/2 and are encoded by an integer index, site value
   (m, m+1) between consecutive integers;
 * ``ConjugatePair`` -- z non-real and z' its complex conjugate.
 
-The kernel is assembled in log space from
+The kernel is assembled from
 
     K(x, y) = prefactor * (A(x) B(y) - B(x) A(y)) / (x - y),      x != y
     K(x, x) = prefactor * (psi(z + x + 1/2) - psi(z' + x + 1/2)),
@@ -17,10 +17,12 @@ with ``prefactor = sin(pi z) sin(pi z') / (pi sin(pi (z - z')))`` and
 
     A(x) = Gamma(z + x + 1/2) / sqrt(Gamma(z + x + 1/2) Gamma(z' + x + 1/2)),
 
-B(x) the same with z and z' exchanged.  On the conjugate branch A(x) is a
-unit-modulus complex number with B(x) = conj(A(x)); every downstream
-combination is mathematically real and the residual imaginary part is
-checked against 1e-10.
+B(x) the same with z and z' exchanged.  On the real branch A(x)^2 is the
+gamma ratio itself where both gammas are normal doubles, and the exponential
+of a log-gamma difference beyond.  On the conjugate branch A(x) is a
+unit-modulus complex number with B(x) = conj(A(x)), taken from the phase of
+the complex log-gamma; every downstream combination is mathematically real
+and the residual imaginary part is checked against 1e-10.
 
 Every value comes from one vectorized pass, with no cache between calls:
 over a whole window, or one or two sites for single entries and A/B.  A
@@ -43,7 +45,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
-from .specfun import digamma, log_gamma_complex, log_gamma_parts, sinpi, sinpi_complex
+from .specfun import (
+    _GAMMA_RANGE,
+    _gamma,
+    digamma,
+    log_gamma_complex,
+    log_gamma_parts,
+    sinpi,
+    sinpi_complex,
+)
 from .util import write_csv
 
 __all__ = [
@@ -196,16 +206,36 @@ def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np
     z, zp = pair.z, pair.z_prime
     arg = values + 0.5  # gamma arguments are z + x + 1/2
     if pair.branch is Branch.REAL_INTERVAL:
-        log_p, sign_p = log_gamma_parts(z.real + arg)
-        log_q, sign_q = log_gamma_parts(zp.real + arg)
-        mismatch = sign_p != sign_q
-        if mismatch.any():
+        # A = sign * sqrt(|Gamma(z + x + 1/2) / Gamma(z' + x + 1/2)|), and B = sign' / sqrt(...).
+        # Where both gammas are normal doubles the ratio is taken as it is: a difference
+        # of logs would lose ulp(log Gamma), about 1e-14 at x = 100.
+        both = np.add.outer((z.real, zp.real), arg)
+        in_range = (np.abs(both) < _GAMMA_RANGE).all(axis=0)
+        near = in_range.nonzero()[0]
+        whole = near.size == len(values)
+        if whole:
+            gamma = _gamma(both)
+            sign = np.sign(gamma)
+        else:
+            far = (~in_range).nonzero()[0]
+            sign = np.empty_like(both)
+            log_abs, sign[:, far] = log_gamma_parts(both[:, far])
+            gamma = _gamma(both[:, near])
+            sign[:, near] = np.sign(gamma)
+        mismatch = (sign[0] != sign[1]).nonzero()[0]
+        if mismatch.size:
             raise DomainError(
                 f"Gamma(z + x + 1/2) and Gamma(z' + x + 1/2) differ in sign at "
-                f"x = {values[mismatch][0]:g}; the product under the square root is not positive"
+                f"x = {values[mismatch[0]]:g}; the product under the square root is not positive"
             )
-        half = 0.5 * (log_p - log_q)
-        return sign_p * np.exp(half), sign_q * np.exp(-half)
+        ratio = np.sqrt(gamma[0] / gamma[1])
+        if whole:
+            root = ratio
+        else:
+            root = np.empty(len(values))
+            root[far] = np.exp(0.5 * (log_abs[0] - log_abs[1]))
+            root[near] = ratio
+        return sign[0] * root, sign[1] / root
     # Conjugate branch: Gamma(z' + x + 1/2) = conj(Gamma(z + x + 1/2)), so
     # A(x) = Gamma/|Gamma| = cos(theta) + i sin(theta) and B = conj(A).
     theta = log_gamma_complex(z + arg).imag
@@ -225,18 +255,24 @@ def _kernel_block(pair: AdmissiblePair, xs: np.ndarray, ys: np.ndarray) -> np.nd
     """
     z, zp = pair.z, pair.z_prime
     p_x, q_x = _ab_arrays(pair, xs)
-    p_y, q_y = _ab_arrays(pair, ys)
-    common, rows, cols = np.intersect1d(xs, ys, assume_unique=True, return_indices=True)
+    if ys is xs:
+        p_y, q_y = p_x, q_x
+        common, rows, cols = xs, np.arange(len(xs)), np.arange(len(xs))
+    else:
+        p_y, q_y = _ab_arrays(pair, ys)
+        common, rows, cols = np.intersect1d(xs, ys, assume_unique=True, return_indices=True)
     arg = common + 0.5
     if pair.branch is Branch.REAL_INTERVAL:
         prefactor = sinpi(z.real) * sinpi(zp.real) / (math.pi * sinpi(z.real - zp.real))
-        diagonal = prefactor * (digamma(z.real + arg) - digamma(zp.real + arg))
+        psi_p, psi_q = digamma(np.add.outer((z.real, zp.real), arg))
+        diagonal = prefactor * (psi_p - psi_q)
         scale = prefactor
         out = np.multiply.outer(p_x, q_y)
         scratch = np.multiply.outer(q_x, p_y)
     else:
         prefactor = sinpi_complex(z) * sinpi_complex(zp) / (math.pi * sinpi_complex(z - zp))
-        d = digamma(z + arg) - digamma(zp + arg)
+        psi = digamma(z + arg)
+        d = psi - psi.conj()  # psi(z' + x + 1/2) = conj(psi(z + x + 1/2)), digamma's own symmetry
         # prefactor * d, written out in real arithmetic as well
         imag = np.abs(prefactor.real * d.imag + prefactor.imag * d.real)
         worst = float(imag.max(initial=abs(2.0 * prefactor.real)))

@@ -61,7 +61,7 @@ from .rn import SwapPair, rn_stabilization
 from .rng import SeededRng
 from .util import write_json
 
-__all__ = ["Check", "Report", "SUITE_NAMES", "run_suite"]
+__all__ = ["Check", "Report", "SUITE_NAMES", "check_suite_window", "run_suite"]
 
 SUITE_NAMES = ("kernel", "dpp", "rn", "dynamics", "exact")
 
@@ -185,8 +185,9 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     marg_err = max(abs(pmf.marginal(s) - k.entry(s, s)) for s in sites)
     checks.append(_bounded("marginal_vs_diagonal_max", marg_err, 1e-10))
     pair_err = max(
-        abs(pmf.occupied_marginal([a, b]) - correlation(k, [a, b]))
-        for a, b in itertools.combinations(sites, 2)
+        (abs(pmf.occupied_marginal([a, b]) - correlation(k, [a, b]))
+         for a, b in itertools.combinations(sites, 2)),
+        default=0.0,  # a one-site window has no pairs
     )
     checks.append(_bounded("pair_marginal_vs_minor_max", pair_err, 1e-10))
 
@@ -390,8 +391,19 @@ _SUITES = {
 }
 
 
+def check_suite_window(suite: str, window: Window) -> Window:
+    """`window`, if every check of `suite` (or ``all``) runs on it; ValueError otherwise.
+
+    The rn suite swaps two sites of its window; the others run on one site.
+    """
+    if suite in ("rn", "all") and window.size < 2:
+        raise ValueError(f"the rn suite needs at least 2 sites, got {window.size}")
+    return window
+
+
 def run_suite(suite: str, pair: AdmissiblePair, window: Window, seed: int) -> Report:
     """Run one named suite (or ``all``) and aggregate a report."""
+    check_suite_window(suite, window)
     if suite == "all":
         checks: list[Check] = []
         for name in SUITE_NAMES:

@@ -117,6 +117,24 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {option}: ")
 
 
+class TestOneSiteVerify:
+    # One site holds every check but the rn suite's, which swaps two sites.
+    @pytest.mark.parametrize("suite", ["kernel", "dpp", "dynamics", "exact"])
+    def test_suite_runs(self, capsys, tmp_path, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--window", "0..0", "--seed", "1",
+                           "--output-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["failures"] == 0
+
+    @pytest.mark.parametrize("suite", ["rn", "all"])
+    def test_rn_needs_two_sites(self, capsys, tmp_path, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--window", "0..0", "--seed", "1",
+                             "--output-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --window: the rn suite needs at least 2 sites, got 1\n"
+
+
 class TestArtifacts:
     def test_kernel_csv(self, capsys, tmp_path):
         out = tmp_path / "k.csv"

@@ -591,6 +591,56 @@ class TestSectorGraph:
         with pytest.raises(ValueError):
             sector_graph_connected(window6, ProximitySpec.nearest_neighbor(), 7)
 
+    @pytest.mark.parametrize("count", range(7))
+    def test_no_positive_weight_leaves_only_the_end_sectors_connected(self, window6, count):
+        # exp(-1000 d) underflows to 0 at every separation, so no swap is possible
+        connected = sector_graph_connected(window6, ProximitySpec.exp_decay(1000.0), count)
+        assert connected == (count in (0, 6))
+
+    @pytest.mark.parametrize("name", ["nn", "range:3"])
+    def test_equals_breadth_first_search(self, window8, name):
+        pairs = [(window8.position(p.x), window8.position(p.y))
+                 for p in _loop_candidate_pairs(window8, PROXIMITIES[name])]
+        for count in range(window8.size + 1):
+            assert sector_graph_connected(window8, PROXIMITIES[name], count) == \
+                _search_connected(window8.size, count, pairs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_of_random_graphs(self, monkeypatch, window8, seed):
+        # Random symmetric edge sets on the 70 states of 8 sites, sector 4,
+        # from trees to graphs of several components, against a search.
+        gen = np.random.default_rng(seed)
+        n = 70
+        src = gen.integers(0, n, gen.integers(0, 3 * n))
+        dst = gen.integers(0, n, src.size)
+        both = (np.r_[src, dst], np.r_[dst, src])
+        monkeypatch.setattr(dynamics, "_state_edges", lambda *args: (*both, None))
+        neighbours = [set() for _ in range(n)]
+        for a, b in zip(*both):
+            neighbours[a].add(int(b))
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [b for a in frontier for b in neighbours[a] if b not in seen]
+            seen.update(frontier)
+        assert sector_graph_connected(window8, ProximitySpec.nearest_neighbor(), 4) == (len(seen) == n)
+
+
+def _search_connected(n_sites: int, count: int, pairs) -> bool:
+    """Reference: breadth-first search over the sector's bitmasks, one swap at a time."""
+    states = [m for m in range(1 << n_sites) if bin(m).count("1") == count]
+    seen, frontier = {states[0]}, [states[0]]
+    while frontier:
+        step = []
+        for mask in frontier:
+            for i, j in pairs:
+                if (mask >> i ^ mask >> j) & 1:
+                    other = mask ^ (1 << i | 1 << j)
+                    if other not in seen:
+                        seen.add(other)
+                        step.append(other)
+        frontier = step
+    return len(seen) == len(states)
+
 
 class TestTrajectoryIo:
     def test_csv_and_sidecar(self, real_pair, k6, tmp_path):

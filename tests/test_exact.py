@@ -262,3 +262,19 @@ class TestTransitionMatrix:
         g = build_generator(_models()[0], k8, sector=3)
         with pytest.raises(ValueError):
             transition_matrix(g, -1.0)
+
+    def test_time_zero_is_exactly_the_identity(self, k8):
+        g = build_generator(_models()[0], k8, sector=3)
+        assert np.array_equal(transition_matrix(g, 0.0), np.eye(g.n_states))
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("window,sector", [(Window.from_indices(-4, 3), 3),
+                                               (Window.from_indices(-5, 4), 5)])
+    def test_matches_scipy_expm(self, request, branch, window, sector):
+        linalg = pytest.importorskip("scipy.linalg")
+        k = kernel_matrix(request.getfixturevalue(branch), window)
+        for model in _models():
+            g = build_generator(model, k, sector=sector)
+            for t in (0.1, 1.0, 10.0):
+                worst = float(np.abs(transition_matrix(g, t) - linalg.expm(t * g.Q)).max())
+                assert worst <= 1e-12, (model.kind, t, worst)

@@ -230,6 +230,17 @@ class TestKernelMatrix:
                 for y in w.sites:
                     assert k.entry(x, y) == kernel_entry(pair, x, y)
 
+    @pytest.mark.parametrize("center", [-159, 157])
+    def test_windows_across_the_gamma_range(self, real_pair, center):
+        # |z + x + 1/2| crosses 160 inside the window: A and B come from gamma
+        # ratios on one side and from log-gamma differences on the other
+        k = kernel_matrix(real_pair, Window.centered(12, center))
+        z, zp = mp.mpf("1.5"), mp.mpf("1.7")
+        for x in k.window.sites:
+            for y in k.window.sites:
+                assert k.entry(x, y) == kernel_entry(real_pair, x, y)
+                assert k.entry(x, y) == pytest.approx(_mp_kernel(z, zp, x, y), abs=1e-12, rel=1e-10)
+
     def test_eigenvalues_within_unit_interval(self, real_pair, conj_pair):
         for pair in (real_pair, conj_pair):
             k = kernel_matrix(pair, Window.centered(30))

@@ -86,44 +86,45 @@ def _check_poles(x: np.ndarray, kind: str) -> None:
         raise PoleError(f"{kind} pole at x = {x[pole[0]]}")
 
 
-class _Moved:
-    """The entries of a 1-D array `w` with Re w and |Im w| below `shift`, and where they move.
+def _small(w: np.ndarray, index: np.ndarray, shift: float) -> np.ndarray:
+    """The entries of `index` whose |Im w| is below `shift` (all of them for real `w`)."""
+    if index.size and w.dtype.kind == "c":
+        return index[np.abs(w.imag[index]) < shift]
+    return index
 
-    `index` lists them and `u` holds their values.  `flipped` indexes the
-    ones in `u` with Re u < 0.1, which are reflected to 1 - u; every pole is
-    one of them (PoleError).  `raised` indexes the ones whose real part is
-    then still below `shift`; each rises by the n <= shift that puts it in
-    [shift, shift + 1).  Column i of `terms` lists raised entry i's value
-    before the rise plus k, k = 0 .. shift - 1, down axis 0, and `live`
-    marks the n in use.  Sums and products over them are taken with
-    ``cumsum`` and ``cumprod``, which go down a column in order whatever its
-    neighbours; a ``sum`` may add a lone column pairwise.  `w` is the whole
-    array with the moved values.
+
+class _Moved:
+    """Where the entries of a 1-D array `w` move before a series is summed.
+
+    `flipped` indexes the entries with Re w < 0.1 and |Im w| < `shift`, which
+    are reflected to 1 - w; `u` holds their values, and every pole is one
+    of them (PoleError).  `raised` indexes the entries whose real part is
+    then below `shift`, with |Im w| below it too; each rises by the
+    n <= shift that puts it in [shift, shift + 1).  Column i of `terms`
+    lists raised entry i's value before the rise plus k, k = 0 .. shift - 1,
+    down axis 0, and `live` marks the n in use.  Sums and products over
+    them are taken with ``cumsum`` and ``cumprod``, which go down a column in
+    order whatever its neighbours; a ``sum`` may add a lone column pairwise.
+    `w` is the whole array with the moved values.
     """
 
     def __init__(self, w: np.ndarray, shift: float, kind: str):
-        self.w = w
-        self.index = (w.real < shift).nonzero()[0]
-        if self.index.size and w.dtype.kind == "c":
-            self.index = self.index[np.abs(w.imag[self.index]) < shift]
-        if not self.index.size:
-            return
-        self.u = u = w[self.index]
-        v = u.copy()
-        self.flipped = (u.real < 0.1).nonzero()[0]
+        self.flipped = _small(w, (w.real < 0.1).nonzero()[0], shift)
         if self.flipped.size:
-            r = u[self.flipped]
-            _check_poles(r, kind)
-            v[self.flipped] = 1.0 - r
-        self.raised = (v.real < shift).nonzero()[0]
+            self.u = w[self.flipped]
+            _check_poles(self.u, kind)
+            w = w.copy()
+            w[self.flipped] = 1.0 - self.u
+        self.raised = _small(w, (w.real < shift).nonzero()[0], shift)
         if self.raised.size:
-            x = v[self.raised]
+            x = w[self.raised]
             steps = np.ceil(shift - x.real)
             k = np.arange(shift)[:, np.newaxis]
             self.terms, self.live = x + k, k < steps
-            v[self.raised] = x + steps
-        self.w = w.copy()
-        self.w[self.index] = v
+            if not self.flipped.size:
+                w = w.copy()
+            w[self.raised] = x + steps
+        self.w = w
 
 
 def _log_gamma(w: np.ndarray) -> np.ndarray:
@@ -132,31 +133,26 @@ def _log_gamma(w: np.ndarray) -> np.ndarray:
     v = moved.w
     rz = np.reciprocal(v)
     out = (v - 0.5) * np.log(v) - v + (_LOG_SQRT_2PI + rz * _polynomial(rz * rz, _STIRLING))
-    if not moved.index.size:
-        return out
-    value = out[moved.index]
     if moved.raised.size:
         # log Gamma(x) = log Gamma(x + n) - sum_k log(x + k), principal logs: the real
         # part is the log of the product, and the arguments are summed, so none wraps
         terms = np.where(moved.live, moved.terms, 1.0)
         turn = np.arctan2(terms.imag, terms.real).cumsum(axis=0)[-1]
-        value[moved.raised] -= np.log(np.abs(terms.cumprod(axis=0)[-1])) + 1j * turn
+        out[moved.raised] -= np.log(np.abs(terms.cumprod(axis=0)[-1])) + 1j * turn
         # on the positive real axis log Gamma is real: log |math.gamma|, exact at 1 and 2
         first = moved.terms[0]
         axis = (first.imag == 0.0).nonzero()[0]
         if axis.size:
-            value[moved.raised[axis]] = np.log(np.abs(_gamma(first.real[axis])))
+            out[moved.raised[axis]] = np.log(np.abs(_gamma(first.real[axis])))
     if moved.flipped.size:
         # Hare's reflection: log pi - log sin(pi u) - log Gamma(1 - u)
         # + 2 pi i floor(Re u / 2 + 1/4), signed as Im u; Re u reduced modulo 1 in the sine
-        f = moved.flipped
-        u = moved.u[f]
+        f, u = moved.flipped, moved.u
         branch = np.copysign(2.0 * math.pi, u.imag) * np.floor(0.5 * u.real + 0.25)
         n = np.rint(u.real)
         sine = np.sin(math.pi * (u - n))  # (-1)^n sin(pi u)
         sine = np.where(np.fmod(n, 2.0) == 0.0, sine, -sine)
-        value[f] = (_LOG_PI + 1j * branch) - np.log(sine) - value[f]
-    out[moved.index] = value
+        out[f] = (_LOG_PI + 1j * branch) - np.log(sine) - out[f]
     return out
 
 
@@ -168,22 +164,16 @@ def _digamma(w: np.ndarray) -> np.ndarray:
     rzz = rz * rz
     tail = -0.5 * rz - rzz * _polynomial(rzz, _ASYMPTOTIC)  # psi(v) - log(v)
     out = np.log(v) + tail
-    if not moved.index.size:
-        return out
-    value = out[moved.index]
     if moved.raised.size:
         # psi(x) = log x + sum_k [log1p(1/(x + k)) - 1/(x + k)] + psi(x + n) - log(x + n):
         # no term is much larger than psi(x) itself, so none rounds its digits away
         r = np.reciprocal(moved.terms)
         gaps = np.where(moved.live, np.log1p(r) - r, 0.0).cumsum(axis=0)[-1]
-        raised = moved.raised
-        value[raised] = np.log(moved.terms[0]) + (gaps + tail[moved.index[raised]])
+        out[moved.raised] = np.log(moved.terms[0]) + (gaps + tail[moved.raised])
     if moved.flipped.size:
         # psi(u) = psi(1 - u) - pi cot(pi u), Re u reduced modulo 1 in the cotangent
-        f = moved.flipped
-        u = moved.u[f]
-        value[f] -= math.pi / np.tan(math.pi * (u - np.rint(u.real)))
-    out[moved.index] = value
+        u = moved.u
+        out[moved.flipped] -= math.pi / np.tan(math.pi * (u - np.rint(u.real)))
     return out
 
 

@@ -28,6 +28,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .dpp import (Configuration, enumerate_distribution, sample, sample_many, write_pmf_csv,
@@ -136,6 +137,7 @@ def _echo(payload: dict) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kawasaki-dpp", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="file of key = value option defaults")
@@ -369,7 +371,9 @@ def _cmd_simulate(options: _Options) -> int:
         write_trajectory_csv(trajectory, path)
         write_trajectory_sidecar(trajectory, config.pair.z, config.pair.z_prime, model,
                                  path.with_suffix(".json"))
-    config.echo(replicas=replicas, workers=1, n_events=[t.n_events for t in trajectories])
+    config.echo(replicas=replicas, workers=1, n_events=[t.n_events for t in trajectories],
+                rate_table_misses=sum(t.rate_table_misses for t in trajectories),
+                dets=sum(t.dets for t in trajectories))
     print(*paths, sep="\n")
     return 0
 

@@ -248,8 +248,8 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
 def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
     """(P(swapped), P(swapped) / own) out of the states of bool rows `occupied`.
 
-    ZeroProbabilityError names the first state with `own` below 1e-300; only
-    then are the probabilities of `swapped` taken, if it holds bool rows.
+    ZeroProbabilityError names the first state with `own` below 1e-300; only then
+    are probabilities taken for `swapped`, if it holds bool rows or a function.
     """
     low = np.flatnonzero(own < _PROBABILITY_FLOOR)
     if len(low):
@@ -257,7 +257,9 @@ def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, n
         raise ZeroProbabilityError(
             f"configuration {config} has probability {own[low[0]]:g}; ratio undefined"
         )
-    if swapped.dtype == bool:
+    if callable(swapped):
+        swapped = swapped()
+    elif swapped.dtype == bool:
         swapped = _probabilities(k, swapped)
     return swapped, swapped / own
 

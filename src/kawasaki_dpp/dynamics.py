@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,11 +233,13 @@ def _state_edges(
 
 
 def _rate_table(
-    model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray
+    model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray,
+    store: _RateStore, mask: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(pair index, rate 2c) of each positive-rate swap out of the bool occupancy row `occupied`.
+    """(pair index, rate 2c) of each positive-rate swap out of `occupied`, the bool row of `mask`.
 
-    The ratios come from :func:`dpp._swap_ratios`, which checks the row's probability first.
+    The ratios come from :func:`dpp._swap_ratios`, which checks the row's probability before
+    any swapped determinant is taken, and each probability from :meth:`_RateStore.recall`.
     """
     pair = np.flatnonzero(occupied[positions[:, 0]] != occupied[positions[:, 1]])
     if not len(pair):
@@ -245,7 +247,9 @@ def _rate_table(
     row = occupied[np.newaxis]
     swapped = row.repeat(len(pair), axis=0)
     swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
-    _, phi = _swap_ratios(k, row, _probabilities(k, row), swapped)
+    keys = [mask ^ (1 << i | 1 << j) for i, j in positions[pair].tolist()]
+    _, phi = _swap_ratios(k, row, store.recall(k, [mask], row),
+                          lambda: store.recall(k, keys, swapped))
     rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     positive = rates > 0.0
     return pair[positive], rates[positive]
@@ -260,13 +264,14 @@ def total_jump_rate(
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
     rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
-    come from :func:`_rate_table`, the state's own probability checked
-    first, and the total is summed in pair order.
+    come from :func:`_rate_table`, on a store of its own, the state's own
+    probability checked first, and the total is summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
     positions, u = _pair_table(k.window, model.proximity)
-    pair, rates = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u)
+    pair, rates = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
+                              _RateStore(), config.bitmask)
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
     sites = k.window.sites
     return total, [(SwapPair(sites[i], sites[j]), r)
@@ -283,6 +288,9 @@ class Trajectory:
     events: list[tuple[float, SwapPair]]
     t_max: float
     absorbed: bool = False
+    # What the run took, outside equality: rate tables built and determinant rows.
+    rate_table_misses: int = field(default=0, compare=False)
+    dets: int = field(default=0, compare=False)
 
     @property
     def n_events(self) -> int:
@@ -316,27 +324,40 @@ class Trajectory:
 
 
 class _RateStore:
-    """The jump chain's rate tables of one kernel: by rate model, then by state bitmask.
+    """One kernel's rate tables, by rate model and state bitmask, and its probability memo.
 
-    A table is ``(total, pairs, cumulative)``: the total exit rate, the
-    pair-table indices of the positive-rate swaps and the running sum of
-    their rates, all plain Python lists.  It is a pure function of the
-    kernel, the model and the state, so every :func:`simulate` call on the
-    kernel shares it.  The stored rates count against the budget of 2^20
-    entries that bounds each determinant stack; a table that would overflow
-    it clears the store first.
+    A table is ``(total, pairs, cumulative, successors)``: the total exit rate, then the
+    pair-table index, running rate sum and resulting bitmask of each positive-rate swap, as
+    plain lists.  `pairs` and `successors` repeat their last move, so any index
+    ``bisect_right`` returns into `cumulative` reads a move.  `memo` maps a bitmask to its
+    probability as :func:`dpp._probabilities` gave it, for every model.  All are pure in the
+    kernel, so every :func:`simulate` call on it shares them.  Rates, successors and memo
+    entries count against the 2^20-entry budget of a determinant stack; a table that would
+    overflow it clears tables and memo first.  `dets` counts the rows taken.
     """
 
     def __init__(self):
-        self.tables: dict[RateModel, dict[int, tuple[float, list[int], list[float]]]] = {}
-        self.entries = 0
+        self.tables: dict[RateModel, dict[int, tuple]] = {}
+        self.memo: dict[int, float] = {}
+        self.entries = self.dets = 0
+
+    def recall(self, k: KernelMatrix, masks: list[int], rows: np.ndarray) -> np.ndarray:
+        """P of the states `masks`, bool rows `rows`: the memo's, and one stack for the others."""
+        probs = np.array([self.memo.get(mask, math.nan) for mask in masks])
+        unknown = np.flatnonzero(np.isnan(probs))
+        if len(unknown):
+            probs[unknown] = _probabilities(k, rows[unknown])
+            self.memo.update(zip([masks[i] for i in unknown.tolist()], probs[unknown].tolist()))
+            self.dets += len(unknown)
+        return probs
 
     def keep(self, model: RateModel, mask: int, table: tuple) -> None:
         """Store `table`, of state `mask` under `model`; a full store is emptied in place."""
-        size = len(table[2]) + 1
-        if self.entries + size > _STACK_ENTRIES:
+        size = len(table[2]) + 1 + len(table[3])
+        if self.entries + len(self.memo) + size > _STACK_ENTRIES:
             for kept in self.tables.values():
                 kept.clear()
+            self.memo.clear()
             self.entries = 0
         self.tables.setdefault(model, {})[mask] = table
         self.entries += size
@@ -351,8 +372,8 @@ def _rate_store(k: KernelMatrix) -> _RateStore:
 
 def _mask_table(
     model: RateModel, k: KernelMatrix, mask: int, positions: np.ndarray, u: np.ndarray
-) -> tuple[float, list[int], list[float]]:
-    """The :class:`_RateStore` table of the state with bitmask `mask`.
+) -> tuple[float, list[int], list[float], list[int]]:
+    """The :class:`_RateStore` table of the state with bitmask `mask`, its probabilities memoized.
 
     The bool occupancy row is unpacked from the mask's bytes, so a mask of
     any width works.  A total rate that is not finite raises NumericalError.
@@ -360,13 +381,15 @@ def _mask_table(
     n = k.size
     occupied = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8),
                              count=n, bitorder="little").view(bool)
-    pair, rates = _rate_table(model, k, occupied, positions, u)
+    pair, rates = _rate_table(model, k, occupied, positions, u, _rate_store(k), mask)
     cumulative = np.cumsum(rates).tolist()
     total = cumulative[-1] if cumulative else 0.0
     if not math.isfinite(total):
         config = Configuration.from_bitmask(k.window, mask)
         raise NumericalError(f"configuration {config} has total jump rate {total:g}")
-    return total, pair.tolist(), cumulative
+    pairs = pair.tolist() + pair[-1:].tolist()
+    successors = [mask ^ (1 << i | 1 << j) for i, j in positions[pairs].tolist()]
+    return total, pairs, cumulative, successors
 
 
 def simulate(
@@ -381,11 +404,12 @@ def simulate(
     Waiting times are exponential at the current total rate; the executed
     swap is chosen proportionally to the per-pair rates.  The chain runs on
     an integer bitmask.  Each state's rate table (the pairs and rates of
-    :func:`total_jump_rate`) is kept in the kernel's :class:`_RateStore`, so
-    later calls on the kernel, such as replicas and continuations of one
-    run, share it (the swap ratio depends on the whole configuration, so a
-    swap invalidates every pair's rate; caching by state keeps revisits
-    cheap without approximating).  If the total rate hits zero the state is
+    :func:`total_jump_rate`, and the state each pair leads to) is kept in the
+    kernel's :class:`_RateStore`, so later calls on the kernel, such as
+    replicas and continuations of one run, share it (the swap ratio depends
+    on the whole configuration, so a swap invalidates every pair's rate;
+    caching by state keeps revisits cheap without approximating), as is each
+    probability its tables took.  If the total rate hits zero the state is
     absorbing and the trajectory idles until t_max.
 
     Each event takes two uniforms from `rng`, the wait and then the choice,
@@ -397,49 +421,49 @@ def simulate(
     if t_max < 0.0:
         raise ValueError("t_max must be nonnegative")
     positions, u = _pair_table(k.window, model.proximity)
-    ends = positions.tolist()
     store = _rate_store(k)
     tables = store.tables.setdefault(model, {})
     generator = rng.generator
     bits = generator.bit_generator
-    mask = initial.bitmask
-    t = 0.0
-    executed: list[tuple[float, int]] = []
+    mask, t, dets, misses = initial.bitmask, 0.0, store.dets, 0
+    times, chosen = [], []
     absorbed = False
-    # `block` was drawn from state `before`, and `used` of its uniforms are taken.
-    before, used = bits.state, 0
-    block = generator.random(_UNIFORM_BLOCK).tolist()
+    # `block` was drawn from state `before`, and `used` of its uniforms are taken;
+    # its waits, at even places, are already exponential: -log1p(-uniform).
+    before, used, block = bits.state, 0, []
     try:
         while True:
             table = tables.get(mask)
             if table is None:
                 table = _mask_table(model, k, mask, positions, u)
                 store.keep(model, mask, table)
-            total, pairs, cumulative = table
+                misses += 1
+            total, pairs, cumulative, successors = table
             if total <= 0.0:
                 absorbed = True
                 break
-            if used == _UNIFORM_BLOCK:
+            if used == len(block):
                 before, used = bits.state, 0
                 block = generator.random(_UNIFORM_BLOCK).tolist()
-            t_next = t - math.log1p(-block[used]) / total
+                block[::2] = [-math.log1p(-w) for w in block[::2]]
+            t_next = t + block[used] / total
             if t_next > t_max:
                 used += 1
                 break
             choice = bisect_right(cumulative, block[used + 1] * total)
             used += 2
-            pair = pairs[choice] if choice < len(pairs) else pairs[-1]
-            i, j = ends[pair]
-            mask ^= 1 << i | 1 << j
+            mask = successors[choice]
             t = t_next
-            executed.append((t, pair))
+            times.append(t)
+            chosen.append(pairs[choice])
     finally:
         bits.state = before
         generator.random(used)
-    sites = k.window.sites
-    swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in {p for _, p in executed}}
-    events = [(when, swaps[p]) for when, p in executed]
-    return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed)
+    sites, ends = k.window.sites, positions.tolist()
+    swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in set(chosen)}
+    events = list(zip(times, map(swaps.__getitem__, chosen)))
+    return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed, misses,
+                      store.dets - dets)
 
 
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:

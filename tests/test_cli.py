@@ -117,6 +117,26 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {option}: ")
 
 
+class TestParserBuiltOnce:
+    def test_usage_error_then_valid_command_as_in_fresh_processes(self, capsys, tmp_path,
+                                                                  run_python):
+        # One parser serves every main call of a process; an error leaves it unchanged.
+        assert cli._build_parser() is cli._build_parser()
+        argvs = [["verify", "--suite", "bogus"],
+                 ["admissible", "--z", "0.3+0.4i", "--zp", "0.3-0.4i"],
+                 ["simulate", "--window", "-2..1", "--weight", "0"]]
+
+        def without_timestamp(stderr: str) -> list:
+            return [{**json.loads(line), "timestamp": None} if line.startswith("{") else line
+                    for line in stderr.splitlines()]
+
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            fresh = run_python(["-m", "kawasaki_dpp", *argv], tmp_path)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+            assert without_timestamp(err) == without_timestamp(fresh.stderr)
+
+
 class TestOneSiteVerify:
     # One site holds every check but the rn suite's, which swaps two sites.
     @pytest.mark.parametrize("suite", ["kernel", "dpp", "dynamics", "exact"])
@@ -328,7 +348,7 @@ _ECHO_CASES = [
     (["rn", "--pattern", "00", "--pattern-window", "3..4", "--swap", "3,4", "--sizes", "8,10",
       "--n-samples", "5"], _RUN_KEYS + ["out", "deltas"]),
     (["simulate", "--window", "-2..1", "--t-max", "1"],
-     _RUN_KEYS + ["replicas", "workers", "n_events"]),
+     _RUN_KEYS + ["replicas", "workers", "n_events", "rate_table_misses", "dets"]),
     (["spectrum", "--window", "-2..1"], _RUN_KEYS + ["out", "spectral_gap"]),
     (["verify", "--suite", "kernel"], _RUN_KEYS + ["suite", "failures"]),
 ]

@@ -502,6 +502,49 @@ class TestSimulateStream:
         else:
             assert used == (case == "zero_horizon")
 
+    @staticmethod
+    def _assert_stream_ends_at(model, k, initial, t_max, used):
+        """simulate equals the reference loop, and both took exactly `used` uniforms."""
+        rng, reference = SeededRng(8, 3), SeededRng(8, 3)
+        trajectory = simulate(model, k, initial, t_max, rng)
+        events, absorbed, _, _ = _loop_simulate(model, k, initial, t_max, reference)
+        assert trajectory.events == events and trajectory.absorbed == absorbed
+        assert 2 * len(events) + (not absorbed) == used
+        assert rng.random() == reference.random() == SeededRng(8, 3).random(used + 1)[-1]
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_horizon_at_a_block_boundary(self, request, branch):
+        # t_max is the time of the event that uses up the first block, so the
+        # wait past t_max is the first uniform of a second block.
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(-3, 2))
+        model, initial = _all_models()[0], Configuration(k.window, (1, 0, 1, 0, 1, 0))
+        events, _, _, _ = _loop_simulate(model, k, initial, 1000.0, SeededRng(8, 3))
+        t_max = events[_UNIFORM_BLOCK // 2 - 1][0]
+        self._assert_stream_ends_at(model, k, initial, t_max, _UNIFORM_BLOCK + 1)
+
+    def test_absorbed_at_a_block_boundary(self, conj_pair, monkeypatch):
+        # The state that the event using up the first block leads to, first
+        # reached there, is made absorbing: no second block is drawn.
+        window = Window.from_indices(-6, 5)
+        k = kernel_matrix(conj_pair, window)
+        model = _all_models(PROXIMITIES["range:3"])[0]
+        initial = Configuration(window, tuple(i % 2 for i in range(window.size)))
+        events, _, _, _ = _loop_simulate(model, k, initial, 300.0, SeededRng(8, 3))
+        states = [initial]
+        for _, swap in events[:_UNIFORM_BLOCK // 2]:
+            states.append(apply_transposition(states[-1], swap))
+        trap = list(states[-1].occupancy)
+        assert states[-1] not in states[:-1]
+        build = dynamics._rate_table
+
+        def trapping(model, k, occupied, *rest):
+            if occupied.tolist() == trap:
+                return np.empty(0, dtype=int), np.empty(0)
+            return build(model, k, occupied, *rest)
+
+        monkeypatch.setattr(dynamics, "_rate_table", trapping)
+        self._assert_stream_ends_at(model, k, initial, 300.0, _UNIFORM_BLOCK)
+
 
 def _counting_rate_table(monkeypatch) -> list:
     """Patch dynamics._rate_table to record one entry per table built."""
@@ -557,10 +600,12 @@ class TestRateStore:
 
         def watched_keep(*args):
             keep(*args)
-            stored = sum(len(table[2]) + 1 for tables in store.tables.values()
+            # Rates, the total and successors of each table, then the memo's probabilities.
+            stored = sum(len(table[2]) + 1 + len(table[3]) for tables in store.tables.values()
                          for table in tables.values())
-            assert stored == store.entries <= budget
-            counts.append(stored)
+            assert stored == store.entries
+            assert stored + len(store.memo) <= budget
+            counts.append(stored + len(store.memo))
 
         monkeypatch.setattr(store, "keep", watched_keep)
         got = simulate(model, k, initial, 60.0, SeededRng(4))
@@ -568,6 +613,42 @@ class TestRateStore:
         assert got.state_occupation() == want.state_occupation()
         # The stored count fell at least once: the store was cleared.
         assert sorted(counts) != counts
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [8, 10, 12])
+    def test_warm_memo_tables_equal_fresh_kernel_tables(self, request, branch, size):
+        # Each model's chain is built on the memo the models before it warmed.
+        window = Window.centered(size)
+        initial = Configuration(window, tuple(i % 2 for i in range(size)))
+        for proximity in (PROXIMITIES["nn"], PROXIMITIES["range:3"]):
+            k = kernel_matrix(request.getfixturevalue(branch), window)
+            for model in _all_models(proximity):
+                assert simulate(model, k, initial, 1000.0, SeededRng(3)).n_events > 1000
+            positions, u = _pair_table(window, proximity)
+            fresh_rows = 0
+            for model, tables in k._rate_store.tables.items():
+                for mask, table in tables.items():
+                    fresh = KernelMatrix(window, k.entries)
+                    assert dynamics._mask_table(model, fresh, mask, positions, u) == table
+                    fresh_rows += fresh._rate_store.dets
+            assert k._rate_store.dets < fresh_rows
+
+    def test_chain_takes_each_determinant_once(self, real_pair, monkeypatch):
+        k = kernel_matrix(real_pair, Window.centered(10))
+        initial = Configuration(k.window, tuple(i % 2 for i in range(10)))
+        rows = []
+        det = np.linalg.det
+
+        def recording_det(a):
+            rows.extend(matrix.tobytes() for matrix in a.reshape(-1, *a.shape[-2:]))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", recording_det)
+        runs = [simulate(model, k, initial, 500.0, SeededRng(42, 1)) for model in _all_models()]
+        store = k._rate_store
+        assert len(rows) == len(set(rows)) == len(store.memo) == sum(t.dets for t in runs)
+        assert sum(t.rate_table_misses for t in runs) == sum(map(len, store.tables.values()))
+        assert runs[0].dets > runs[1].dets
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_total_rate_names_the_state(self, real_pair, window6, monkeypatch, bad):

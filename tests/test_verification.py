@@ -64,6 +64,7 @@ def test_rn_values_equal_state_by_state_loop(request, branch):
     k = kernel_matrix(pair, WINDOW)
     sites = WINDOW.sites
     inversion_worst = change_worst = square_probe = 0.0
+    summed = 0
     for swap in (SwapPair(sites[0], sites[-1]), SwapPair(sites[4], sites[5])):
         total = square = 0.0
         for mask in range(1 << WINDOW.size):
@@ -78,6 +79,7 @@ def test_rn_values_equal_state_by_state_loop(request, branch):
                                       abs(phi * rn_derivative(k, swapped, swap) - 1.0))
             total += p * phi
             square += p * phi * phi
+            summed += 1
         change_worst = max(change_worst, abs(total - 1.0))
         square_probe = max(square_probe, square)
     checks = verification.verify_rn(pair, WINDOW, seed=7)
@@ -86,7 +88,8 @@ def test_rn_values_equal_state_by_state_loop(request, branch):
         ("rn_change_of_variables_error", change_worst),
         ("rn_square_integral_probe", square_probe),
     ]
-    assert inversion_worst > 0.0 and change_worst > 0.0
+    # Not vacuous: states were summed, and phi is not 1 almost surely (E[phi^2] > 1).
+    assert inversion_worst > 0.0 and summed > 0 and square_probe > 1.0
 
 
 def test_particle_conservation_fails_on_a_no_op_event(real_pair, monkeypatch):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -224,7 +225,7 @@ def _checked(convert, accept, requirement: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
 
 
 def _parse_proximity(text: str, weight: float) -> ProximitySpec:

@@ -152,8 +152,9 @@ class Pmf:
         probs = np.array(probs, dtype=float)
         if probs.shape != (1 << window.size,):
             raise ValueError(f"need {1 << window.size} probabilities, got {probs.shape}")
-        _clamp(probs)
-        _require_total(probs.sum())
+        total = _clamp(probs).sum()
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+            raise NumericalError(f"pmf total {float(total)!r} deviates from 1 by more than 1e-9")
         probs.setflags(write=False)
         self.window = window
         self.probs = probs
@@ -192,21 +193,20 @@ class Pmf:
         return masks, weights / total
 
 
-def _require_total(total: float) -> None:
-    """NumericalError unless the law's total (not NaN) is within 1e-9 of 1."""
-    if not abs(total - 1.0) <= 1e-9:
-        raise NumericalError(f"pmf total {float(total)!r} deviates from 1 by more than 1e-9")
-
-
 def _occupancy(masks: np.ndarray, n: int) -> np.ndarray:
     """(S, n) bool occupancy rows of S bitmasks: column i is bit i."""
     return np.column_stack([(masks >> i) & 1 == 1 for i in range(n)])
 
 
 def _sector_masks(n: int, count: int) -> np.ndarray:
-    """Bitmasks of n sites with the given particle count, ascending (combinadic order)."""
+    """Bitmasks of n sites with the given particle count, ascending (combinadic order).
+
+    SizeError past :data:`MAX_ENUMERATION_SITES`, before the 2^n masks are listed.
+    """
     if count < 0 or count > n:
         raise ValueError(f"count {count} out of range for {n} sites")
+    if n > MAX_ENUMERATION_SITES:
+        raise SizeError(f"sector listing capped at {MAX_ENUMERATION_SITES} sites, got {n}")
     masks = np.arange(1 << n, dtype=np.int64)
     return masks[_occupancy(masks, n).sum(axis=1) == count]
 
@@ -328,16 +328,14 @@ def _require_probabilities(probs: np.ndarray) -> None:
 class _LawTable:
     """The cumulative law of a window of up to 12 sites, for draws by inverse CDF.
 
-    ``cumulative[m]`` is P(bitmask <= m): the running sum of the 2^n
-    probabilities :func:`enumerate_distribution` takes, divided by its last
-    entry, which is then exactly 1.  A uniform u in [0, 1) draws the first
+    ``cumulative[m]`` is P(bitmask <= m): the running sum of the law
+    :func:`enumerate_distribution` returns, divided by its last entry, which
+    is then exactly 1.  A uniform u in [0, 1) draws the first
     mask whose entry exceeds u, so a mask of probability 0 is never drawn.
     """
 
     def __init__(self, k: KernelMatrix):
-        n = k.size
-        cumulative = np.cumsum(_probabilities(k, _occupancy(np.arange(1 << n), n)))
-        _require_total(cumulative[-1])
+        cumulative = np.cumsum(enumerate_distribution(k).probs)
         self.cumulative = cumulative / cumulative[-1]
         self.bounds = self.cumulative.tolist()
         self.window = k.window

@@ -72,7 +72,10 @@ class ProximityKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ProximitySpec:
-    """Symmetric nonnegative pair weight u(x, y), summable in y for fixed x."""
+    """Symmetric nonnegative pair weight u(x, y), summable in y for fixed x.
+
+    The weight and alpha are finite and positive: a NaN would drop every pair.
+    """
 
     kind: ProximityKind
     weight: float = 1.0
@@ -80,11 +83,11 @@ class ProximitySpec:
     reach: int | None = None
 
     def __post_init__(self):
-        if self.weight <= 0.0:
-            raise ValueError("weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         if self.kind is ProximityKind.EXP_DECAY:
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ValueError("exponential decay needs alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf:
+                raise ValueError("exponential decay needs a finite alpha > 0")
         if self.kind is ProximityKind.FINITE_RANGE:
             if self.reach is None or self.reach < 1:
                 raise ValueError("finite range needs reach >= 1")
@@ -216,12 +219,12 @@ def candidate_pairs(window: Window, proximity: ProximitySpec) -> tuple[SwapPair,
 
 
 def _state_edges(
-    states: np.ndarray, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray
+    states: np.ndarray, occupied: np.ndarray, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, dst, pair) of every positive-weight swap between the ascending bitmasks `states`.
 
-    `occupied` holds their (S, n) occupancy rows, and `positions` and `u` the
-    window positions and weights of the candidate pairs.  A swap exchanges
+    `occupied` holds their (S, n) occupancy rows, and `positions` the window
+    positions of the candidate pairs, all of positive weight.  A swap exchanges
     the unequal occupancies at ``positions[pair]``; edges run by row, then by
     pair.  `states` is a whole sector or the full space, so every swapped
     state is listed.
@@ -418,8 +421,8 @@ def simulate(
     """
     if initial.window != k.window:
         raise WindowMismatchError("initial configuration window differs from kernel window")
-    if t_max < 0.0:
-        raise ValueError("t_max must be nonnegative")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
     positions, u = _pair_table(k.window, model.proximity)
     store = _rate_store(k)
     tables = store.tables.setdefault(model, {})
@@ -477,8 +480,8 @@ def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int)
     when every state's root is state 0.
     """
     masks = _sector_masks(window.size, count)
-    positions, u = _pair_table(window, proximity)
-    src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions, u)
+    positions, _ = _pair_table(window, proximity)
+    src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions)
     root = np.arange(len(masks))
     while True:
         np.minimum.at(root, root[src], root[dst])

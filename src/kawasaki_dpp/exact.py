@@ -122,7 +122,7 @@ def build_generator(
         raise NumericalError("state list carries zero probability")
     measure = weights / total
     positions, u = _pair_table(k.window, model.proximity)
-    src, dst, pair = _state_edges(states, occupied, positions, u)
+    src, dst, pair = _state_edges(states, occupied, positions)
     _, phi = _swap_ratios(k, occupied[src], weights[src], weights[dst])
     q = np.zeros((len(states), len(states)))
     q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
@@ -159,7 +159,7 @@ def dirichlet_form(g: GeneratorMatrix, f: np.ndarray, h: np.ndarray) -> float:
             f"vectors must have shape ({g.n_states},), got {f.shape} and {h.shape}"
         )
     positions, u = _pair_table(g.window, g.model.proximity)
-    src, dst, pair = _state_edges(g.states, _occupancy(g.states, g.window.size), positions, u)
+    src, dst, pair = _state_edges(g.states, _occupancy(g.states, g.window.size), positions)
     mu = g.measure
     live = mu[src] > 0.0
     src, dst, pair = src[live], dst[live], pair[live]
@@ -237,6 +237,6 @@ def transition_matrix(g: GeneratorMatrix, t: float) -> np.ndarray:
     It is taken of Q itself: exp of the symmetrized generator, conjugated
     back, loses up to 8e-3 where the measure spans many decades.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     return _expm(t * g.Q)

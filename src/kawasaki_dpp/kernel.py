@@ -242,33 +242,26 @@ def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np
     return np.cos(theta), np.sin(theta)
 
 
-def _kernel_block(pair: AdmissiblePair, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """K(x, y) for site values x in ``xs`` (rows) and y in ``ys`` (columns).
+def _kernel_block(pair: AdmissiblePair, values: np.ndarray) -> np.ndarray:
+    """K(x, y) for x (rows) and y (columns) over the distinct site values ``values``.
 
     The only path that evaluates K.  Besides the result it allocates one
-    array of the block's size.  On the conjugate branch A = c + i s and
-    B = conj(A) give A_x B_y - B_x A_y = 2i (s_x c_y - c_x s_y), so the block
-    is real arithmetic scaled by Re(2i prefactor): complex array products may
-    fuse multiply-adds and break the bitwise symmetry K(x, y) = K(y, x).  As
-    |s_x c_y - c_x s_y| <= 1 <= |x - y|, Im(2i prefactor) bounds the residual
-    imaginary part of every off-diagonal entry.
+    array of the block's size.  Both branches scale p_x q_y - q_x p_y, with
+    (p, q) from :func:`_ab_arrays`.  On the conjugate branch A = p + i q and
+    B = conj(A) give A_x B_y - B_x A_y = -2i (p_x q_y - q_x p_y), so the block
+    is real arithmetic scaled by Re(-2i prefactor) = 2 Im(prefactor): complex
+    array products may fuse multiply-adds and break the bitwise symmetry
+    K(x, y) = K(y, x).  As |p_x q_y - q_x p_y| <= 1 <= |x - y|, 2 Re(prefactor)
+    bounds the residual imaginary part of every off-diagonal entry.
     """
     z, zp = pair.z, pair.z_prime
-    p_x, q_x = _ab_arrays(pair, xs)
-    if ys is xs:
-        p_y, q_y = p_x, q_x
-        common, rows, cols = xs, np.arange(len(xs)), np.arange(len(xs))
-    else:
-        p_y, q_y = _ab_arrays(pair, ys)
-        common, rows, cols = np.intersect1d(xs, ys, assume_unique=True, return_indices=True)
-    arg = common + 0.5
+    p, q = _ab_arrays(pair, values)
+    arg = values + 0.5
     if pair.branch is Branch.REAL_INTERVAL:
         prefactor = sinpi(z.real) * sinpi(zp.real) / (math.pi * sinpi(z.real - zp.real))
         psi_p, psi_q = digamma(np.add.outer((z.real, zp.real), arg))
         diagonal = prefactor * (psi_p - psi_q)
         scale = prefactor
-        out = np.multiply.outer(p_x, q_y)
-        scratch = np.multiply.outer(q_x, p_y)
     else:
         prefactor = sinpi_complex(z) * sinpi_complex(zp) / (math.pi * sinpi_complex(z - zp))
         psi = digamma(z + arg)
@@ -279,15 +272,15 @@ def _kernel_block(pair: AdmissiblePair, xs: np.ndarray, ys: np.ndarray) -> np.nd
         if worst > _IMAG_TOL:
             raise NumericalError(f"residual imaginary part {worst:g} exceeds {_IMAG_TOL:g}")
         diagonal = prefactor.real * d.real - prefactor.imag * d.imag
-        scale = -2.0 * prefactor.imag
-        out = np.multiply.outer(q_x, p_y)
-        scratch = np.multiply.outer(p_x, q_y)
+        scale = 2.0 * prefactor.imag
+    out = np.multiply.outer(p, q)
+    scratch = np.multiply.outer(q, p)
     out -= scratch
     out *= scale
-    denominator = np.subtract.outer(xs, ys, out=scratch)
-    denominator[rows, cols] = 1.0
+    denominator = np.subtract.outer(values, values, out=scratch)
+    np.fill_diagonal(denominator, 1.0)
     out /= denominator
-    out[rows, cols] = diagonal
+    np.fill_diagonal(out, diagonal)
     return out
 
 
@@ -306,8 +299,11 @@ def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
 
 
 def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
-    """K(x, y); the digamma diagonal formula is used when x = y."""
-    return float(_kernel_block(pair, np.array([x.value]), np.array([y.value]))[0, 0])
+    """K(x, y) off the block over x and y; the digamma diagonal formula is used when x = y.
+
+    On the conjugate branch, x != y also checks the diagonal's residual at x and at y.
+    """
+    return float(_kernel_block(pair, np.unique((x.value, y.value)))[0, -1])
 
 
 class KernelMatrix:
@@ -388,8 +384,7 @@ def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
     """
     if window.size > MAX_WINDOW_SITES:
         raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
-    values = _site_values(window)
-    return KernelMatrix(window, _kernel_block(pair, values, values))
+    return KernelMatrix(window, _kernel_block(pair, _site_values(window)))
 
 
 def difference_operator_matrix(pair: AdmissiblePair, window: Window) -> np.ndarray:

@@ -132,6 +132,8 @@ def rn_stabilization(
     The drift between successive sizes is a diagnostic (see
     :meth:`StabilizationTable.deltas`); no convergence rate is asserted.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rows = []
     for offset, size in enumerate(window_sizes):
         window = _enclosing_window(pattern.window, size)

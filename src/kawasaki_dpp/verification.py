@@ -284,7 +284,7 @@ def verify_dynamics(pair: AdmissiblePair, window: Window, seed: int) -> list[Che
     probs = enumerate_distribution(k).probs
     positions, u = _pair_table(dyn_window, nn)
     states = np.arange(1 << n)
-    src, dst, swap = _state_edges(states, _occupancy(states, n), positions, u)
+    src, dst, swap = _state_edges(states, _occupancy(states, n), positions)
     possible = (probs[src] > 0.0) & (probs[dst] > 0.0)
     p, q, weight = probs[src[possible]], probs[dst[possible]], u[swap[possible]]
 

@@ -1,10 +1,13 @@
-"""The public names: every ``__all__`` entry resolves to an attribute; no scipy at run time."""
+"""The public names: every ``__all__`` entry resolves to an attribute; no scipy at run time;
+every parameter in the package is read."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +58,39 @@ def test_no_scipy_at_import_or_run_time(tmp_path, run_python):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "scipy": []}
+
+
+# The suites share one dispatch signature, (pair, window, seed); the kernel suite draws nothing.
+_UNREAD_ALLOWED = {("verification.py", "verify_kernel", "seed")}
+
+
+def _unread_parameters(tree: ast.Module, filename: str) -> list[tuple[str, str, str]]:
+    """(file, function, parameter) of each parameter its function or lambda never reads.
+
+    A method's receiver (its first parameter) is bound by the call, not chosen,
+    so it is not counted.
+    """
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body
+               if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in getattr(f, "decorator_list", ()))}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg] if a is not None]
+        if id(node) in methods:
+            params = params[1:]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [(filename, getattr(node, "name", "<lambda>"), p) for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    source = Path(kawasaki_dpp.__file__).parent
+    unread = [found for path in sorted(source.glob("*.py"))
+              for found in _unread_parameters(ast.parse(path.read_text()), path.name)]
+    assert set(unread) == _UNREAD_ALLOWED

@@ -108,6 +108,9 @@ class TestExitCodes:
         (["simulate", "--proximity", "range:0"], "--proximity"),
         (["simulate", "--weight", "-1"], "--weight"),
         (["simulate", "--window", "-2..1", "--initial", "0120"], "--initial"),
+        (["simulate", "--weight", "inf"], "--weight"),
+        (["simulate", "--t-max", "inf"], "--t-max"),
+        (["simulate", "--proximity", "exp:nan"], "--proximity"),
     ])
     def test_malformed_value_is_usage_error(self, capsys, tmp_path, argv, option):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))

@@ -377,7 +377,11 @@ class TestSample:
         # up to 12 sites a draw takes one uniform and the reference is the
         # inverse CDF over the enumerated law; above, one Schur pass per draw
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, centre))
-        assert (dpp_mod._law_table(k) is None) == (size > 12)  # 12 sites: the largest table
+        table = dpp_mod._law_table(k)
+        assert (table is None) == (size > 12)  # 12 sites: the largest table
+        if table is not None:  # the law enumerate_distribution returns, normalized
+            cumulative = np.cumsum(enumerate_distribution(k).probs)
+            assert table.cumulative.tobytes() == (cumulative / cumulative[-1]).tobytes()
         rng, reference_rng = SeededRng(21), SeededRng(21)
         draws = [sample(k, rng) for _ in range(200)] + sample_many(k, rng, 500)
         if size <= 12:

@@ -31,6 +31,7 @@ from kawasaki_dpp.dynamics import (
 from kawasaki_dpp.errors import (
     NumericalError,
     SamePointError,
+    SizeError,
     WindowMismatchError,
     ZeroProbabilityError,
 )
@@ -126,6 +127,17 @@ class TestProximity:
             ProximitySpec.exp_decay(alpha=-1.0)
         with pytest.raises(ValueError):
             ProximitySpec.finite_range(reach=0)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ProximitySpec.nearest_neighbor(weight=math.nan), id="nan-weight"),
+        pytest.param(lambda: ProximitySpec.finite_range(2, weight=math.inf), id="inf-weight"),
+        pytest.param(lambda: ProximitySpec.exp_decay(alpha=math.nan), id="nan-alpha"),
+        pytest.param(lambda: ProximitySpec.exp_decay(alpha=math.inf), id="inf-alpha"),
+    ])
+    def test_non_finite_weight_or_alpha_rejected(self, make):
+        # a NaN weight or alpha would drop every pair and absorb every chain at once
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 class TestRateFormulas:
@@ -384,6 +396,13 @@ class TestDeterminantCount:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, k6, t_max):
+        # the jump loop ends only past t_max, which no event time passes here
+        config = Configuration(k6.window, (1, 0, 1, 0, 0, 0))
+        with pytest.raises(ValueError, match="^t_max must be finite and nonnegative"):
+            simulate(_all_models()[0], k6, config, t_max, SeededRng(1))
+
     def test_zero_horizon(self, k6):
         config = Configuration(k6.window, (1, 0, 1, 0, 0, 0))
         trajectory = simulate(_all_models()[0], k6, config, 0.0, SeededRng(1))
@@ -671,6 +690,12 @@ class TestSectorGraph:
     def test_count_out_of_range(self, window6):
         with pytest.raises(ValueError):
             sector_graph_connected(window6, ProximitySpec.nearest_neighbor(), 7)
+
+    @pytest.mark.parametrize("size", [21, 64])
+    def test_size_cap_before_listing(self, size):
+        # 2^64 masks could not be listed; the cap is checked first
+        with pytest.raises(SizeError, match="^sector listing capped at 20 sites"):
+            sector_graph_connected(Window.centered(size), ProximitySpec.nearest_neighbor(), 2)
 
     @pytest.mark.parametrize("count", range(7))
     def test_no_positive_weight_leaves_only_the_end_sectors_connected(self, window6, count):

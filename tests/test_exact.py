@@ -65,6 +65,12 @@ class TestSectorMasks:
         with pytest.raises(ValueError):
             sector_masks(4, 5)
 
+    @pytest.mark.parametrize("n_sites", [21, 64])
+    def test_size_cap_before_listing(self, n_sites):
+        # 2^64 masks could not be listed; the cap is checked first
+        with pytest.raises(SizeError, match="^sector listing capped at 20 sites"):
+            sector_masks(n_sites, 3)
+
 
 class TestBuildGenerator:
     def test_row_sums_vanish(self, k8):
@@ -262,6 +268,13 @@ class TestTransitionMatrix:
         g = build_generator(_models()[0], k8, sector=3)
         with pytest.raises(ValueError):
             transition_matrix(g, -1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, k8, t):
+        # exp(t Q) would be all NaN
+        g = build_generator(_models()[0], k8, sector=3)
+        with pytest.raises(ValueError, match="^t must be finite and nonnegative"):
+            transition_matrix(g, t)
 
     def test_time_zero_is_exactly_the_identity(self, k8):
         g = build_generator(_models()[0], k8, sector=3)

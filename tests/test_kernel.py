@@ -223,11 +223,17 @@ class TestKernelMatrix:
                 KernelMatrix(window, entries)
 
     def test_matches_entry_loop_bitwise(self, real_pair, conj_pair):
-        w = Window.from_indices(-6, 5)
+        # every ordered pair, x = y among them, of -6..5 (reflected where the
+        # real part of z + x + 1/2 is negative: from index -3 down on the real
+        # branch, -2 on the conjugate one) and of the sites where |z + x + 1/2|
+        # crosses 160 on either branch, between indices -163 and -161 and
+        # between 157 and 159; |x - y| reaches 324
+        w = Window.from_indices(-164, 160)
+        sites = [Site(i) for i in (*range(-164, -159), *range(-6, 6), *range(156, 161))]
         for pair in (real_pair, conj_pair):
             k = kernel_matrix(pair, w)
-            for x in w.sites:
-                for y in w.sites:
+            for x in sites:
+                for y in sites:
                     assert k.entry(x, y) == kernel_entry(pair, x, y)
 
     @pytest.mark.parametrize("center", [-159, 157])

@@ -178,6 +178,13 @@ class TestStabilization:
             rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(50)), [6],
                              SeededRng(0), n_samples=2)
 
+    def test_needs_a_sample(self, real_pair):
+        # the mean and the variance divide by n_samples
+        pattern = Configuration(Window.from_indices(0, 1), (1, 0))
+        with pytest.raises(ValueError, match="^n_samples must be >= 1, got 0$"):
+            rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(1)), [6],
+                             SeededRng(0), n_samples=0)
+
     def test_pattern_below_floor(self, real_pair):
         # all twenty sites of 0..19 occupied: probability 4.69e-400 by a
         # 400-digit mpmath determinant, below the 1e-300 floor

@@ -28,15 +28,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpp import (
+    _PROBABILITY_FLOOR,
     _STACK_ENTRIES,
     Configuration,
+    _clamp,
     _occupancy,
     _probabilities,
+    _require_possible,
     _sector_masks,
     _swap_ratios,
     config_probability,
 )
-from .errors import NumericalError, SamePointError, WindowMismatchError
+from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
 from .rng import SeededRng
@@ -62,6 +65,14 @@ __all__ = [
 
 # simulate draws its uniforms this many at a time; even, as an event takes two.
 _UNIFORM_BLOCK = 512
+
+# A rate table's swap ratios are read off G = M^-1 (2K - I).  Their relative
+# error is estimated as cond_1(M), taken as ||M||_1 ||G||_1, times the error of
+# a kernel entry against an mpmath kernel; a state whose estimate exceeds the
+# tolerance is refused.  Against that oracle the estimate bounds the observed
+# ratio error (see tests/test_dynamics.py::TestConditionGuard).
+_KERNEL_ERROR = 1.5e-14
+_RATIO_TOLERANCE = 1e-2
 
 
 class ProximityKind(enum.Enum):
@@ -241,21 +252,58 @@ def _rate_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pair index, rate 2c) of each positive-rate swap out of `occupied`, the bool row of `mask`.
 
-    The ratios come from :func:`dpp._swap_ratios`, which checks the row's probability before
-    any swapped determinant is taken, and each probability from :meth:`_RateStore.recall`.
+    M takes K's column at each occupied site and I - K's at each empty one, so
+    P(eta) = det M.  Swapping unequal sites i, j adds s_c (2K - I)[:, c] to columns
+    c = i, j of M, with s_c = -1 at the occupied site and +1 at the empty one.  So
+    with S = diag(s) and H = M^-1 (2K - I) S, one solve, the determinant lemma
+    gives phi = det(I + H[idx, idx]) = (1 + H_ii)(1 + H_jj) - H_ij H_ji for every
+    pair, idx = [i, j]; H is G = M^-1 (2K - I) with its columns signed.
+    In order: the state's own probability from :meth:`_RateStore.recall`
+    (NumericalError if its determinant is not finite); the solve, whose
+    LinAlgError (M exactly singular) is a ZeroProbabilityError naming the state;
+    the condition guard, NumericalError when cond_1(M) * 1.5e-14, with cond_1(M)
+    estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`; the 1e-300
+    floor of :func:`dpp._require_possible`.  A ratio below 0 is noise around an
+    exact zero: P(eta) phi is clamped as a probability is, and phi set to 0.
+    Each move's state goes into the memo as P(eta) phi, and ``store.condition``
+    keeps the largest estimate.
     """
-    pair = np.flatnonzero(occupied[positions[:, 0]] != occupied[positions[:, 1]])
+    sides = occupied[positions]
+    pair = np.flatnonzero(sides[:, 0] != sides[:, 1])
     if not len(pair):
         return pair, np.empty(0)
-    row = occupied[np.newaxis]
-    swapped = row.repeat(len(pair), axis=0)
-    swapped[np.arange(len(pair))[:, np.newaxis], positions[pair]] ^= True
-    keys = [mask ^ (1 << i | 1 << j) for i, j in positions[pair].tolist()]
-    _, phi = _swap_ratios(k, row, store.recall(k, [mask], row),
-                          lambda: store.recall(k, keys, swapped))
+    own = store.recall(k, mask, occupied)
+    m, signed = np.where(occupied, *store.columns)
+    try:
+        h = np.linalg.solve(m, signed)
+    except np.linalg.LinAlgError:
+        config = Configuration(k.window, tuple(map(int, occupied)))
+        raise ZeroProbabilityError(
+            f"configuration {config} has probability {own:g}; ratio undefined") from None
+    condition = float(np.where(occupied, *store.column_sums).max() * np.abs(h).sum(axis=0).max())
+    store.condition = max(store.condition, condition)
+    if not condition * _KERNEL_ERROR <= _RATIO_TOLERANCE:  # NaN fails too
+        config = Configuration(k.window, tuple(map(int, occupied)))
+        raise NumericalError(
+            f"configuration {config} is ill-conditioned: swap ratios may be off by "
+            f"{condition * _KERNEL_ERROR:.2g} relative (cond_1 about {condition:.2g}), "
+            f"above {_RATIO_TOLERANCE:g}")
+    if own < _PROBABILITY_FLOOR:
+        _require_possible(k, occupied[np.newaxis], np.array([own]))
+    ends = positions[pair]
+    block = h[ends[:, :, np.newaxis], ends[:, np.newaxis, :]]
+    phi = (1.0 + block[:, 0, 0]) * (1.0 + block[:, 1, 1]) - block[:, 0, 1] * block[:, 1, 0]
+    if phi.min() < 0.0:
+        negative = phi < 0.0
+        _clamp(own * phi[negative])
+        phi[negative] = 0.0
     rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
-    positive = rates > 0.0
-    return pair[positive], rates[positive]
+    if not rates.min() > 0.0:
+        positive = rates > 0.0
+        pair, rates, ends, phi = pair[positive], rates[positive], ends[positive], phi[positive]
+    store.memo.update(zip([mask ^ (1 << i | 1 << j) for i, j in ends.tolist()],
+                          (own * phi).tolist()))
+    return pair, rates
 
 
 def total_jump_rate(
@@ -267,14 +315,14 @@ def total_jump_rate(
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
     rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
-    come from :func:`_rate_table`, on a store of its own, the state's own
-    probability checked first, and the total is summed in pair order.
+    come from :func:`_rate_table`, on a store of its own, and the total is
+    summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
     positions, u = _pair_table(k.window, model.proximity)
     pair, rates = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
-                              _RateStore(), config.bitmask)
+                              _RateStore(k), config.bitmask)
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
     sites = k.window.sites
     return total, [(SwapPair(sites[i], sites[j]), r)
@@ -291,9 +339,12 @@ class Trajectory:
     events: list[tuple[float, SwapPair]]
     t_max: float
     absorbed: bool = False
-    # What the run took, outside equality: rate tables built and determinant rows.
+    # What the run took, outside equality: rate tables built, determinant rows, the
+    # largest cond_1 estimate of its tables, and the final bitmask (None: replay).
     rate_table_misses: int = field(default=0, compare=False)
     dets: int = field(default=0, compare=False)
+    worst_condition: float = field(default=0.0, compare=False)
+    final_mask: int | None = field(default=None, compare=False)
 
     @property
     def n_events(self) -> int:
@@ -315,7 +366,8 @@ class Trajectory:
         return masks
 
     def final_configuration(self) -> Configuration:
-        return Configuration.from_bitmask(self.initial.window, self._masks()[-1])
+        mask = self._masks()[-1] if self.final_mask is None else self.final_mask
+        return Configuration.from_bitmask(self.initial.window, mask)
 
     def state_occupation(self) -> dict[int, float]:
         """Total holding time per visited state bitmask, up to t_max."""
@@ -333,26 +385,36 @@ class _RateStore:
     pair-table index, running rate sum and resulting bitmask of each positive-rate swap, as
     plain lists.  `pairs` and `successors` repeat their last move, so any index
     ``bisect_right`` returns into `cumulative` reads a move.  `memo` maps a bitmask to its
-    probability as :func:`dpp._probabilities` gave it, for every model.  All are pure in the
-    kernel, so every :func:`simulate` call on it shares them.  Rates, successors and memo
-    entries count against the 2^20-entry budget of a determinant stack; a table that would
-    overflow it clears tables and memo first.  `dets` counts the rows taken.
+    probability, for every model: a determinant of :func:`dpp._probabilities`, or P(eta) phi
+    from the table of a state eta that moves to it.  All are pure in the kernel, so every
+    :func:`simulate` call on it shares them.  Rates, successors and memo entries count
+    against the 2^20-entry budget of a determinant stack; a table that would overflow it
+    clears tables and memo first.  `dets` counts the determinant rows taken.
+
+    For :func:`_rate_table` it also keeps ``columns``, the columns that an occupied and an
+    empty site give M and (2K - I) S: (K, I - 2K) and (I - K, 2K - I), stacked so one
+    ``np.where`` makes both; the column abs-sums of K and of I - K, so ||M||_1 is one
+    masked max; and ``condition``, the largest estimate of the tables built since
+    :func:`simulate` last reset it.
     """
 
-    def __init__(self):
+    def __init__(self, k: KernelMatrix):
+        complement = np.eye(k.size) - k.entries
+        reflected = k.entries - complement
+        self.columns = np.stack([k.entries, -reflected]), np.stack([complement, reflected])
+        self.column_sums = np.abs(k.entries).sum(axis=0), np.abs(complement).sum(axis=0)
         self.tables: dict[RateModel, dict[int, tuple]] = {}
         self.memo: dict[int, float] = {}
         self.entries = self.dets = 0
+        self.condition = 0.0
 
-    def recall(self, k: KernelMatrix, masks: list[int], rows: np.ndarray) -> np.ndarray:
-        """P of the states `masks`, bool rows `rows`: the memo's, and one stack for the others."""
-        probs = np.array([self.memo.get(mask, math.nan) for mask in masks])
-        unknown = np.flatnonzero(np.isnan(probs))
-        if len(unknown):
-            probs[unknown] = _probabilities(k, rows[unknown])
-            self.memo.update(zip([masks[i] for i in unknown.tolist()], probs[unknown].tolist()))
-            self.dets += len(unknown)
-        return probs
+    def recall(self, k: KernelMatrix, mask: int, occupied: np.ndarray) -> float:
+        """P of the state `mask`, bool row `occupied`: the memo's, or one determinant."""
+        prob = self.memo.get(mask)
+        if prob is None:
+            prob = self.memo[mask] = float(_probabilities(k, occupied[np.newaxis])[0])
+            self.dets += 1
+        return prob
 
     def keep(self, model: RateModel, mask: int, table: tuple) -> None:
         """Store `table`, of state `mask` under `model`; a full store is emptied in place."""
@@ -369,7 +431,7 @@ class _RateStore:
 def _rate_store(k: KernelMatrix) -> _RateStore:
     """`k`'s rate-table store, kept on `k` as its law table is."""
     if "_rate_store" not in vars(k):
-        k._rate_store = _RateStore()
+        k._rate_store = _RateStore(k)
     return k._rate_store
 
 
@@ -412,8 +474,12 @@ def simulate(
     replicas and continuations of one run, share it (the swap ratio depends
     on the whole configuration, so a swap invalidates every pair's rate;
     caching by state keeps revisits cheap without approximating), as is each
-    probability its tables took.  If the total rate hits zero the state is
-    absorbing and the trajectory idles until t_max.
+    probability its tables took.  A missing table costs one solve, and the
+    chain's only determinant is its start's (see :func:`_rate_table`); a state
+    whose ratios are ill-conditioned raises NumericalError.  If the total rate
+    hits zero the state is absorbing and the trajectory idles until t_max.
+    The trajectory keeps the final bitmask and the largest cond_1 estimate of
+    the tables the run built.
 
     Each event takes two uniforms from `rng`, the wait and then the choice,
     and the final wait past t_max takes one.  They are drawn in blocks, and
@@ -429,6 +495,7 @@ def simulate(
     generator = rng.generator
     bits = generator.bit_generator
     mask, t, dets, misses = initial.bitmask, 0.0, store.dets, 0
+    store.condition = 0.0
     times, chosen = [], []
     absorbed = False
     # `block` was drawn from state `before`, and `used` of its uniforms are taken;
@@ -466,7 +533,7 @@ def simulate(
     swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in set(chosen)}
     events = list(zip(times, map(swaps.__getitem__, chosen)))
     return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed, misses,
-                      store.dets - dets)
+                      store.dets - dets, store.condition, mask)
 
 
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:

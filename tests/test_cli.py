@@ -94,6 +94,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_ill_conditioned_start_is_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--window", "-14..13",
+                           "--output-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: configuration 0101") and " is ill-conditioned: " in err
+
+    @pytest.mark.parametrize("window", ["-7..6", "-10..9"])
+    def test_alternating_start_passes_the_condition_guard(self, capsys, tmp_path, window):
+        code, _, err = run(capsys, "simulate", "--window", window, "--output-dir", str(tmp_path))
+        assert code == 0
+        worst = json.loads(err.splitlines()[-1])["worst_condition"]
+        assert 0.0 < worst * 1.5e-14 <= 1e-2
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 1
 
@@ -351,7 +364,8 @@ _ECHO_CASES = [
     (["rn", "--pattern", "00", "--pattern-window", "3..4", "--swap", "3,4", "--sizes", "8,10",
       "--n-samples", "5"], _RUN_KEYS + ["out", "deltas"]),
     (["simulate", "--window", "-2..1", "--t-max", "1"],
-     _RUN_KEYS + ["replicas", "workers", "n_events", "rate_table_misses", "dets"]),
+     _RUN_KEYS + ["replicas", "workers", "n_events", "rate_table_misses", "dets",
+                  "worst_condition"]),
     (["spectrum", "--window", "-2..1"], _RUN_KEYS + ["out", "spectral_gap"]),
     (["verify", "--suite", "kernel"], _RUN_KEYS + ["suite", "failures"]),
 ]

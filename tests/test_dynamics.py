@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from kawasaki_dpp import dynamics
-from kawasaki_dpp.dpp import _STACK_ENTRIES, Configuration, config_probability, sample_many
+from kawasaki_dpp.dpp import (
+    _STACK_ENTRIES,
+    Configuration,
+    _occupancy,
+    _probabilities,
+    clamp_counter,
+    config_probability,
+    sample_many,
+)
 from kawasaki_dpp.dynamics import (
     _UNIFORM_BLOCK,
     ProximitySpec,
@@ -271,12 +281,14 @@ class TestTotalJumpRate:
         assert total == pytest.approx(sum(r for _, r in per_pair))
 
     def test_rates_are_twice_c(self, k6):
+        # The table's ratios come from one solve and rate's from two determinants:
+        # they agree to 1.3e-13 relative here.
         model = _all_models()[1]
         config = Configuration(k6.window, (0, 1, 1, 0, 1, 0))
         _, per_pair = total_jump_rate(model, k6, config)
         assert per_pair, "expected at least one move"
         for swap, r in per_pair:
-            assert r == 2.0 * rate(model, k6, config, swap)
+            assert r == pytest.approx(2.0 * rate(model, k6, config, swap), rel=1e-12)
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     def test_equals_scalar_loop_on_wide_window(self, request, branch):
@@ -294,7 +306,12 @@ class TestTotalJumpRate:
                             if r > 0.0:
                                 want_pairs.append((swap, r))
                                 want_total += r
-                    assert total_jump_rate(model, k, config) == (want_total, want_pairs)
+                    # Solve against determinants: 5.5e-15 relative at most on these draws.
+                    total, per_pair = total_jump_rate(model, k, config)
+                    assert [swap for swap, _ in per_pair] == [swap for swap, _ in want_pairs]
+                    assert [r for _, r in per_pair] == pytest.approx([r for _, r in want_pairs],
+                                                                     rel=1e-12)
+                    assert total == pytest.approx(want_total, rel=1e-12)
                     farthest = max([farthest] + [window.position(s.y) for s, _ in want_pairs])
         assert farthest >= 63
 
@@ -322,6 +339,11 @@ class TestTotalJumpRate:
         # swapped rows no longer fit one stack of determinants.
         k = kernel_matrix(real_pair, Window.from_indices(-128, 127))
         config = sample_many(k, SeededRng(5), 1)[0]
+        model = RateModel.metropolis(ProximitySpec.finite_range(16, 0.7))
+        positions, _ = _pair_table(k.window, model.proximity)
+        swapped = np.array([config.occupancy] * (1 + len(positions)), dtype=bool)
+        rows = np.arange(1, len(swapped))[:, np.newaxis]
+        swapped[rows, positions] = swapped[rows, positions[:, ::-1]]
         stacks = []
         det = np.linalg.det
 
@@ -330,11 +352,16 @@ class TestTotalJumpRate:
             return det(a)
 
         monkeypatch.setattr(np.linalg, "det", recording_det)
-        model = RateModel.metropolis(ProximitySpec.finite_range(16, 0.7))
-        _, per_pair = total_jump_rate(model, k, config)
+        probs = _probabilities(k, swapped)
         assert max(stacks) <= _STACK_ENTRIES < sum(stacks)
-        for swap, r in per_pair[:3]:
-            assert r == 2.0 * rate(model, k, config, swap)
+        monkeypatch.undo()
+        # The table, from one solve, against those determinants: 1e-12 relative.
+        _, per_pair = total_jump_rate(model, k, config)
+        index = {(positions[p, 0], positions[p, 1]): p for p in range(len(positions))}
+        for swap, r in per_pair:
+            p = index[k.window.position(swap.x), k.window.position(swap.y)]
+            phi = probs[1 + p] / probs[0]
+            assert r == pytest.approx(2.0 * 0.7 * min(phi, 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("size", [1, 2, 40])
     @pytest.mark.parametrize("proximity", PROXIMITIES.values(), ids=PROXIMITIES.keys())
@@ -383,9 +410,24 @@ class TestDeterminantCount:
             call()
             return len(stacks), sum(stacks)
 
+        solves = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
         monkeypatch.setattr(np.linalg, "det", recording_det)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
         assert counts(lambda: rn_derivative(k, config, swap)) == (2, 2)
-        assert counts(lambda: total_jump_rate(model, k, config)) == (2, 1 + 5)
+        # The state's own determinant, then one solve for its 5 ratios
+        assert counts(lambda: total_jump_rate(model, k, config)) == (1, 1)
+        assert solves == [(8, 8)]
+        _, per_pair = total_jump_rate(model, k, config)
+        assert len(per_pair) == 5
+        for move, r in per_pair:
+            assert r == pytest.approx(2.0 * rate(model, k, config, move), rel=1e-12)
+        solves.clear()
         assert counts(lambda: symmetry_check(model, k, config, swap)) == (2, 2)
         pattern = Configuration(Window.from_indices(0, 1), (1, 0))
         sizes = [4, 6, 8]
@@ -393,6 +435,7 @@ class TestDeterminantCount:
                                                    sizes, SeededRng(1), n_samples=10))
         assert calls == 2 * len(sizes)
         assert counts(lambda: build_generator(model, k, sector=4))[0] == 1
+        assert solves == []
 
 
 class TestSimulate:
@@ -420,6 +463,34 @@ class TestSimulate:
             state = apply_transposition(state, swap)
             assert state.particle_count == config.particle_count
         assert trajectory.final_configuration() == state
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_kept_final_state_equals_the_replay(self, request, branch):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(10))
+        initial = Configuration(k.window, tuple(i % 2 for i in range(10)))
+        for t_max in (0.0, 3.0, 300.0):
+            trajectory = simulate(_all_models()[0], k, initial, t_max, SeededRng(9))
+            replayed = dataclasses.replace(trajectory, final_mask=None)
+            assert trajectory.final_mask == replayed._masks()[-1]
+            assert trajectory.final_configuration() == replayed.final_configuration()
+
+    def test_worst_condition_is_the_largest_of_the_run_s_tables(self, real_pair):
+        k = kernel_matrix(real_pair, Window.centered(12))
+        model = _all_models()[0]
+        positions, u = _pair_table(k.window, model.proximity)
+        initial = Configuration(k.window, tuple(i % 2 for i in range(12)))
+        first = simulate(model, k, initial, 50.0, SeededRng(2))
+        estimates = []
+        for mask in first.state_occupation():
+            store = dynamics._RateStore(k)
+            dynamics._rate_table(model, k, np.array(Configuration.from_bitmask(k.window, mask)
+                                                    .occupancy, dtype=bool),
+                                 positions, u, store, mask)
+            estimates.append(store.condition)
+        assert first.rate_table_misses == len(estimates)
+        assert first.worst_condition == max(estimates) > 1e6
+        # A rerun builds no table, so it reports none.
+        assert simulate(model, k, initial, 50.0, SeededRng(2)).worst_condition == 0.0
 
     def test_replay_skips_an_equal_occupancy_event(self, k6):
         config = Configuration(k6.window, (1, 1, 0, 1, 0, 0))
@@ -653,21 +724,35 @@ class TestRateStore:
             assert k._rate_store.dets < fresh_rows
 
     def test_chain_takes_each_determinant_once(self, real_pair, monkeypatch):
+        # The three models' chains take one determinant, the start's, and one
+        # solve per table; every other state's probability is P(eta) phi.
         k = kernel_matrix(real_pair, Window.centered(10))
         initial = Configuration(k.window, tuple(i % 2 for i in range(10)))
-        rows = []
-        det = np.linalg.det
+        rows, solves = [], []
+        det, solve = np.linalg.det, np.linalg.solve
 
         def recording_det(a):
             rows.extend(matrix.tobytes() for matrix in a.reshape(-1, *a.shape[-2:]))
             return det(a)
 
+        def recording_solve(a, b):
+            solves.append(a.tobytes())
+            return solve(a, b)
+
         monkeypatch.setattr(np.linalg, "det", recording_det)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
         runs = [simulate(model, k, initial, 500.0, SeededRng(42, 1)) for model in _all_models()]
+        monkeypatch.undo()
         store = k._rate_store
-        assert len(rows) == len(set(rows)) == len(store.memo) == sum(t.dets for t in runs)
-        assert sum(t.rate_table_misses for t in runs) == sum(map(len, store.tables.values()))
-        assert runs[0].dets > runs[1].dets
+        assert len(rows) == sum(t.dets for t in runs) == runs[0].dets == 1
+        misses = sum(t.rate_table_misses for t in runs)
+        assert misses == len(solves) == sum(map(len, store.tables.values()))
+        # Each model solves each of its states once; the models share states.
+        assert len(set(solves)) == len(set().union(*store.tables.values())) < misses
+        # Against the determinant reference: products of ratios drift by 1.8e-10 here.
+        masks = np.array(list(store.memo))
+        want = _probabilities(k, _occupancy(masks, 10))
+        assert list(store.memo.values()) == pytest.approx(want.tolist(), rel=1e-8)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_total_rate_names_the_state(self, real_pair, window6, monkeypatch, bad):
@@ -677,6 +762,107 @@ class TestRateStore:
         with pytest.raises(NumericalError, match="^configuration 101000 has total jump rate"):
             simulate(_all_models()[0], k, Configuration(window6, (1, 0, 1, 0, 0, 0)), 5.0,
                      SeededRng(0))
+
+
+def _mp_ratios(pair, window, occupancy, ends) -> list[float]:
+    """phi of the swaps `ends` out of `occupancy`, by G on a 60-digit mpmath kernel.
+
+    The kernel is the closed form of ``kawasaki_dpp.kernel``, with gamma and digamma
+    from mpmath; G = M^-1 (2K - I) is exact algebra on it.
+    """
+    with mp.workdps(60):
+        z, zp = mp.mpmathify(pair.z), mp.mpmathify(pair.z_prime)
+        prefactor = mp.sinpi(z) * mp.sinpi(zp) / (mp.pi * mp.sinpi(z - zp))
+        xs = [mp.mpf(2 * site.index + 1) / 2 for site in window.sites]
+        a, b = [], []
+        for x in xs:
+            gp, gq = mp.gamma(z + x + 0.5), mp.gamma(zp + x + 0.5)
+            a.append(gp / mp.sqrt(gp * gq))
+            b.append(gq / mp.sqrt(gp * gq))
+        n = len(xs)
+        k = mp.matrix(n, n)
+        for r in range(n):
+            for c in range(n):
+                if r == c:
+                    value = prefactor * (mp.digamma(z + xs[r] + 0.5) - mp.digamma(zp + xs[r] + 0.5))
+                else:
+                    value = prefactor * (a[r] * b[c] - b[r] * a[c]) / (xs[r] - xs[c])
+                k[r, c] = mp.re(value)
+        eye = mp.eye(n)
+        m = mp.matrix(n, n)
+        for c in range(n):
+            for r in range(n):
+                m[r, c] = k[r, c] if occupancy[c] else eye[r, c] - k[r, c]
+        g = mp.inverse(m) * (2 * k - eye)
+        s = [-1 if bit else 1 for bit in occupancy]
+        return [float((1 + s[i] * g[i, i]) * (1 + s[j] * g[j, j]) - s[i] * s[j] * g[i, j] * g[j, i])
+                for i, j in ends]
+
+
+class TestConditionGuard:
+    """A table's ratios come from one solve, behind a guard on cond_1(M) * 1.5e-14."""
+
+    @pytest.mark.parametrize("size, refused", [(12, False), (20, False), (28, True), (36, True)])
+    def test_alternating_start_against_mpmath(self, real_pair, monkeypatch, size, refused):
+        # The estimate bounds the ratios' error against the oracle; where it
+        # exceeds the tolerance, the error does too.
+        window = Window.from_indices(-(size // 2), size // 2 - 1)
+        k = kernel_matrix(real_pair, window)
+        config = Configuration(window, tuple(i % 2 for i in range(size)))
+        model = RateModel.sqrt_ratio(ProximitySpec.nearest_neighbor())
+        tolerance = dynamics._RATIO_TOLERANCE
+        if refused:
+            with pytest.raises(NumericalError, match=f"^configuration {config} is ill-conditioned"):
+                total_jump_rate(model, k, config)
+            monkeypatch.setattr(dynamics, "_RATIO_TOLERANCE", math.inf)
+        positions, u = _pair_table(window, model.proximity)
+        store = dynamics._RateStore(k)
+        pair, rates = dynamics._rate_table(model, k, np.array(config.occupancy, dtype=bool),
+                                           positions, u, store, config.bitmask)
+        # Every nn pair moves; a ratio that rounding took to 0 or below has no rate.
+        want = np.array(_mp_ratios(real_pair, window, config.occupancy, positions.tolist()))
+        phi = np.zeros(len(positions))
+        phi[pair] = (rates / 2.0) ** 2
+        error = float(np.max(np.abs(phi - want) / want))
+        estimate = store.condition * dynamics._KERNEL_ERROR
+        assert error <= estimate
+        assert (estimate > tolerance) is refused
+        assert (error > tolerance) is refused
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [6, 8, 10, 12])
+    @pytest.mark.parametrize("proximity", ["nn", "range:3"])
+    def test_ratios_equal_rn_derivative_within_the_estimate(self, request, branch, size,
+                                                            proximity):
+        # Solve against two determinants: at most 0.12 of the estimate apart here.
+        window = Window.centered(size)
+        k = kernel_matrix(request.getfixturevalue(branch), window)
+        model = RateModel.sqrt_ratio(PROXIMITIES[proximity])
+        positions, u = _pair_table(window, model.proximity)
+        starts = [Configuration(window, tuple(i % 2 for i in range(size)))]
+        for config in starts + sample_many(k, SeededRng(5), 4):
+            store = dynamics._RateStore(k)
+            pair, rates = dynamics._rate_table(model, k, np.array(config.occupancy, dtype=bool),
+                                               positions, u, store, config.bitmask)
+            estimate = store.condition * dynamics._KERNEL_ERROR
+            for p, r in zip(pair.tolist(), rates.tolist()):
+                swap = SwapPair(window.sites[positions[p, 0]], window.sites[positions[p, 1]])
+                want = rn_derivative(k, config, swap)
+                assert abs((r / (2.0 * u[p])) ** 2 - want) <= estimate * want
+
+    def test_impossible_swap_has_rate_zero(self):
+        # Sites 0 and 1 hold exactly one particle (a rank-one projection block),
+        # so moving the particle of site 2 to site 1 is impossible: phi = 0.  Here
+        # rounding takes it to -2.2e-16, which is clamped and counted.
+        c, s = math.cos(0.7), math.sin(0.7)
+        entries = np.array([[c * c, c * s, 0.0], [c * s, s * s, 0.0], [0.0, 0.0, 0.5]])
+        k = KernelMatrix(Window.from_indices(0, 2), entries)
+        config = Configuration(k.window, (1, 0, 1))
+        for model in _all_models()[:2]:
+            clamped = clamp_counter.count
+            _, per_pair = total_jump_rate(model, k, config)
+            assert [swap for swap, _ in per_pair] == [SwapPair(Site(0), Site(1))]
+            assert clamp_counter.count == clamped + 1
 
 
 class TestSectorGraph:

@@ -24,7 +24,7 @@ from kawasaki_dpp.exact import (
     spectrum,
     transition_matrix,
 )
-from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
+from kawasaki_dpp.kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition
 
 # 6-site window, 3-particle sector, nearest-neighbor Metropolis at (1.5, 1.7).
@@ -174,6 +174,19 @@ class TestReversibility:
     def test_other_models_residual(self, k8, index):
         g = build_generator(_models()[index], k8, sector=3)
         assert check_reversibility(g) < 1e-10
+
+    @pytest.mark.parametrize("pair", [(1.5, 1.7), (0.3 + 0.4j, 0.3 - 0.4j)])
+    @pytest.mark.parametrize("size, sector", [(10, 5), (11, 5), (6, None)])
+    def test_equals_dense_residual_bitwise(self, pair, size, sector):
+        # Reference: the residual over all n_states^2 ordered pairs.
+        k = kernel_matrix(AdmissiblePair(*pair), Window.centered(size))
+        for model in (_models()[0], RateModel.glauber_like(ProximitySpec.exp_decay(0.5))):
+            g = build_generator(model, k, sector=sector)
+            flux = g.measure[:, np.newaxis] * g.Q
+            numerator = np.abs(flux - flux.T)
+            np.fill_diagonal(numerator, 0.0)
+            want = (numerator / np.maximum(np.maximum(flux, flux.T), 1e-300)).max()
+            assert check_reversibility(g) == want > 0.0
 
 
 class TestDirichletForm:

@@ -374,7 +374,6 @@ def _cmd_simulate(options: _Options) -> int:
                                  path.with_suffix(".json"))
     config.echo(replicas=replicas, workers=1, n_events=[t.n_events for t in trajectories],
                 rate_table_misses=sum(t.rate_table_misses for t in trajectories),
-                dets=sum(t.dets for t in trajectories),
                 worst_condition=max(t.worst_condition for t in trajectories))
     print(*paths, sep="\n")
     return 0

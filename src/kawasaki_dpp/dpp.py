@@ -245,23 +245,18 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
     return _clamp(probs)
 
 
-def _require_possible(k: KernelMatrix, occupied: np.ndarray, own: np.ndarray) -> None:
-    """ZeroProbabilityError naming the first state of bool rows `occupied` with `own` below 1e-300."""
+def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
+    """(P(swapped), P(swapped) / own) out of the states of bool rows `occupied`.
+
+    ZeroProbabilityError names the first state whose `own` is below 1e-300; only
+    then are probabilities taken for `swapped`, if it holds bool rows.
+    """
     low = np.flatnonzero(own < _PROBABILITY_FLOOR)
     if len(low):
         config = Configuration(k.window, tuple(map(int, occupied[low[0]])))
         raise ZeroProbabilityError(
             f"configuration {config} has probability {own[low[0]]:g}; ratio undefined"
         )
-
-
-def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
-    """(P(swapped), P(swapped) / own) out of the states of bool rows `occupied`.
-
-    The states are checked by :func:`_require_possible` first; only then are
-    probabilities taken for `swapped`, if it holds bool rows.
-    """
-    _require_possible(k, occupied, own)
     if swapped.dtype == bool:
         swapped = _probabilities(k, swapped)
     return swapped, swapped / own

@@ -28,15 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpp import (
-    _PROBABILITY_FLOOR,
     _STACK_ENTRIES,
     Configuration,
-    _clamp,
     _occupancy,
-    _probabilities,
-    _require_possible,
     _sector_masks,
     _swap_ratios,
+    clamp_counter,
     config_probability,
 )
 from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
@@ -86,6 +83,7 @@ class ProximitySpec:
     """Symmetric nonnegative pair weight u(x, y), summable in y for fixed x.
 
     The weight and alpha are finite and positive: a NaN would drop every pair.
+    A finite range's reach is an ``int`` (not a ``bool``) of at least 1.
     """
 
     kind: ProximityKind
@@ -100,8 +98,8 @@ class ProximitySpec:
             if self.alpha is None or not 0.0 < self.alpha < math.inf:
                 raise ValueError("exponential decay needs a finite alpha > 0")
         if self.kind is ProximityKind.FINITE_RANGE:
-            if self.reach is None or self.reach < 1:
-                raise ValueError("finite range needs reach >= 1")
+            if type(self.reach) is not int or self.reach < 1:
+                raise ValueError(f"finite range needs an integer reach >= 1, got {self.reach!r}")
 
     @classmethod
     def nearest_neighbor(cls, weight: float = 1.0) -> "ProximitySpec":
@@ -248,62 +246,61 @@ def _state_edges(
 
 def _rate_table(
     model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray,
-    store: _RateStore, mask: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(pair index, rate 2c) of each positive-rate swap out of `occupied`, the bool row of `mask`.
+    store: _RateStore,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(pair index, rate 2c) of each positive-rate swap out of bool row `occupied`, and cond_1(M).
 
     M takes K's column at each occupied site and I - K's at each empty one, so
     P(eta) = det M.  Swapping unequal sites i, j adds s_c (2K - I)[:, c] to columns
     c = i, j of M, with s_c = -1 at the occupied site and +1 at the empty one.  So
     with S = diag(s) and H = M^-1 (2K - I) S, one solve, the determinant lemma
     gives phi = det(I + H[idx, idx]) = (1 + H_ii)(1 + H_jj) - H_ij H_ji for every
-    pair, idx = [i, j]; H is G = M^-1 (2K - I) with its columns signed.
-    In order: the state's own probability from :meth:`_RateStore.recall`
-    (NumericalError if its determinant is not finite); the solve, whose
-    LinAlgError (M exactly singular) is a ZeroProbabilityError naming the state;
-    the condition guard, NumericalError when cond_1(M) * 1.5e-14, with cond_1(M)
-    estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`; the 1e-300
-    floor of :func:`dpp._require_possible`.  A ratio below 0 is noise around an
-    exact zero: P(eta) phi is clamped as a probability is, and phi set to 0.
-    Each move's state goes into the memo as P(eta) phi, and ``store.condition``
-    keeps the largest estimate.
+    pair, idx = [i, j]; H is G = M^-1 (2K - I) with its columns signed.  No
+    probability is taken.  In order: the solve, whose LinAlgError (M exactly
+    singular) is a ZeroProbabilityError naming the state; the condition guard,
+    NumericalError when the ratios' error estimate cond_1(M) * 1.5e-14, with
+    cond_1(M) estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`;
+    then phi.  A ratio in [-estimate, 0) is noise around an exact zero: it is set
+    to 0 and counted in :data:`dpp.clamp_counter`; a lower one is a
+    NumericalError naming the state.  A state without moves takes no solve, and
+    its estimate is 0.
     """
     sides = occupied[positions]
     pair = np.flatnonzero(sides[:, 0] != sides[:, 1])
     if not len(pair):
-        return pair, np.empty(0)
-    own = store.recall(k, mask, occupied)
+        return pair, np.empty(0), 0.0
     m, signed = np.where(occupied, *store.columns)
     try:
         h = np.linalg.solve(m, signed)
     except np.linalg.LinAlgError:
         config = Configuration(k.window, tuple(map(int, occupied)))
         raise ZeroProbabilityError(
-            f"configuration {config} has probability {own:g}; ratio undefined") from None
+            f"configuration {config} has probability 0; ratio undefined") from None
     condition = float(np.where(occupied, *store.column_sums).max() * np.abs(h).sum(axis=0).max())
-    store.condition = max(store.condition, condition)
-    if not condition * _KERNEL_ERROR <= _RATIO_TOLERANCE:  # NaN fails too
+    error = condition * _KERNEL_ERROR
+    if not error <= _RATIO_TOLERANCE:  # NaN fails too
         config = Configuration(k.window, tuple(map(int, occupied)))
         raise NumericalError(
             f"configuration {config} is ill-conditioned: swap ratios may be off by "
-            f"{condition * _KERNEL_ERROR:.2g} relative (cond_1 about {condition:.2g}), "
-            f"above {_RATIO_TOLERANCE:g}")
-    if own < _PROBABILITY_FLOOR:
-        _require_possible(k, occupied[np.newaxis], np.array([own]))
+            f"{error:.2g} relative (cond_1 about {condition:.2g}), above {_RATIO_TOLERANCE:g}")
     ends = positions[pair]
     block = h[ends[:, :, np.newaxis], ends[:, np.newaxis, :]]
     phi = (1.0 + block[:, 0, 0]) * (1.0 + block[:, 1, 1]) - block[:, 0, 1] * block[:, 1, 0]
-    if phi.min() < 0.0:
+    lowest = phi.min()
+    if lowest < 0.0:
+        if lowest < -error:
+            config = Configuration(k.window, tuple(map(int, occupied)))
+            raise NumericalError(
+                f"configuration {config} has swap ratio {lowest:g}, below its error bound "
+                f"-{error:.2g}")
         negative = phi < 0.0
-        _clamp(own * phi[negative])
+        clamp_counter.count += int(negative.sum())
         phi[negative] = 0.0
     rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     if not rates.min() > 0.0:
         positive = rates > 0.0
-        pair, rates, ends, phi = pair[positive], rates[positive], ends[positive], phi[positive]
-    store.memo.update(zip([mask ^ (1 << i | 1 << j) for i, j in ends.tolist()],
-                          (own * phi).tolist()))
-    return pair, rates
+        pair, rates = pair[positive], rates[positive]
+    return pair, rates, condition
 
 
 def total_jump_rate(
@@ -315,14 +312,14 @@ def total_jump_rate(
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
     rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
-    come from :func:`_rate_table`, on a store of its own, and the total is
-    summed in pair order.
+    come from :func:`_rate_table`, which takes one solve and no determinant,
+    and the total is summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
     positions, u = _pair_table(k.window, model.proximity)
-    pair, rates = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
-                              _RateStore(k), config.bitmask)
+    pair, rates, _ = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
+                                 _rate_store(k))
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
     sites = k.window.sites
     return total, [(SwapPair(sites[i], sites[j]), r)
@@ -339,10 +336,9 @@ class Trajectory:
     events: list[tuple[float, SwapPair]]
     t_max: float
     absorbed: bool = False
-    # What the run took, outside equality: rate tables built, determinant rows, the
-    # largest cond_1 estimate of its tables, and the final bitmask (None: replay).
+    # What the run took, outside equality: rate tables built, the largest cond_1
+    # estimate of its tables, and the final bitmask (None: replay).
     rate_table_misses: int = field(default=0, compare=False)
-    dets: int = field(default=0, compare=False)
     worst_condition: float = field(default=0.0, compare=False)
     final_mask: int | None = field(default=None, compare=False)
 
@@ -379,23 +375,20 @@ class Trajectory:
 
 
 class _RateStore:
-    """One kernel's rate tables, by rate model and state bitmask, and its probability memo.
+    """One kernel's rate tables, by rate model and state bitmask, and what their solves share.
 
     A table is ``(total, pairs, cumulative, successors)``: the total exit rate, then the
     pair-table index, running rate sum and resulting bitmask of each positive-rate swap, as
     plain lists.  `pairs` and `successors` repeat their last move, so any index
-    ``bisect_right`` returns into `cumulative` reads a move.  `memo` maps a bitmask to its
-    probability, for every model: a determinant of :func:`dpp._probabilities`, or P(eta) phi
-    from the table of a state eta that moves to it.  All are pure in the kernel, so every
-    :func:`simulate` call on it shares them.  Rates, successors and memo entries count
-    against the 2^20-entry budget of a determinant stack; a table that would overflow it
-    clears tables and memo first.  `dets` counts the determinant rows taken.
+    ``bisect_right`` returns into `cumulative` reads a move.  Tables are pure in the kernel,
+    so every :func:`simulate` call on it shares them.  Rates and successors count against
+    the 2^20-entry budget of a determinant stack; a table that would overflow it clears the
+    tables first.
 
     For :func:`_rate_table` it also keeps ``columns``, the columns that an occupied and an
     empty site give M and (2K - I) S: (K, I - 2K) and (I - K, 2K - I), stacked so one
-    ``np.where`` makes both; the column abs-sums of K and of I - K, so ||M||_1 is one
-    masked max; and ``condition``, the largest estimate of the tables built since
-    :func:`simulate` last reset it.
+    ``np.where`` makes both; and the column abs-sums of K and of I - K, so ||M||_1 is one
+    masked max.
     """
 
     def __init__(self, k: KernelMatrix):
@@ -404,25 +397,14 @@ class _RateStore:
         self.columns = np.stack([k.entries, -reflected]), np.stack([complement, reflected])
         self.column_sums = np.abs(k.entries).sum(axis=0), np.abs(complement).sum(axis=0)
         self.tables: dict[RateModel, dict[int, tuple]] = {}
-        self.memo: dict[int, float] = {}
-        self.entries = self.dets = 0
-        self.condition = 0.0
-
-    def recall(self, k: KernelMatrix, mask: int, occupied: np.ndarray) -> float:
-        """P of the state `mask`, bool row `occupied`: the memo's, or one determinant."""
-        prob = self.memo.get(mask)
-        if prob is None:
-            prob = self.memo[mask] = float(_probabilities(k, occupied[np.newaxis])[0])
-            self.dets += 1
-        return prob
+        self.entries = 0
 
     def keep(self, model: RateModel, mask: int, table: tuple) -> None:
         """Store `table`, of state `mask` under `model`; a full store is emptied in place."""
         size = len(table[2]) + 1 + len(table[3])
-        if self.entries + len(self.memo) + size > _STACK_ENTRIES:
+        if self.entries + size > _STACK_ENTRIES:
             for kept in self.tables.values():
                 kept.clear()
-            self.memo.clear()
             self.entries = 0
         self.tables.setdefault(model, {})[mask] = table
         self.entries += size
@@ -437,8 +419,8 @@ def _rate_store(k: KernelMatrix) -> _RateStore:
 
 def _mask_table(
     model: RateModel, k: KernelMatrix, mask: int, positions: np.ndarray, u: np.ndarray
-) -> tuple[float, list[int], list[float], list[int]]:
-    """The :class:`_RateStore` table of the state with bitmask `mask`, its probabilities memoized.
+) -> tuple[tuple[float, list[int], list[float], list[int]], float]:
+    """The :class:`_RateStore` table of the state with bitmask `mask`, and its cond_1 estimate.
 
     The bool occupancy row is unpacked from the mask's bytes, so a mask of
     any width works.  A total rate that is not finite raises NumericalError.
@@ -446,7 +428,7 @@ def _mask_table(
     n = k.size
     occupied = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8),
                              count=n, bitorder="little").view(bool)
-    pair, rates = _rate_table(model, k, occupied, positions, u, _rate_store(k), mask)
+    pair, rates, condition = _rate_table(model, k, occupied, positions, u, _rate_store(k))
     cumulative = np.cumsum(rates).tolist()
     total = cumulative[-1] if cumulative else 0.0
     if not math.isfinite(total):
@@ -454,7 +436,7 @@ def _mask_table(
         raise NumericalError(f"configuration {config} has total jump rate {total:g}")
     pairs = pair.tolist() + pair[-1:].tolist()
     successors = [mask ^ (1 << i | 1 << j) for i, j in positions[pairs].tolist()]
-    return total, pairs, cumulative, successors
+    return (total, pairs, cumulative, successors), condition
 
 
 def simulate(
@@ -473,9 +455,8 @@ def simulate(
     kernel's :class:`_RateStore`, so later calls on the kernel, such as
     replicas and continuations of one run, share it (the swap ratio depends
     on the whole configuration, so a swap invalidates every pair's rate;
-    caching by state keeps revisits cheap without approximating), as is each
-    probability its tables took.  A missing table costs one solve, and the
-    chain's only determinant is its start's (see :func:`_rate_table`); a state
+    caching by state keeps revisits cheap without approximating).  A missing
+    table costs one solve and no determinant (see :func:`_rate_table`); a state
     whose ratios are ill-conditioned raises NumericalError.  If the total rate
     hits zero the state is absorbing and the trajectory idles until t_max.
     The trajectory keeps the final bitmask and the largest cond_1 estimate of
@@ -494,8 +475,7 @@ def simulate(
     tables = store.tables.setdefault(model, {})
     generator = rng.generator
     bits = generator.bit_generator
-    mask, t, dets, misses = initial.bitmask, 0.0, store.dets, 0
-    store.condition = 0.0
+    mask, t, misses, worst = initial.bitmask, 0.0, 0, 0.0
     times, chosen = [], []
     absorbed = False
     # `block` was drawn from state `before`, and `used` of its uniforms are taken;
@@ -505,9 +485,10 @@ def simulate(
         while True:
             table = tables.get(mask)
             if table is None:
-                table = _mask_table(model, k, mask, positions, u)
+                table, condition = _mask_table(model, k, mask, positions, u)
                 store.keep(model, mask, table)
                 misses += 1
+                worst = max(worst, condition)
             total, pairs, cumulative, successors = table
             if total <= 0.0:
                 absorbed = True
@@ -532,8 +513,8 @@ def simulate(
     sites, ends = k.window.sites, positions.tolist()
     swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in set(chosen)}
     events = list(zip(times, map(swaps.__getitem__, chosen)))
-    return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed, misses,
-                      store.dets - dets, store.condition, mask)
+    return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed, misses, worst,
+                      mask)
 
 
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:

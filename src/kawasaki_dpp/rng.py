@@ -40,8 +40,8 @@ class SeededRng:
 
     def exponential(self, rate: float) -> float:
         """Exp(rate) waiting time via inverse transform of one uniform."""
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not rate > 0.0:  # NaN fails too
+            raise ValueError(f"rate must be positive, got {rate!r}")
         u = self.generator.random()
         return -math.log1p(-u) / rate
 

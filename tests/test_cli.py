@@ -364,8 +364,7 @@ _ECHO_CASES = [
     (["rn", "--pattern", "00", "--pattern-window", "3..4", "--swap", "3,4", "--sizes", "8,10",
       "--n-samples", "5"], _RUN_KEYS + ["out", "deltas"]),
     (["simulate", "--window", "-2..1", "--t-max", "1"],
-     _RUN_KEYS + ["replicas", "workers", "n_events", "rate_table_misses", "dets",
-                  "worst_condition"]),
+     _RUN_KEYS + ["replicas", "workers", "n_events", "rate_table_misses", "worst_condition"]),
     (["spectrum", "--window", "-2..1"], _RUN_KEYS + ["out", "spectral_gap"]),
     (["verify", "--suite", "kernel"], _RUN_KEYS + ["suite", "failures"]),
 ]

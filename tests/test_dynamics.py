@@ -14,7 +14,6 @@ from kawasaki_dpp import dynamics
 from kawasaki_dpp.dpp import (
     _STACK_ENTRIES,
     Configuration,
-    _occupancy,
     _probabilities,
     clamp_counter,
     config_probability,
@@ -148,6 +147,12 @@ class TestProximity:
         # a NaN weight or alpha would drop every pair and absorb every chain at once
         with pytest.raises(ValueError, match="finite"):
             make()
+
+    @pytest.mark.parametrize("reach", [2.5, 2.0, True, None])
+    def test_non_integer_reach_rejected(self, reach):
+        # a float reach would crash the pair table's arange; True would label itself reach=True
+        with pytest.raises(ValueError, match="^finite range needs an integer reach >= 1, got "):
+            ProximitySpec.finite_range(reach)
 
 
 class TestRateFormulas:
@@ -420,8 +425,8 @@ class TestDeterminantCount:
         monkeypatch.setattr(np.linalg, "det", recording_det)
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         assert counts(lambda: rn_derivative(k, config, swap)) == (2, 2)
-        # The state's own determinant, then one solve for its 5 ratios
-        assert counts(lambda: total_jump_rate(model, k, config)) == (1, 1)
+        # One solve for its 5 ratios, and no determinant
+        assert counts(lambda: total_jump_rate(model, k, config)) == (0, 0)
         assert solves == [(8, 8)]
         _, per_pair = total_jump_rate(model, k, config)
         assert len(per_pair) == 5
@@ -482,11 +487,9 @@ class TestSimulate:
         first = simulate(model, k, initial, 50.0, SeededRng(2))
         estimates = []
         for mask in first.state_occupation():
-            store = dynamics._RateStore(k)
-            dynamics._rate_table(model, k, np.array(Configuration.from_bitmask(k.window, mask)
-                                                    .occupancy, dtype=bool),
-                                 positions, u, store, mask)
-            estimates.append(store.condition)
+            occupied = np.array(Configuration.from_bitmask(k.window, mask).occupancy, dtype=bool)
+            estimates.append(dynamics._rate_table(model, k, occupied, positions, u,
+                                                  dynamics._RateStore(k))[2])
         assert first.rate_table_misses == len(estimates)
         assert first.worst_condition == max(estimates) > 1e6
         # A rerun builds no table, so it reports none.
@@ -629,7 +632,7 @@ class TestSimulateStream:
 
         def trapping(model, k, occupied, *rest):
             if occupied.tolist() == trap:
-                return np.empty(0, dtype=int), np.empty(0)
+                return np.empty(0, dtype=int), np.empty(0), 0.0
             return build(model, k, occupied, *rest)
 
         monkeypatch.setattr(dynamics, "_rate_table", trapping)
@@ -647,6 +650,10 @@ def _counting_rate_table(monkeypatch) -> list:
 
     monkeypatch.setattr(dynamics, "_rate_table", counting)
     return built
+
+
+def _no_determinant(a):
+    raise AssertionError("a determinant was taken")
 
 
 class TestRateStore:
@@ -690,12 +697,11 @@ class TestRateStore:
 
         def watched_keep(*args):
             keep(*args)
-            # Rates, the total and successors of each table, then the memo's probabilities.
+            # Rates, the total and successors of each table.
             stored = sum(len(table[2]) + 1 + len(table[3]) for tables in store.tables.values()
                          for table in tables.values())
-            assert stored == store.entries
-            assert stored + len(store.memo) <= budget
-            counts.append(stored + len(store.memo))
+            assert stored == store.entries <= budget
+            counts.append(stored)
 
         monkeypatch.setattr(store, "keep", watched_keep)
         got = simulate(model, k, initial, 60.0, SeededRng(4))
@@ -707,7 +713,8 @@ class TestRateStore:
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     @pytest.mark.parametrize("size", [8, 10, 12])
     def test_warm_memo_tables_equal_fresh_kernel_tables(self, request, branch, size):
-        # Each model's chain is built on the memo the models before it warmed.
+        # Each model's chain runs on the store the models before it warmed; a
+        # table depends on its state alone, so a fresh kernel builds it bitwise.
         window = Window.centered(size)
         initial = Configuration(window, tuple(i % 2 for i in range(size)))
         for proximity in (PROXIMITIES["nn"], PROXIMITIES["range:3"]):
@@ -715,50 +722,60 @@ class TestRateStore:
             for model in _all_models(proximity):
                 assert simulate(model, k, initial, 1000.0, SeededRng(3)).n_events > 1000
             positions, u = _pair_table(window, proximity)
-            fresh_rows = 0
             for model, tables in k._rate_store.tables.items():
                 for mask, table in tables.items():
                     fresh = KernelMatrix(window, k.entries)
-                    assert dynamics._mask_table(model, fresh, mask, positions, u) == table
-                    fresh_rows += fresh._rate_store.dets
-            assert k._rate_store.dets < fresh_rows
+                    assert dynamics._mask_table(model, fresh, mask, positions, u)[0] == table
 
-    def test_chain_takes_each_determinant_once(self, real_pair, monkeypatch):
-        # The three models' chains take one determinant, the start's, and one
-        # solve per table; every other state's probability is P(eta) phi.
+    def test_chain_takes_one_solve_per_table(self, real_pair, monkeypatch):
+        # The three models' chains take one solve per table and no determinant.
         k = kernel_matrix(real_pair, Window.centered(10))
         initial = Configuration(k.window, tuple(i % 2 for i in range(10)))
-        rows, solves = [], []
-        det, solve = np.linalg.det, np.linalg.solve
-
-        def recording_det(a):
-            rows.extend(matrix.tobytes() for matrix in a.reshape(-1, *a.shape[-2:]))
-            return det(a)
+        solves = []
+        solve = np.linalg.solve
 
         def recording_solve(a, b):
             solves.append(a.tobytes())
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "det", recording_det)
+        monkeypatch.setattr(np.linalg, "det", _no_determinant)
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         runs = [simulate(model, k, initial, 500.0, SeededRng(42, 1)) for model in _all_models()]
         monkeypatch.undo()
         store = k._rate_store
-        assert len(rows) == sum(t.dets for t in runs) == runs[0].dets == 1
         misses = sum(t.rate_table_misses for t in runs)
         assert misses == len(solves) == sum(map(len, store.tables.values()))
         # Each model solves each of its states once; the models share states.
         assert len(set(solves)) == len(set().union(*store.tables.values())) < misses
-        # Against the determinant reference: products of ratios drift by 1.8e-10 here.
-        masks = np.array(list(store.memo))
-        want = _probabilities(k, _occupancy(masks, 10))
-        assert list(store.memo.values()) == pytest.approx(want.tolist(), rel=1e-8)
+        # Against the determinant reference: each state's ratios are those of
+        # rn_derivative within the state's own error estimate.
+        metropolis = _all_models()[0]
+        positions, u = _pair_table(k.window, metropolis.proximity)
+        for mask in store.tables[metropolis]:
+            config = Configuration.from_bitmask(k.window, mask)
+            pair, rates, condition = dynamics._rate_table(
+                metropolis, k, np.array(config.occupancy, dtype=bool), positions, u, store)
+            for p, r in zip(pair.tolist(), rates.tolist()):
+                swap = SwapPair(k.window.sites[positions[p, 0]], k.window.sites[positions[p, 1]])
+                phi = rn_derivative(k, config, swap)
+                assert abs(r / 2.0 - min(phi, 1.0)) <= condition * dynamics._KERNEL_ERROR * phi
+
+    def test_chain_and_total_rate_take_no_determinant(self, conj_pair, monkeypatch):
+        k = kernel_matrix(conj_pair, Window.centered(8))
+        model = RateModel.sqrt_ratio(PROXIMITIES["range:3"])
+        initial = Configuration(k.window, (1, 1, 0, 1, 0, 0, 1, 0))
+        monkeypatch.setattr(np.linalg, "det", _no_determinant)
+        total, per_pair = total_jump_rate(model, k, initial)
+        assert total > 0.0 and len(per_pair) > 1
+        assert simulate(model, k, initial, 50.0, SeededRng(7)).n_events > 10
+        with pytest.raises(AssertionError):
+            rate(model, k, initial, per_pair[0][0])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_total_rate_names_the_state(self, real_pair, window6, monkeypatch, bad):
         k = kernel_matrix(real_pair, window6)
         monkeypatch.setattr(dynamics, "_rate_table",
-                            lambda *args: (np.array([0]), np.array([1.0, bad])))
+                            lambda *args: (np.array([0]), np.array([1.0, bad]), 0.0))
         with pytest.raises(NumericalError, match="^configuration 101000 has total jump rate"):
             simulate(_all_models()[0], k, Configuration(window6, (1, 0, 1, 0, 0, 0)), 5.0,
                      SeededRng(0))
@@ -816,15 +833,15 @@ class TestConditionGuard:
                 total_jump_rate(model, k, config)
             monkeypatch.setattr(dynamics, "_RATIO_TOLERANCE", math.inf)
         positions, u = _pair_table(window, model.proximity)
-        store = dynamics._RateStore(k)
-        pair, rates = dynamics._rate_table(model, k, np.array(config.occupancy, dtype=bool),
-                                           positions, u, store, config.bitmask)
+        pair, rates, condition = dynamics._rate_table(
+            model, k, np.array(config.occupancy, dtype=bool), positions, u,
+            dynamics._RateStore(k))
         # Every nn pair moves; a ratio that rounding took to 0 or below has no rate.
         want = np.array(_mp_ratios(real_pair, window, config.occupancy, positions.tolist()))
         phi = np.zeros(len(positions))
         phi[pair] = (rates / 2.0) ** 2
         error = float(np.max(np.abs(phi - want) / want))
-        estimate = store.condition * dynamics._KERNEL_ERROR
+        estimate = condition * dynamics._KERNEL_ERROR
         assert error <= estimate
         assert (estimate > tolerance) is refused
         assert (error > tolerance) is refused
@@ -840,11 +857,11 @@ class TestConditionGuard:
         model = RateModel.sqrt_ratio(PROXIMITIES[proximity])
         positions, u = _pair_table(window, model.proximity)
         starts = [Configuration(window, tuple(i % 2 for i in range(size)))]
+        store = dynamics._RateStore(k)
         for config in starts + sample_many(k, SeededRng(5), 4):
-            store = dynamics._RateStore(k)
-            pair, rates = dynamics._rate_table(model, k, np.array(config.occupancy, dtype=bool),
-                                               positions, u, store, config.bitmask)
-            estimate = store.condition * dynamics._KERNEL_ERROR
+            pair, rates, condition = dynamics._rate_table(
+                model, k, np.array(config.occupancy, dtype=bool), positions, u, store)
+            estimate = condition * dynamics._KERNEL_ERROR
             for p, r in zip(pair.tolist(), rates.tolist()):
                 swap = SwapPair(window.sites[positions[p, 0]], window.sites[positions[p, 1]])
                 want = rn_derivative(k, config, swap)
@@ -863,6 +880,40 @@ class TestConditionGuard:
             _, per_pair = total_jump_rate(model, k, config)
             assert [swap for swap, _ in per_pair] == [SwapPair(Site(0), Site(1))]
             assert clamp_counter.count == clamped + 1
+
+    def test_ratio_below_its_error_bound_names_the_state(self):
+        # Not a DPP kernel: out of 101 (P = 2.125, cond_1(M) about 5), swapping
+        # sites 1 and 2 leads to 110, whose determinant is -1.875.  phi = -0.88
+        # is no rounding noise, so it is refused, as the determinants refuse it.
+        entries = np.array([[0.5, 2.0, 0.0], [2.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+        k = KernelMatrix(Window.from_indices(0, 2), entries)
+        config = Configuration(k.window, (1, 0, 1))
+        model = RateModel.metropolis(ProximitySpec.nearest_neighbor())
+        clamped = clamp_counter.count
+        for call in (lambda: total_jump_rate(model, k, config),
+                     lambda: simulate(model, k, config, 1.0, SeededRng(0))):
+            with pytest.raises(NumericalError,
+                               match=r"^configuration 101 has swap ratio -0\.88\d*, below its "
+                                     r"error bound -"):
+                call()
+        assert clamp_counter.count == clamped
+        with pytest.raises(NumericalError, match="below clamp floor"):
+            rn_derivative(k, config, SwapPair(Site(1), Site(2)))
+
+    def test_independent_sites_far_below_the_probability_floor(self):
+        # K = I/2 on 1000 sites: fair coins, cond_1(M) = 1 and every phi = 1,
+        # but P(eta) = 2^-1000 = 9.3e-302.  The tables take no probability, so
+        # they run; the determinant reference divides by P(eta) and refuses it.
+        window = Window.from_indices(0, 999)
+        k = KernelMatrix(window, np.eye(1000) / 2.0)
+        config = Configuration(window, tuple(i % 2 for i in range(1000)))
+        model = RateModel.metropolis(ProximitySpec.nearest_neighbor())
+        total, per_pair = total_jump_rate(model, k, config)
+        assert total == 1998.0 and {r for _, r in per_pair} == {2.0}
+        trajectory = simulate(model, k, config, 2e-3, SeededRng(1))
+        assert trajectory.n_events > 0 and trajectory.worst_condition == 0.0
+        with pytest.raises(ZeroProbabilityError, match=r"has probability 9\.33\d*e-302; ratio"):
+            rn_derivative(k, config, per_pair[0][0])
 
 
 class TestSectorGraph:

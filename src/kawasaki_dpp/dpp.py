@@ -13,8 +13,8 @@ Galerne and Desolneux, arXiv:1802.08429): no eigendecomposition, batched
 draws, and exact conditioning on a local pattern by forcing its sites first.
 On windows of up to 12 sites, unconditioned draws are by inverse CDF
 (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III) over the
-full law, built once per kernel from the enumeration's determinants
-(:class:`_LawTable`).
+full law, enumerated once per kernel by the same Schur steps over a prefix
+tree of the sites (:class:`_LawTable`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class Pmf:
         probs = np.array(probs, dtype=float)
         if probs.shape != (1 << window.size,):
             raise ValueError(f"need {1 << window.size} probabilities, got {probs.shape}")
-        total = _clamp(probs).sum()
+        total = _clamp(probs, partial(Configuration.from_bitmask, window)).sum()
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise NumericalError(f"pmf total {float(total)!r} deviates from 1 by more than 1e-9")
         probs.setflags(write=False)
@@ -211,12 +211,16 @@ def _sector_masks(n: int, count: int) -> np.ndarray:
     return masks[_occupancy(masks, n).sum(axis=1) == count]
 
 
-def _clamp(probs: np.ndarray) -> np.ndarray:
-    """Zero the entries of `probs` in [-1e-12, 0) in place, counted in :data:`clamp_counter`."""
+def _clamp(probs: np.ndarray, configuration: Callable[[int], Configuration]) -> np.ndarray:
+    """Zero the entries of `probs` in [-1e-12, 0) in place, counted in :data:`clamp_counter`.
+
+    Below the floor, NumericalError names ``configuration(i)`` of the lowest entry i.
+    """
     lowest = probs.min(initial=0.0)
     if lowest < 0.0:
         if lowest < _CLAMP_FLOOR:
-            raise NumericalError(f"probability {lowest:g} below clamp floor {_CLAMP_FLOOR:g}")
+            raise NumericalError(f"configuration {configuration(int(np.argmin(probs)))} has "
+                                 f"probability {lowest:g} below clamp floor {_CLAMP_FLOOR:g}")
         negative = probs < 0.0
         clamp_counter.count += int(negative.sum())
         probs[negative] = 0.0
@@ -242,7 +246,7 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
         first = np.argmin(np.isfinite(probs))
         config = Configuration(k.window, tuple(map(int, occupied[first])))
         raise NumericalError(f"configuration {config} has determinant {probs[first]:g}, not finite")
-    return _clamp(probs)
+    return _clamp(probs, lambda row: Configuration(k.window, tuple(map(int, occupied[row]))))
 
 
 def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
@@ -287,15 +291,33 @@ def correlation(k: KernelMatrix, sites: Iterable[Site]) -> float:
 
 
 def enumerate_distribution(k: KernelMatrix) -> Pmf:
-    """The full law over all 2^n configurations (n <= 20).
+    """The full law over all 2^n configurations (n <= 20), built one site per level.
 
-    One batched determinant per configuration (:func:`_probabilities`) keeps
-    the million-state case within a few seconds and modest memory.
+    Level i holds each configuration of sites 0..i-1: its probability, its
+    trailing Schur complement of K in an (n - i, n - i, 2^i) stack, and q, the
+    diagonal of I minus that, kept apart so that q = 1 - p keeps its digits as
+    p nears 1.  Site i splits each into an empty copy (factor q, pivot -q) and
+    then an occupied one (factor and pivot p), so bit i of the index is site i,
+    each updated as in :func:`_sequential_pass`: about 6 * 2^n entries in all.
+    A prefix of probability 0 passes 0 to all descendants, so a zero pivot
+    gives no NaN; a negative one (no valid kernel) reaches the clamp floor.
     """
     n = k.size
     if n > MAX_ENUMERATION_SITES:
         raise SizeError(f"enumeration capped at {MAX_ENUMERATION_SITES} sites, got {n}")
-    return Pmf(k.window, _probabilities(k, _occupancy(np.arange(1 << n), n)))
+    m, q, probs = k.entries[:, :, None], 1.0 - np.diag(k.entries)[:, None], np.ones(1)
+    with np.errstate(all="ignore"):  # the stacks of dead prefixes divide by zero
+        for i in range(n):
+            factor = np.stack([q[0], m[0, 0]])  # (empty, occupied) by prefix
+            column, row = m[1:, 0, None] / (factor * [[-1.0], [1.0]]), m[0, 1:, None]
+            m = (m[1:, 1:, None] - column[:, None] * row).reshape(len(row), len(row), factor.size)
+            q = (q[1:, None] + column * row).reshape(len(row), factor.size)
+            probs = np.where(probs == 0.0, 0.0, probs * factor).ravel()
+    if not np.isfinite(probs).all():
+        first = int(np.argmin(np.isfinite(probs)))
+        raise NumericalError(f"configuration {Configuration.from_bitmask(k.window, first)} has "
+                             f"probability {probs[first]:g}, not finite")
+    return Pmf(k.window, probs)
 
 
 def _sequential_pass(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -346,10 +368,9 @@ class _LawTable:
 
 
 def _law_table(k: KernelMatrix) -> _LawTable | None:
-    """`k`'s law table, kept on `k` as its eigh is; None past 12 sites (2^n n^2 > 2^20 entries)."""
+    """`k`'s law table, kept on `k` as its eigh is; None past 12 sites: those draw site by site."""
     if "_law_table" not in vars(k):
-        n = k.size
-        k._law_table = _LawTable(k) if (1 << n) * n * n <= _STACK_ENTRIES else None
+        k._law_table = _LawTable(k) if k.size <= 12 else None
     return k._law_table
 
 

@@ -40,10 +40,9 @@ class SeededRng:
 
     def exponential(self, rate: float) -> float:
         """Exp(rate) waiting time via inverse transform of one uniform."""
-        if not rate > 0.0:  # NaN fails too
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        u = self.generator.random()
-        return -math.log1p(-u) / rate
+        if not 0.0 < rate < math.inf:  # NaN fails too
+            raise ValueError(f"rate must be positive and finite, got {rate!r}")
+        return -math.log1p(-self.generator.random()) / rate
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,10 +260,69 @@ class TestEnumerateDistribution:
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(n))
         assert dpp_mod._STACK_ENTRIES // n ** 2 < 1 << n  # the library splits the states
         # Reference: all 2^14 matrices in one stack, negatives clamped.
-        occupied = dpp_mod._occupancy(np.arange(1 << n), n)[:, np.newaxis, :]
-        want = np.linalg.det(np.where(occupied, k.entries, np.eye(n) - k.entries))
+        occupied = dpp_mod._occupancy(np.arange(1 << n), n)
+        want = np.linalg.det(np.where(occupied[:, np.newaxis, :], k.entries, np.eye(n) - k.entries))
         want[want < 0.0] = 0.0
-        assert enumerate_distribution(k).probs.tobytes() == want.tobytes()
+        assert dpp_mod._probabilities(k, occupied).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("centre", [0, -20])
+    @pytest.mark.parametrize("size", [1, 2, 8, 12, 14])
+    def test_prefix_tree_equals_determinants(self, request, branch, centre, size):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, centre))
+        want = dpp_mod._probabilities(k, dpp_mod._occupancy(np.arange(1 << size), size))
+        got = enumerate_distribution(k).probs
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [8, 12])
+    def test_dense_window_keeps_relative_digits(self, request, branch, size):
+        # every diagonal entry near 0.995: the empty factors 1 - p are small,
+        # and 1 - p taken from p itself differs 19-64x more (up to 1.5e-10)
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, -20))
+        want = dpp_mod._probabilities(k, dpp_mod._occupancy(np.arange(1 << size), size))
+        got = enumerate_distribution(k).probs
+        likely = want > 1e-9
+        assert (np.abs(got - want)[likely] / want[likely]).max() <= 1e-11
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_twenty_sites_fit_the_cap(self, request, branch):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(20))
+        tracemalloc.start()
+        try:
+            pmf = enumerate_distribution(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(pmf.total() - 1.0) <= 1e-9
+        assert peak < 64 << 20
+
+    def test_takes_no_determinant(self, monkeypatch, real_pair):
+        def det(*args):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        pmf = enumerate_distribution(kernel_matrix(real_pair, Window.centered(10)))
+        assert pmf.total() == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_probability_names_a_configuration(self):
+        # the 1e200 kernel of test_non_finite_determinant_names_the_configuration
+        big = 1e200
+        k = KernelMatrix(Window.from_indices(0, 2),
+                         [[0.5, big, big], [big, 0.5, big], [big, big, 0.5]])
+        with pytest.raises(NumericalError, match=r"^configuration [01]{3} has probability "
+                                                 r"(nan|-?inf), not finite$"):
+            enumerate_distribution(k)
+
+    def test_clamp_floor_names_the_lowest_bitmask(self):
+        # not a kernel: sites 0 and 1 have P(00) = -3.625 and P(11) = -3.875,
+        # and site 2 is independent of them, so a negative prefix must reach
+        # the leaves: P(110) = -3.875 * 0.7 is the lowest
+        k = KernelMatrix(Window.from_indices(0, 2),
+                         np.array([[0.5, 2.0, 0.0], [2.0, 0.25, 0.0], [0.0, 0.0, 0.3]]))
+        with pytest.raises(NumericalError, match=r"^configuration 110 has probability -2\.7125 "
+                                                 r"below clamp floor -1e-12$"):
+            enumerate_distribution(k)
 
     def test_sector_normalization(self, pmf8):
         masks, probs = pmf8.sector(3)
@@ -318,7 +378,8 @@ class TestSample:
         # but its eigenvalues are 2.5 and -1.5: the empty and the full
         # configuration both get the determinant 0.25 - 4
         k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.5]]))
-        message = r"^probability -3.75 below clamp floor -1e-12$"
+        # the lowest entry comes first: bitmask 0
+        message = r"^configuration 00 has probability -3.75 below clamp floor -1e-12$"
         with pytest.raises(NumericalError, match=message):
             sample(k, SeededRng(0))
         with pytest.raises(NumericalError, match=message):
@@ -328,7 +389,7 @@ class TestSample:
         # no kernel accepted by KernelMatrix gets here: its determinants sum to
         # det(K + I - K) = 1 up to rounding
         for law in (np.full(64, 1 / 32), np.full(64, np.nan)):
-            monkeypatch.setattr(dpp_mod, "_probabilities", lambda k, occupied: law)
+            monkeypatch.setattr(dpp_mod, "enumerate_distribution", lambda k: Pmf(k.window, law))
             with pytest.raises(NumericalError, match="^pmf total (2.0|nan) deviates"):
                 sample(KernelMatrix(k6.window, k6.entries), SeededRng(0))
 
@@ -362,14 +423,12 @@ class TestSample:
 
     def test_draw_table_is_built_once_per_kernel(self, monkeypatch, real_pair):
         builds = []
-        probabilities = dpp_mod._probabilities
-        monkeypatch.setattr(dpp_mod, "_probabilities",
-                            lambda k, occupied: builds.append(occupied.shape)
-                            or probabilities(k, occupied))
+        monkeypatch.setattr(dpp_mod, "enumerate_distribution",
+                            lambda k: builds.append(k.size) or enumerate_distribution(k))
         k = kernel_matrix(real_pair, Window.centered(8))
         rng = SeededRng(2)
         draws = [sample(k, rng) for _ in range(500)] + sample_many(k, rng, 500)
-        assert builds == [(1 << 8, 8)]
+        assert builds == [8]
         # one shared Configuration per drawn mask
         assert len({id(c) for c in draws}) == len(set(draws)) > 1
 
@@ -498,6 +557,14 @@ class TestCsvAndCounters:
     def test_clamp_counter_interface(self):
         clamp_counter.reset()
         assert clamp_counter.count == 0
+
+    def test_clamp_floor_names_the_row(self):
+        # entry 1 is the lowest: its row 11 is named, not bitmask 1 (10)
+        k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.25]]))
+        with pytest.raises(NumericalError, match=r"^configuration 11 has probability -3\.875 "):
+            dpp_mod._probabilities(k, np.array([[False, False], [True, True]]))
+        with pytest.raises(NumericalError, match=r"^configuration 11 has probability -3\.875 "):
+            config_probability(k, Configuration(k.window, (1, 1)))
 
     @pytest.mark.parametrize("probability_of", [_pmf_entry, _determinant], ids=["pmf", "det"])
     def test_clamp_rule_is_shared(self, probability_of):

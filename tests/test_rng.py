@@ -18,6 +18,13 @@ class TestExponential:
     def test_rate_that_is_not_positive_rejected(self, rate):
         # a NaN rate would return a NaN waiting time
         rng = SeededRng(3)
-        with pytest.raises(ValueError, match="^rate must be positive, got "):
+        with pytest.raises(ValueError, match="^rate must be positive and finite, got "):
             rng.exponential(rate)
         assert rng.random() == SeededRng(3).random()  # no uniform was taken
+
+    def test_infinite_rate_rejected(self):
+        # it would return a wait of 0.0
+        rng = SeededRng(3)
+        with pytest.raises(ValueError, match="^rate must be positive and finite, got inf$"):
+            rng.exponential(math.inf)
+        assert rng.random() == SeededRng(3).random()

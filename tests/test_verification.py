@@ -8,9 +8,9 @@ import math
 import pytest
 
 from kawasaki_dpp import verification
-from kawasaki_dpp.dpp import Configuration, config_probability
+from kawasaki_dpp.dpp import Configuration, enumerate_distribution
 from kawasaki_dpp.kernel import Window, kernel_matrix
-from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative
+from kawasaki_dpp.rn import SwapPair, apply_transposition
 from kawasaki_dpp.verification import SUITE_NAMES, Report, run_suite
 
 WINDOW = Window.from_indices(-4, 4)
@@ -59,24 +59,24 @@ def test_suite_names_stable():
 
 @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
 def test_rn_values_equal_state_by_state_loop(request, branch):
-    # Reference: each state's ratios from rn_derivative, summed in mask order.
+    # Reference: each state's ratios read off the enumerated law one state at
+    # a time, summed in mask order.  How close that law is to the determinants
+    # is tests/test_dpp.py's job (test_prefix_tree_equals_determinants).
     pair = request.getfixturevalue(branch)
-    k = kernel_matrix(pair, WINDOW)
+    probs = enumerate_distribution(kernel_matrix(pair, WINDOW)).probs
     sites = WINDOW.sites
     inversion_worst = change_worst = square_probe = 0.0
     summed = 0
     for swap in (SwapPair(sites[0], sites[-1]), SwapPair(sites[4], sites[5])):
         total = square = 0.0
         for mask in range(1 << WINDOW.size):
-            config = Configuration.from_bitmask(WINDOW, mask)
-            p = config_probability(k, config)
+            p = probs[mask]
             if p <= 0.0:
                 continue
-            phi = rn_derivative(k, config, swap)
-            swapped = apply_transposition(config, swap)
-            if config_probability(k, swapped) > 0.0:
-                inversion_worst = max(inversion_worst,
-                                      abs(phi * rn_derivative(k, swapped, swap) - 1.0))
+            q = probs[apply_transposition(Configuration.from_bitmask(WINDOW, mask), swap).bitmask]
+            phi = q / p
+            if q > 0.0:
+                inversion_worst = max(inversion_worst, abs(phi * (p / q) - 1.0))
             total += p * phi
             square += p * phi * phi
             summed += 1

@@ -332,7 +332,10 @@ def _cmd_rn(options: _Options) -> int:
 
     pattern = options.get("pattern", parse_pattern)
     swap = options.get("swap", _parse_swap)
-    sizes = options.get("sizes", lambda text: [int(s) for s in text.split(",") if s.strip()])
+    sizes = options.get("sizes", _checked(
+        lambda text: [int(s) for s in text.split(",") if s.strip()],
+        lambda sizes: sizes and min(sizes) >= pattern_window.size,
+        f"a nonempty list of window sizes of at least {pattern_window.size}"))
     if not options.provided("n_samples"):
         config.n_samples = 100  # the stabilization study's own default per size
     table = rn_stabilization(config.pair, pattern, swap, sizes, SeededRng(config.seed),

@@ -48,7 +48,6 @@ __all__ = [
     "sample",
     "sample_many",
     "empirical_correlation",
-    "clamp_counter",
     "write_pmf_csv",
     "write_samples_csv",
     "MAX_ENUMERATION_SITES",
@@ -68,19 +67,6 @@ _STACK_ENTRIES = 1 << 20
 _HALF_WIDTH = 0.5 + 1e-8
 # Configurations and patterns less likely than this count as impossible.
 _PROBABILITY_FLOOR = 1e-300
-
-
-class _ClampCounter:
-    """Counts tiny negative determinants clamped to zero (reported by verify)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-clamp_counter = _ClampCounter()
 
 
 @dataclass(frozen=True)
@@ -146,13 +132,17 @@ class Configuration:
 
 
 class Pmf:
-    """The exact law of the window occupancy, indexed by bitmask."""
+    """The exact law of the window occupancy, indexed by bitmask.
+
+    ``clamped`` counts the entries in [-1e-12, 0) that :func:`_clamp` zeroed.
+    """
 
     def __init__(self, window: Window, probs: np.ndarray):
         probs = np.array(probs, dtype=float)
         if probs.shape != (1 << window.size,):
             raise ValueError(f"need {1 << window.size} probabilities, got {probs.shape}")
-        total = _clamp(probs, partial(Configuration.from_bitmask, window)).sum()
+        self.clamped = _clamp(probs, partial(Configuration.from_bitmask, window))
+        total = probs.sum()
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise NumericalError(f"pmf total {float(total)!r} deviates from 1 by more than 1e-9")
         probs.setflags(write=False)
@@ -211,20 +201,18 @@ def _sector_masks(n: int, count: int) -> np.ndarray:
     return masks[_occupancy(masks, n).sum(axis=1) == count]
 
 
-def _clamp(probs: np.ndarray, configuration: Callable[[int], Configuration]) -> np.ndarray:
-    """Zero the entries of `probs` in [-1e-12, 0) in place, counted in :data:`clamp_counter`.
+def _clamp(probs: np.ndarray, configuration: Callable[[int], Configuration]) -> int:
+    """Zero the entries of `probs` in [-1e-12, 0) in place, and return how many there were.
 
     Below the floor, NumericalError names ``configuration(i)`` of the lowest entry i.
     """
     lowest = probs.min(initial=0.0)
-    if lowest < 0.0:
-        if lowest < _CLAMP_FLOOR:
-            raise NumericalError(f"configuration {configuration(int(np.argmin(probs)))} has "
-                                 f"probability {lowest:g} below clamp floor {_CLAMP_FLOOR:g}")
-        negative = probs < 0.0
-        clamp_counter.count += int(negative.sum())
-        probs[negative] = 0.0
-    return probs
+    if lowest < _CLAMP_FLOOR:
+        raise NumericalError(f"configuration {configuration(int(np.argmin(probs)))} has "
+                             f"probability {lowest:g} below clamp floor {_CLAMP_FLOOR:g}")
+    negative = probs < 0.0
+    probs[negative] = 0.0
+    return int(negative.sum())
 
 
 def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
@@ -246,14 +234,16 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
         first = np.argmin(np.isfinite(probs))
         config = Configuration(k.window, tuple(map(int, occupied[first])))
         raise NumericalError(f"configuration {config} has determinant {probs[first]:g}, not finite")
-    return _clamp(probs, lambda row: Configuration(k.window, tuple(map(int, occupied[row]))))
+    _clamp(probs, lambda row: Configuration(k.window, tuple(map(int, occupied[row]))))
+    return probs
 
 
-def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, np.ndarray]:
-    """(P(swapped), P(swapped) / own) out of the states of bool rows `occupied`.
+def _live(k: KernelMatrix, occupied, own) -> np.ndarray:
+    """`own`, the probabilities of the states of bool rows `occupied`, if none is below 1e-300.
 
-    ZeroProbabilityError names the first state whose `own` is below 1e-300; only
-    then are probabilities taken for `swapped`, if it holds bool rows.
+    Else ZeroProbabilityError names the first that is.  A caller that takes
+    the swaps' probabilities after the states' checks the states in between,
+    so an impossible state is named whatever its swap.
     """
     low = np.flatnonzero(own < _PROBABILITY_FLOOR)
     if len(low):
@@ -261,17 +251,20 @@ def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> tuple[np.ndarray, n
         raise ZeroProbabilityError(
             f"configuration {config} has probability {own[low[0]]:g}; ratio undefined"
         )
-    if swapped.dtype == bool:
-        swapped = _probabilities(k, swapped)
-    return swapped, swapped / own
+    return own
+
+
+def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> np.ndarray:
+    """phi = swapped / own for the states of bool rows `occupied`; :func:`_live` checks `own`."""
+    return swapped / _live(k, occupied, own)
 
 
 def config_probability(k: KernelMatrix, config: Configuration) -> float:
     """Exact probability that the window occupancy equals `config`.
 
     det of the matrix taking K-columns at occupied sites and (I - K)-columns
-    at empty ones.  Tiny negative determinants (floating noise) are clamped
-    to zero and counted in :data:`clamp_counter`.
+    at empty ones.  A tiny negative determinant (floating noise) is clamped
+    to zero by :func:`_clamp`.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")

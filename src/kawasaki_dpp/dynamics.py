@@ -30,10 +30,11 @@ import numpy as np
 from .dpp import (
     _STACK_ENTRIES,
     Configuration,
+    _live,
     _occupancy,
+    _probabilities,
     _sector_masks,
     _swap_ratios,
-    clamp_counter,
     config_probability,
 )
 from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
@@ -193,14 +194,14 @@ def symmetry_check(
     Both ratios come from :func:`dpp._swap_ratios`, out of the state first:
     ZeroProbabilityError names the state or its swap, whatever the weight.
     """
-    own = np.array([config_probability(k, config)])
     rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
-    back, phi = _swap_ratios(k, rows[:1], own, rows[1:])
-    _, inverse = _swap_ratios(k, rows[1:], back, own)
+    own = _live(k, rows[:1], np.array([config_probability(k, config)]))
+    probs = np.append(own, _probabilities(k, rows[1:]))
+    phi = _swap_ratios(k, rows, probs, probs[::-1])
     u = proximity_u(model.proximity, swap.x, swap.y)
     if u == 0.0:
         return 0.0
-    fluxes = np.append(own, back) * rate_from_ratio(model.kind, u, np.append(phi, inverse))
+    fluxes = probs * rate_from_ratio(model.kind, u, phi)
     return float(abs(fluxes[0] - fluxes[1]))
 
 
@@ -261,9 +262,8 @@ def _rate_table(
     NumericalError when the ratios' error estimate cond_1(M) * 1.5e-14, with
     cond_1(M) estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`;
     then phi.  A ratio in [-estimate, 0) is noise around an exact zero: it is set
-    to 0 and counted in :data:`dpp.clamp_counter`; a lower one is a
-    NumericalError naming the state.  A state without moves takes no solve, and
-    its estimate is 0.
+    to 0; a lower one is a NumericalError naming the state.  A state without
+    moves takes no solve, and its estimate is 0.
     """
     sides = occupied[positions]
     pair = np.flatnonzero(sides[:, 0] != sides[:, 1])
@@ -287,15 +287,12 @@ def _rate_table(
     block = h[ends[:, :, np.newaxis], ends[:, np.newaxis, :]]
     phi = (1.0 + block[:, 0, 0]) * (1.0 + block[:, 1, 1]) - block[:, 0, 1] * block[:, 1, 0]
     lowest = phi.min()
-    if lowest < 0.0:
-        if lowest < -error:
-            config = Configuration(k.window, tuple(map(int, occupied)))
-            raise NumericalError(
-                f"configuration {config} has swap ratio {lowest:g}, below its error bound "
-                f"-{error:.2g}")
-        negative = phi < 0.0
-        clamp_counter.count += int(negative.sum())
-        phi[negative] = 0.0
+    if lowest < -error:
+        config = Configuration(k.window, tuple(map(int, occupied)))
+        raise NumericalError(
+            f"configuration {config} has swap ratio {lowest:g}, below its error bound "
+            f"-{error:.2g}")
+    phi[phi < 0.0] = 0.0
     rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     if not rates.min() > 0.0:
         positive = rates > 0.0

@@ -34,12 +34,10 @@ __all__ = [
     "dirichlet_form",
     "spectrum",
     "transition_matrix",
-    "MAX_FULL_SPACE_SITES",
-    "MAX_SECTOR_SITES",
+    "MAX_GENERATOR_STATES",
 ]
 
-MAX_FULL_SPACE_SITES = 14
-MAX_SECTOR_SITES = 18
+MAX_GENERATOR_STATES = 4096
 
 _REVERSIBILITY_GATE = 1e-8
 
@@ -103,18 +101,17 @@ def build_generator(
 ) -> GeneratorMatrix:
     """Assemble Q and the (sector-)normalized measure for a window chain.
 
-    The state probabilities come from one batched determinant, and each
-    swap's rate is read off its two states' ratio, from :func:`dpp._swap_ratios`.
+    The state list, 2^n states or C(n, sector), is capped at
+    :data:`MAX_GENERATOR_STATES`: past it SizeError names the count before any
+    state is listed.  The state probabilities come from one batched
+    determinant, and each swap's rate is read off its two states' ratio, from
+    :func:`dpp._swap_ratios`.
     """
     n = k.size
-    if sector is None:
-        if n > MAX_FULL_SPACE_SITES:
-            raise SizeError(f"full state space capped at {MAX_FULL_SPACE_SITES} sites, got {n}")
-        states = np.arange(1 << n, dtype=np.int64)
-    else:
-        if n > MAX_SECTOR_SITES:
-            raise SizeError(f"sectored build capped at {MAX_SECTOR_SITES} sites, got {n}")
-        states = _sector_masks(n, sector)
+    n_states = 1 << n if sector is None else math.comb(n, sector) if 0 <= sector <= n else 0
+    if n_states > MAX_GENERATOR_STATES:
+        raise SizeError(f"generator capped at {MAX_GENERATOR_STATES} states, got {n_states}")
+    states = np.arange(1 << n, dtype=np.int64) if sector is None else _sector_masks(n, sector)
     occupied = _occupancy(states, n)
     weights = _probabilities(k, occupied)
     total = weights.sum()
@@ -123,7 +120,7 @@ def build_generator(
     measure = weights / total
     positions, u = _pair_table(k.window, model.proximity)
     src, dst, pair = _state_edges(states, occupied, positions)
-    _, phi = _swap_ratios(k, occupied[src], weights[src], weights[dst])
+    phi = _swap_ratios(k, occupied[src], weights[src], weights[dst])
     q = np.zeros((len(states), len(states)))
     q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     np.fill_diagonal(q, -q.sum(axis=1))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import Configuration, _probabilities, _swap_ratios, config_probability, sample_many
-from .errors import SamePointError, SizeError, WindowMismatchError
+from .dpp import Configuration, _live, _probabilities, _swap_ratios, config_probability, sample_many
+from .errors import EmptyInputError, SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
 from .util import write_csv
@@ -70,10 +70,9 @@ def apply_transposition(config: Configuration, swap: SwapPair) -> Configuration:
 
 def rn_derivative(k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
     """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the window, by :func:`dpp._swap_ratios`."""
-    own = np.array([config_probability(k, config)])
     rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
-    _, phi = _swap_ratios(k, rows[:1], own, rows[1:])
-    return float(phi[0])
+    own = _live(k, rows[:1], np.array([config_probability(k, config)]))
+    return float(_swap_ratios(k, rows[:1], own, _probabilities(k, rows[1:]))[0])
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,8 @@ def rn_stabilization(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not window_sizes:
+        raise EmptyInputError("no window sizes")
     rows = []
     for offset, size in enumerate(window_sizes):
         window = _enclosing_window(pattern.window, size)
@@ -145,12 +146,13 @@ def rn_stabilization(
         stream = rng.spawn(rng.stream + 1 + offset)
         draws = sample_many(k, stream, n_samples, pattern=pattern)
         occupied = np.array([d.occupancy for d in draws], dtype=bool).reshape(-1, size)
-        own = _probabilities(k, occupied)
+        own = _live(k, occupied, _probabilities(k, occupied))
         ends = [window.position(swap.x), window.position(swap.y)]
         swapped = occupied.copy()
         swapped[:, ends] = occupied[:, ends[::-1]]
-        back, phi = _swap_ratios(k, occupied, own, swapped)
-        _, inverse = _swap_ratios(k, swapped, back, own)
+        back = _probabilities(k, swapped)
+        phi = _swap_ratios(k, occupied, own, back)
+        inverse = _swap_ratios(k, swapped, back, own)
         worst = float(np.abs(phi * inverse - 1.0).max(initial=0.0))
         phis = phi.tolist()
         mean = sum(phis) / n_samples

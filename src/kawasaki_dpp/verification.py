@@ -23,7 +23,6 @@ from .dpp import (
     Configuration,
     _occupancy,
     _swap_ratios,
-    clamp_counter,
     correlation,
     empirical_correlation,
     enumerate_distribution,
@@ -173,8 +172,6 @@ def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check
 
 def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     checks: list[Check] = []
-    clamp_counter.reset()
-
     enum_window = _subwindow(window, 12)
     k = kernel_matrix(pair, enum_window)
     pmf = enumerate_distribution(k)
@@ -217,7 +214,8 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     replay = all(sample(ks, replay_rng) == c for c in samples[:200])
     checks.append(_flag("sampler_seed_determinism", replay))
 
-    checks.append(_diagnostic("clamped_negative_probabilities", float(clamp_counter.count)))
+    clamped = pmf.clamped + pmf_s.clamped  # each law's own clamps, counted once
+    checks.append(_diagnostic("clamped_negative_probabilities", float(clamped)))
     return checks
 
 
@@ -243,8 +241,8 @@ def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     for swap in swaps:
         i, j = rn_window.position(swap.x), rn_window.position(swap.y)
         moves = (masks >> i ^ masks >> j) & 1 == 1
-        swapped = probs[np.where(moves, masks ^ (1 << i | 1 << j), masks)[live]]
-        q, phi = _swap_ratios(k, occupied, p, swapped)
+        q = probs[np.where(moves, masks ^ (1 << i | 1 << j), masks)[live]]
+        phi = _swap_ratios(k, occupied, p, q)
         both = q > 0.0
         inversion = np.abs(phi[both] * (p[both] / q[both]) - 1.0)
         inversion_worst = max(inversion_worst, float(inversion.max(initial=0.0)))

@@ -1,5 +1,5 @@
-"""The public names: every ``__all__`` entry resolves to an attribute; no scipy at run time;
-every parameter in the package is read."""
+"""The public names: every ``__all__`` entry resolves to an attribute; no module-level
+instance of a package class; no scipy at run time; every parameter in the package is read."""
 
 from __future__ import annotations
 
@@ -25,6 +25,14 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_binds_an_instance_of_a_package_class(name):
+    # Diagnostics come back with each call's result, not through module state.
+    module = importlib.import_module(name)
+    assert [attr for attr, value in vars(module).items()
+            if type(value).__module__.startswith("kawasaki_dpp")] == []
 
 
 def test_every_module_but_errors_declares_all():

@@ -94,6 +94,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_generator_past_its_state_cap_is_exit_2(self, capsys, tmp_path):
+        # 18 sites, sector 9: 48 620 states, refused before any is listed
+        code, out, err = run(capsys, "spectrum", "--window", "-9..8", "--sector", "9",
+                             "--output-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: generator capped at 4096 states, got 48620\n"
+
     def test_ill_conditioned_start_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--window", "-14..13",
                            "--output-dir", str(tmp_path))
@@ -124,6 +131,10 @@ class TestExitCodes:
         (["simulate", "--weight", "inf"], "--weight"),
         (["simulate", "--t-max", "inf"], "--t-max"),
         (["simulate", "--proximity", "exp:nan"], "--proximity"),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "-1,0",
+          "--sizes", ""], "--sizes"),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "-1,0",
+          "--sizes", "8,0"], "--sizes"),
     ])
     def test_malformed_value_is_usage_error(self, capsys, tmp_path, argv, option):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))

@@ -19,7 +19,6 @@ import kawasaki_dpp.dpp as dpp_mod
 from kawasaki_dpp.dpp import (
     Configuration,
     Pmf,
-    clamp_counter,
     config_probability,
     correlation,
     empirical_correlation,
@@ -70,8 +69,13 @@ def _inclusion_exclusion_probability(k: KernelMatrix, config: Configuration) -> 
 
 
 def _pmf_entry(value: float) -> float:
-    """Bitmask 1 of a hand-built one-site Pmf whose entries are 1 and `value`."""
-    return float(Pmf(Window.from_indices(0, 0), np.array([1.0, value])).probs[1])
+    """Bitmask 1 of a hand-built one-site Pmf whose entries are 1 and `value` < 0.
+
+    A Pmf that zeroes the entry counts it in ``clamped``.
+    """
+    pmf = Pmf(Window.from_indices(0, 0), np.array([1.0, value]))
+    assert pmf.clamped == 1
+    return float(pmf.probs[1])
 
 
 def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,10 +558,6 @@ class TestCsvAndCounters:
         assert lines[0] == "sample_index,x=-2.5,x=-1.5,x=-0.5,x=0.5,x=1.5,x=2.5"
         assert lines[1] == "0,1,0,1,0,0,0"
 
-    def test_clamp_counter_interface(self):
-        clamp_counter.reset()
-        assert clamp_counter.count == 0
-
     def test_clamp_floor_names_the_row(self):
         # entry 1 is the lowest: its row 11 is named, not bitmask 1 (10)
         k = KernelMatrix(Window.from_indices(0, 1), np.array([[0.5, 2.0], [2.0, 0.25]]))
@@ -568,8 +568,6 @@ class TestCsvAndCounters:
 
     @pytest.mark.parametrize("probability_of", [_pmf_entry, _determinant], ids=["pmf", "det"])
     def test_clamp_rule_is_shared(self, probability_of):
-        clamp_counter.reset()
         assert probability_of(-5e-13) == 0.0
-        assert clamp_counter.count == 1
         with pytest.raises(NumericalError, match="below clamp floor -1e-12"):
             probability_of(-2e-12)

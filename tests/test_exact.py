@@ -139,15 +139,19 @@ class TestBuildGenerator:
         with pytest.raises(ZeroProbabilityError):
             build_generator(_models()[2], k)
 
-    def test_size_caps(self, real_pair):
-        w15 = Window.centered(15)
-        k15 = kernel_matrix(real_pair, w15)
-        with pytest.raises(SizeError):
-            build_generator(_models()[0], k15)
-        w19 = Window.centered(19)
-        k19 = kernel_matrix(real_pair, w19)
-        with pytest.raises(SizeError):
-            build_generator(_models()[0], k19, sector=2)
+    def test_size_caps(self, real_pair, monkeypatch):
+        # The state count is capped before any state is listed or determinant taken.
+        k15, k16 = (kernel_matrix(real_pair, Window.centered(n)) for n in (15, 16))
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "det", lambda a: pytest.fail("determinant taken"))
+            with pytest.raises(SizeError, match="^generator capped at 4096 states, got 32768$"):
+                build_generator(_models()[0], k15)
+            with pytest.raises(SizeError, match="^generator capped at 4096 states, got 12870$"):
+                build_generator(_models()[0], k16, sector=8)
+        # 19 sites, sector 2: 171 states, of fair coins
+        coins = KernelMatrix(Window.centered(19), np.eye(19) / 2)
+        g = build_generator(_models()[0], coins, sector=2)
+        assert g.n_states == math.comb(19, 2)
 
 
     def test_index_of_is_row_of_state(self, k10):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from kawasaki_dpp.dpp import Configuration, config_probability, enumerate_distribution, sample_many
-from kawasaki_dpp.errors import SamePointError, WindowMismatchError, ZeroProbabilityError
+from kawasaki_dpp.errors import (
+    EmptyInputError,
+    SamePointError,
+    WindowMismatchError,
+    ZeroProbabilityError,
+)
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import (
     StabilizationRow,
@@ -177,6 +182,12 @@ class TestStabilization:
         with pytest.raises(WindowMismatchError):
             rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(50)), [6],
                              SeededRng(0), n_samples=2)
+
+    def test_needs_a_window_size(self, real_pair):
+        # with no rows there is nothing to report, nor any drift between sizes
+        pattern = Configuration(Window.from_indices(0, 1), (1, 0))
+        with pytest.raises(EmptyInputError, match="^no window sizes$"):
+            rn_stabilization(real_pair, pattern, SwapPair(Site(0), Site(1)), [], SeededRng(0))
 
     def test_needs_a_sample(self, real_pair):
         # the mean and the variance divide by n_samples

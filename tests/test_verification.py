@@ -57,6 +57,19 @@ def test_suite_names_stable():
     assert SUITE_NAMES == ("kernel", "dpp", "rn", "dynamics", "exact")
 
 
+@pytest.mark.parametrize("branch, want", [("real_pair", 1375), ("conj_pair", 1698)])
+def test_clamps_are_those_of_the_two_laws(request, branch, want):
+    # The 12-site law and the 8-site law count their clamps once each, whatever
+    # else ran in the process; the law table the 8-site draws build is not added.
+    pair = request.getfixturevalue(branch)
+    window = Window.from_indices(-40, -20)
+    report = run_suite("dpp", pair, window, seed=0)
+    reported = next(c.value for c in report.checks if c.name == "clamped_negative_probabilities")
+    laws = [enumerate_distribution(kernel_matrix(pair, verification._subwindow(window, size)))
+            for size in (12, 8)]
+    assert reported == sum(law.clamped for law in laws) == want
+
+
 @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
 def test_rn_values_equal_state_by_state_loop(request, branch):
     # Reference: each state's ratios read off the enumerated law one state at

@@ -241,9 +241,9 @@ def _probabilities(k: KernelMatrix, occupied: np.ndarray) -> np.ndarray:
 def _live(k: KernelMatrix, occupied, own) -> np.ndarray:
     """`own`, the probabilities of the states of bool rows `occupied`, if none is below 1e-300.
 
-    Else ZeroProbabilityError names the first that is.  A caller that takes
-    the swaps' probabilities after the states' checks the states in between,
-    so an impossible state is named whatever its swap.
+    Else ZeroProbabilityError names the first that is.  Each determinant ratio
+    P(sigma gamma) / P(gamma) divides by one; a caller that takes the swaps'
+    probabilities after the states' checks the states in between.
     """
     low = np.flatnonzero(own < _PROBABILITY_FLOOR)
     if len(low):
@@ -252,11 +252,6 @@ def _live(k: KernelMatrix, occupied, own) -> np.ndarray:
             f"configuration {config} has probability {own[low[0]]:g}; ratio undefined"
         )
     return own
-
-
-def _swap_ratios(k: KernelMatrix, occupied, own, swapped) -> np.ndarray:
-    """phi = swapped / own for the states of bool rows `occupied`; :func:`_live` checks `own`."""
-    return swapped / _live(k, occupied, own)
 
 
 def config_probability(k: KernelMatrix, config: Configuration) -> float:
@@ -361,7 +356,7 @@ class _LawTable:
 
 
 def _law_table(k: KernelMatrix) -> _LawTable | None:
-    """`k`'s law table, kept on `k` as its eigh is; None past 12 sites: those draw site by site."""
+    """`k`'s law table, kept on `k` like its eigenvalues; None past 12 sites, drawn site by site."""
     if "_law_table" not in vars(k):
         k._law_table = _LawTable(k) if k.size <= 12 else None
     return k._law_table

@@ -34,7 +34,6 @@ from .dpp import (
     _occupancy,
     _probabilities,
     _sector_masks,
-    _swap_ratios,
     config_probability,
 )
 from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
@@ -191,13 +190,13 @@ def symmetry_check(
 ) -> float:
     """Detailed-balance residual |P(gamma) c(gamma) - P(sigma gamma) c(sigma gamma)|.
 
-    Both ratios come from :func:`dpp._swap_ratios`, out of the state first:
+    Both probabilities pass :func:`dpp._live`, the state's first:
     ZeroProbabilityError names the state or its swap, whatever the weight.
     """
     rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
     own = _live(k, rows[:1], np.array([config_probability(k, config)]))
-    probs = np.append(own, _probabilities(k, rows[1:]))
-    phi = _swap_ratios(k, rows, probs, probs[::-1])
+    probs = np.append(own, _live(k, rows[1:], _probabilities(k, rows[1:])))
+    phi = probs[::-1] / probs
     u = proximity_u(model.proximity, swap.x, swap.y)
     if u == 0.0:
         return 0.0
@@ -262,8 +261,9 @@ def _rate_table(
     NumericalError when the ratios' error estimate cond_1(M) * 1.5e-14, with
     cond_1(M) estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`;
     then phi.  A ratio in [-estimate, 0) is noise around an exact zero: it is set
-    to 0; a lower one is a NumericalError naming the state.  A state without
-    moves takes no solve, and its estimate is 0.
+    to 0; a lower one is a NumericalError naming the state, and so is a total rate
+    that is not finite (rates are taken with overflow warnings off).  A state
+    without moves takes no solve, and its estimate is 0.
     """
     sides = occupied[positions]
     pair = np.flatnonzero(sides[:, 0] != sides[:, 1])
@@ -293,10 +293,15 @@ def _rate_table(
             f"configuration {config} has swap ratio {lowest:g}, below its error bound "
             f"-{error:.2g}")
     phi[phi < 0.0] = 0.0
-    rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
-    if not rates.min() > 0.0:
-        positive = rates > 0.0
-        pair, rates = pair[positive], rates[positive]
+    with np.errstate(over="ignore"):
+        rates = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
+        if not rates.min() > 0.0:
+            positive = rates > 0.0
+            pair, rates = pair[positive], rates[positive]
+        total = np.cumsum(rates)[-1] if len(rates) else 0.0
+    if not math.isfinite(total):
+        config = Configuration(k.window, tuple(map(int, occupied)))
+        raise NumericalError(f"configuration {config} has total jump rate {total:g}")
     return pair, rates, condition
 
 
@@ -309,8 +314,8 @@ def total_jump_rate(
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
     rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
-    come from :func:`_rate_table`, which takes one solve and no determinant,
-    and the total is summed in pair order.
+    come from :func:`_rate_table` (one solve, no determinant), which refuses a
+    state whose total is not finite; the total is summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
@@ -420,7 +425,7 @@ def _mask_table(
     """The :class:`_RateStore` table of the state with bitmask `mask`, and its cond_1 estimate.
 
     The bool occupancy row is unpacked from the mask's bytes, so a mask of
-    any width works.  A total rate that is not finite raises NumericalError.
+    any width works.
     """
     n = k.size
     occupied = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8),
@@ -428,9 +433,6 @@ def _mask_table(
     pair, rates, condition = _rate_table(model, k, occupied, positions, u, _rate_store(k))
     cumulative = np.cumsum(rates).tolist()
     total = cumulative[-1] if cumulative else 0.0
-    if not math.isfinite(total):
-        config = Configuration.from_bitmask(k.window, mask)
-        raise NumericalError(f"configuration {config} has total jump rate {total:g}")
     pairs = pair.tolist() + pair[-1:].tolist()
     successors = [mask ^ (1 << i | 1 << j) for i, j in positions[pairs].tolist()]
     return (total, pairs, cumulative, successors), condition

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import Configuration, _occupancy, _probabilities, _sector_masks, _swap_ratios
+from .dpp import Configuration, _live, _occupancy, _probabilities, _sector_masks
 from .dynamics import RateModel, _pair_table, _state_edges, candidate_pairs, rate_from_ratio
 from .errors import DimensionMismatchError, NotReversibleError, NumericalError, SizeError
 from .kernel import KernelMatrix
@@ -104,8 +104,8 @@ def build_generator(
     The state list, 2^n states or C(n, sector), is capped at
     :data:`MAX_GENERATOR_STATES`: past it SizeError names the count before any
     state is listed.  The state probabilities come from one batched
-    determinant, and each swap's rate is read off its two states' ratio, from
-    :func:`dpp._swap_ratios`.
+    determinant, and each swap's rate is read off its two states' ratio, the
+    source state checked by :func:`dpp._live`.
     """
     n = k.size
     n_states = 1 << n if sector is None else math.comb(n, sector) if 0 <= sector <= n else 0
@@ -120,7 +120,7 @@ def build_generator(
     measure = weights / total
     positions, u = _pair_table(k.window, model.proximity)
     src, dst, pair = _state_edges(states, occupied, positions)
-    phi = _swap_ratios(k, occupied[src], weights[src], weights[dst])
+    phi = weights[dst] / _live(k, occupied[src], weights[src])
     q = np.zeros((len(states), len(states)))
     q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
     np.fill_diagonal(q, -q.sum(axis=1))

@@ -301,8 +301,8 @@ class KernelMatrix:
 
     Immutable after construction (the entry array is marked read-only).
     Construction checks that the entries are finite, symmetry to 1e-12 and
-    the diagonal against [0, 1]; the O(n^3) eigenvalue range check is
-    available via :meth:`validate`.
+    the diagonal against [0, 1]; :meth:`validate` checks the eigenvalues, which
+    are computed once, in O(n^3), with no eigenvector: nothing samples spectrally.
     """
 
     def __init__(self, window: Window, entries: np.ndarray):
@@ -343,16 +343,11 @@ class KernelMatrix:
         return float(self.entries[self.window.position(x), self.window.position(y)])
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthonormal eigenvectors."""
-        evals, evecs = np.linalg.eigh(self.entries)
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        return evals, evecs
-
-    @property
     def eigenvalues(self) -> np.ndarray:
-        return self.eigh[0]
+        """Eigenvalues, ascending and read-only; no eigenvectors are formed."""
+        evals = np.linalg.eigvalsh(self.entries)
+        evals.setflags(write=False)
+        return evals
 
     def validate(self) -> None:
         """Full invariant check; raises NumericalError on violation."""

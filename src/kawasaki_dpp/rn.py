@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpp import Configuration, _live, _probabilities, _swap_ratios, config_probability, sample_many
+from .dpp import Configuration, _live, _probabilities, config_probability, sample_many
 from .errors import EmptyInputError, SamePointError, SizeError, WindowMismatchError
 from .kernel import AdmissiblePair, KernelMatrix, Site, Window, kernel_matrix
 from .rng import SeededRng
@@ -69,10 +69,10 @@ def apply_transposition(config: Configuration, swap: SwapPair) -> Configuration:
 
 
 def rn_derivative(k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
-    """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the window, by :func:`dpp._swap_ratios`."""
+    """phi(gamma, x, y) = P(sigma gamma) / P(gamma) on the window; P(gamma) passes `dpp._live`."""
     rows = np.array([config.occupancy, apply_transposition(config, swap).occupancy], dtype=bool)
     own = _live(k, rows[:1], np.array([config_probability(k, config)]))
-    return float(_swap_ratios(k, rows[:1], own, _probabilities(k, rows[1:]))[0])
+    return float((_probabilities(k, rows[1:]) / own)[0])
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ def rn_stabilization(
         swapped = occupied.copy()
         swapped[:, ends] = occupied[:, ends[::-1]]
         back = _probabilities(k, swapped)
-        phi = _swap_ratios(k, occupied, own, back)
-        inverse = _swap_ratios(k, swapped, back, own)
+        phi = back / own
+        inverse = own / _live(k, swapped, back)
         worst = float(np.abs(phi * inverse - 1.0).max(initial=0.0))
         phis = phi.tolist()
         mean = sum(phis) / n_samples

@@ -107,6 +107,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: configuration 0101") and " is ill-conditioned: " in err
 
+    def test_verify_all_reports_a_suite_that_raises(self, capsys):
+        # The dynamics suite raises on -40..-20; under all it is one failed check.
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--window", "-40..-20")
+        report = json.loads(out)
+        assert (code, report["suite"], report["failures"]) == (2, "all", 1)
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["dynamics_error"]
+        code, out, err = run(capsys, "verify", "--suite", "dynamics", "--window", "-40..-20")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: configuration 1111100000 is ill-conditioned: ")
+
     @pytest.mark.parametrize("window", ["-7..6", "-10..9"])
     def test_alternating_start_passes_the_condition_guard(self, capsys, tmp_path, window):
         code, _, err = run(capsys, "simulate", "--window", window, "--output-dir", str(tmp_path))

@@ -771,14 +771,18 @@ class TestRateStore:
         with pytest.raises(AssertionError):
             rate(model, k, initial, per_pair[0][0])
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_total_rate_names_the_state(self, real_pair, window6, monkeypatch, bad):
+    @pytest.mark.parametrize("path", ["simulate", "total_jump_rate"])
+    def test_non_finite_total_rate_names_the_state(self, real_pair, window6, path):
+        # Rates of 2u (phi + 1) with u = 1e308 overflow.  Both paths refuse the
+        # state in _rate_table; an overflow RuntimeWarning would fail the test.
         k = kernel_matrix(real_pair, window6)
-        monkeypatch.setattr(dynamics, "_rate_table",
-                            lambda *args: (np.array([0]), np.array([1.0, bad]), 0.0))
-        with pytest.raises(NumericalError, match="^configuration 101000 has total jump rate"):
-            simulate(_all_models()[0], k, Configuration(window6, (1, 0, 1, 0, 0, 0)), 5.0,
-                     SeededRng(0))
+        model = RateModel.glauber_like(ProximitySpec.nearest_neighbor(1e308))
+        config = Configuration(window6, (1, 0, 1, 0, 0, 0))
+        with pytest.raises(NumericalError, match="^configuration 101000 has total jump rate inf$"):
+            if path == "simulate":
+                simulate(model, k, config, 5.0, SeededRng(0))
+            else:
+                total_jump_rate(model, k, config)
 
 
 def _mp_ratios(pair, window, occupancy, ends) -> list[float]:

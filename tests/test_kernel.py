@@ -31,6 +31,7 @@ from kawasaki_dpp.kernel import (
     write_kernel_csv,
 )
 from kawasaki_dpp.specfun import log_gamma_parts
+from kawasaki_dpp.verification import run_suite
 
 mp.mp.dps = 40
 
@@ -342,6 +343,21 @@ class TestKernelMatrix:
         assert k.size == MAX_WINDOW_SITES
         for x, y in ((w.lo, w.hi), (w.hi, w.hi), (Site(0), Site(1))):
             assert k.entry(x, y) == kernel_entry(pair, x, y)
+
+    def test_eigenvalues_take_no_eigenvectors(self, real_pair, conj_pair, monkeypatch):
+        def no_eigh(a):
+            raise AssertionError("eigenvectors were formed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for pair in (real_pair, conj_pair):
+            k = kernel_matrix(pair, Window.centered(40))
+            k.validate()
+            evals = k.eigenvalues
+            assert not evals.flags.writeable
+            assert (np.diff(evals) >= 0.0).all()
+            assert np.array_equal(evals, np.linalg.eigvalsh(k.entries))
+            assert k.eigenvalues is evals
+            assert run_suite("dpp", pair, Window.from_indices(-4, 4), seed=7).failures == 0
 
     def test_entries_read_only(self, k8):
         with pytest.raises(ValueError):

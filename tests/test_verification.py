@@ -9,6 +9,7 @@ import pytest
 
 from kawasaki_dpp import verification
 from kawasaki_dpp.dpp import Configuration, enumerate_distribution
+from kawasaki_dpp.errors import KawasakiDppError
 from kawasaki_dpp.kernel import Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition
 from kawasaki_dpp.verification import SUITE_NAMES, Report, run_suite
@@ -55,6 +56,29 @@ def test_unknown_suite_rejected(real_pair):
 
 def test_suite_names_stable():
     assert SUITE_NAMES == ("kernel", "dpp", "rn", "dynamics", "exact")
+
+
+@pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+def test_all_lists_a_suite_that_raises_as_one_failed_check(request, branch):
+    # On -40..-20 the dynamics suite's start is refused by the condition guard,
+    # and on the conjugate pair the exact suite meets a state of probability 0.
+    raising = {"real_pair": ["dynamics"], "conj_pair": ["dynamics", "exact"]}[branch]
+    pair = request.getfixturevalue(branch)
+    window = Window.from_indices(-40, -20)
+    report = run_suite("all", pair, window, seed=0)
+    want = []
+    for suite in SUITE_NAMES:
+        if suite in raising:
+            with pytest.raises(KawasakiDppError):
+                run_suite(suite, pair, window, seed=0)
+            want.append(f"{suite}_error")
+        else:
+            want.extend(c.name for c in run_suite(suite, pair, window, seed=0).checks)
+    assert [c.name for c in report.checks] == want
+    failed = [c.to_dict() for c in report.checks if not c.passed]
+    assert [(c["name"], c["value"], c["tolerance"]) for c in failed] == [
+        (f"{s}_error", 0.0, None) for s in raising]
+    assert report.failures == len(raising)
 
 
 @pytest.mark.parametrize("branch, want", [("real_pair", 1375), ("conj_pair", 1698)])

@@ -68,18 +68,22 @@ SUITE_NAMES = ("kernel", "dpp", "rn", "dynamics", "exact")
 
 @dataclass(frozen=True)
 class Check:
+    """One named result; only a ``<suite>_error`` check has a ``message``, the error's text."""
+
     name: str
     passed: bool
     value: float
     tolerance: float | None
+    message: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        fields = {
             "name": self.name,
             "passed": bool(self.passed),
             "value": self.value,
             "tolerance": self.tolerance,
         }
+        return fields if self.message is None else {**fields, "message": self.message}
 
 
 @dataclass(frozen=True)
@@ -403,15 +407,16 @@ def check_suite_window(suite: str, window: Window) -> Window:
 def run_suite(suite: str, pair: AdmissiblePair, window: Window, seed: int) -> Report:
     """Run one named suite (or ``all``) and aggregate a report.
 
-    Under ``all``, a suite that raises KawasakiDppError is one failed check ``<suite>_error``."""
+    Under ``all``, a suite that raises KawasakiDppError is one failed check ``<suite>_error``
+    whose ``message`` is the error's text."""
     check_suite_window(suite, window)
     if suite == "all":
         checks: list[Check] = []
         for name in SUITE_NAMES:
             try:
                 checks.extend(_SUITES[name](pair, window, seed))
-            except KawasakiDppError:
-                checks.append(_flag(f"{name}_error", False))
+            except KawasakiDppError as error:
+                checks.append(Check(f"{name}_error", False, 0.0, None, str(error)))
         return Report("all", tuple(checks))
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")

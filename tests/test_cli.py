@@ -112,10 +112,14 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--window", "-40..-20")
         report = json.loads(out)
         assert (code, report["suite"], report["failures"]) == (2, "all", 1)
-        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["dynamics_error"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["dynamics_error"]
         code, out, err = run(capsys, "verify", "--suite", "dynamics", "--window", "-40..-20")
         assert (code, out) == (2, "")
         assert err.startswith("error: configuration 1111100000 is ill-conditioned: ")
+        # the all report carries the text the suite alone prints
+        assert f"error: {failed[0]['message']}\n" == err
+        assert all("message" not in c for c in report["checks"] if c["passed"])
 
     @pytest.mark.parametrize("window", ["-7..6", "-10..9"])
     def test_alternating_start_passes_the_condition_guard(self, capsys, tmp_path, window):

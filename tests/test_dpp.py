@@ -106,6 +106,24 @@ def _inverse_cdf(k: KernelMatrix, u: np.ndarray) -> np.ndarray:
     return (u[:, np.newaxis] >= cumulative / cumulative[-1]).sum(axis=1)
 
 
+def _not_a_kernel(seed: int) -> KernelMatrix:
+    """Random symmetric entries with the diagonal in [0, 1] on 13 sites: accepted
+    by KernelMatrix, but not a kernel, and drawn site by site."""
+    rnd = np.random.default_rng(seed)
+    half = rnd.uniform(-0.7, 0.7, (13, 13))
+    entries = half + half.T
+    np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, 13))
+    return KernelMatrix(Window.centered(13), entries)
+
+
+def _count_passes(monkeypatch) -> list:
+    """One entry per :func:`_sequential_pass` call from now on: the size of its batch."""
+    passes, stack_pass = [], dpp_mod._sequential_pass
+    monkeypatch.setattr(dpp_mod, "_sequential_pass",
+                        lambda m, u: passes.append(m.shape[2]) or stack_pass(m, u))
+    return passes
+
+
 def _determinant(value: float) -> float:
     """The both-occupied probability of a two-site K = [[0, b], [b, 0]]: -b^2 = `value`."""
     b = math.sqrt(-value)
@@ -399,14 +417,8 @@ class TestSample:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_invalid_kernel_reports_the_stack_pass_worst(self, seed):
-        # random symmetric entries, diagonal in [0, 1]: accepted, but not a
-        # kernel; 13 sites, so draws take the stack pass
-        rnd = np.random.default_rng(seed)
-        half = rnd.uniform(-0.7, 0.7, (13, 13))
-        entries = half + half.T
-        np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, 13))
-        k = KernelMatrix(Window.centered(13), entries)
-        assert dpp_mod._law_table(k) is None
+        k = _not_a_kernel(seed)
+        assert isinstance(dpp_mod._draws(k), dpp_mod._NodeMemo)
         with np.errstate(all="ignore"):
             _, probs = _schur_pass(k, SeededRng(seed).random((50, 13)))
         for draws in (1, 50):
@@ -443,9 +455,9 @@ class TestSample:
         # up to 12 sites a draw takes one uniform and the reference is the
         # inverse CDF over the enumerated law; above, one Schur pass per draw
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size, centre))
-        table = dpp_mod._law_table(k)
-        assert (table is None) == (size > 12)  # 12 sites: the largest table
-        if table is not None:  # the law enumerate_distribution returns, normalized
+        table = dpp_mod._draws(k)
+        assert isinstance(table, dpp_mod._LawTable) == (size <= 12)  # 12 sites: the largest table
+        if size <= 12:  # the law enumerate_distribution returns, normalized
             cumulative = np.cumsum(enumerate_distribution(k).probs)
             assert table.cumulative.tobytes() == (cumulative / cumulative[-1]).tobytes()
         rng, reference_rng = SeededRng(21), SeededRng(21)
@@ -471,6 +483,59 @@ class TestSample:
         assert [c.bitmask for c in batch] == [c.bitmask for c in singles]
         # one uniform per site and draw, so both streams end in the same place
         assert batch_rng.random() == single_rng.random()
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [13, 14, 30, 40])
+    def test_memo_draws_keep_their_bytes(self, monkeypatch, request, branch, size):
+        # 200 draws on a fresh kernel, 200 on the now warm one, then a batch; then
+        # again with a memo cap so small that it is emptied over and over
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
+        reference_rng = SeededRng(21)
+        expected, _ = _schur_pass(k, reference_rng.random((600, size)))
+        after = reference_rng.random()
+        passes, single_passes = _count_passes(monkeypatch), []
+        for cap in (dpp_mod._MEMO_ENTRIES, 3 * size):
+            monkeypatch.setattr(dpp_mod, "_MEMO_ENTRIES", cap)
+            fresh, rng = KernelMatrix(k.window, k.entries), SeededRng(21)
+            draws = [sample(fresh, rng) for _ in range(200)]
+            draws += [sample(fresh, rng) for _ in range(200)]
+            nodes = dpp_mod._draws(fresh).probs
+            assert len(nodes) <= cap
+            # a tree from the root: each node's parent, its prefix with the bit of the site
+            # before it set, is kept
+            assert all(node == 1 or (node ^ 1 << depth) | 1 << depth - 1 in nodes
+                       for node in nodes for depth in [node.bit_length() - 1])
+            single_passes.append(len(passes))
+            draws += sample_many(fresh, rng, 200)
+            assert passes[single_passes[-1]:] == [200]  # the batch keeps its own pass
+            passes.clear()
+            assert [c.bitmask for c in draws] == expected.tolist()
+            assert rng.random() == after
+        # emptied, the small memo forgets draws and passes again
+        assert 0 < single_passes[0] < single_passes[1] <= 400
+
+    def test_memo_takes_a_pass_per_distinct_draw_at_most(self, monkeypatch, real_pair):
+        # a count, not a clock: on 30 sites the 250 draws hold 50 distinct masks
+        k = kernel_matrix(real_pair, Window.centered(30))
+        passes = _count_passes(monkeypatch)
+        rng = SeededRng(5, 1)
+        draws = [sample(k, rng) for _ in range(250)]
+        assert len(set(draws)) == 50
+        assert 0 < len(passes) <= 50
+        # one shared Configuration per drawn mask
+        assert len({id(c) for c in draws}) == 50
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refused_draw_records_nothing(self, seed):
+        k = _not_a_kernel(seed)
+        rng, reference_rng = SeededRng(seed), SeededRng(seed)
+        for _ in range(2):  # refused again: the first refusal left the memo empty
+            with pytest.raises(NumericalError) as expected, np.errstate(all="ignore"):
+                sample_many(k, reference_rng, 1)
+            with pytest.raises(NumericalError, match=f"^{re.escape(str(expected.value))}$"), \
+                    np.errstate(all="ignore"):
+                sample(k, rng)
+            assert dpp_mod._draws(k).probs == {}
 
     def test_sample_many_zero_count(self, k6):
         assert sample_many(k6, SeededRng(0), 0) == []

@@ -66,19 +66,23 @@ def test_all_lists_a_suite_that_raises_as_one_failed_check(request, branch):
     pair = request.getfixturevalue(branch)
     window = Window.from_indices(-40, -20)
     report = run_suite("all", pair, window, seed=0)
-    want = []
+    want, messages = [], []
     for suite in SUITE_NAMES:
         if suite in raising:
-            with pytest.raises(KawasakiDppError):
+            with pytest.raises(KawasakiDppError) as error:
                 run_suite(suite, pair, window, seed=0)
             want.append(f"{suite}_error")
+            messages.append(str(error.value))
         else:
             want.extend(c.name for c in run_suite(suite, pair, window, seed=0).checks)
     assert [c.name for c in report.checks] == want
     failed = [c.to_dict() for c in report.checks if not c.passed]
-    assert [(c["name"], c["value"], c["tolerance"]) for c in failed] == [
-        (f"{s}_error", 0.0, None) for s in raising]
+    assert failed == [{"name": f"{s}_error", "passed": False, "value": 0.0, "tolerance": None,
+                       "message": message} for s, message in zip(raising, messages)]
     assert report.failures == len(raising)
+    # every other check keeps its four keys
+    assert all(list(c.to_dict()) == ["name", "passed", "value", "tolerance"]
+               for c in report.checks if c.passed)
 
 
 @pytest.mark.parametrize("branch, want", [("real_pair", 1375), ("conj_pair", 1698)])

@@ -161,9 +161,7 @@ def _build_parser() -> _Parser:
         "seed", "initial", "replicas", "output_dir")
     add("spectrum", "z", "zp", "window", "model", "proximity", "weight", "sector",
         "out", "output_dir")
-    verify = add("verify", "z", "zp", "window", "seed", "out", "output_dir")
-    verify.add_argument("--suite", default=None,
-                        choices=list(SUITE_NAMES) + ["all"])
+    add("verify", "z", "zp", "window", "seed", "suite", "out", "output_dir")
     return parser
 
 
@@ -410,8 +408,9 @@ def _cmd_spectrum(options: _Options) -> int:
 
 
 def _cmd_verify(options: _Options) -> int:
+    suite = options.get("suite", _checked(str, lambda v: v in (*SUITE_NAMES, "all"),
+                                          f"one of {', '.join(SUITE_NAMES)} or all"))
     config = _run_config("verify", options)
-    suite = options.raw("suite")
     options.get("window", lambda text: check_suite_window(suite, parse_window_spec(text)))
     report = run_suite(suite, config.pair, config.window, config.seed)
     config.echo(suite=suite, failures=report.failures)

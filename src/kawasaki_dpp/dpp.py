@@ -7,18 +7,13 @@ site the column of I - K.  Correlation functions (inclusion probabilities)
 are principal minors of K.
 
 The module provides exact configuration probabilities, correlation minors,
-exhaustive enumeration of the full law on small windows, and an exact
-sequential Schur-complement sampler (Poulson, arXiv:1905.00165; Launay,
-Galerne and Desolneux, arXiv:1802.08429): no eigendecomposition, batched
-draws, and exact conditioning on a local pattern by forcing its sites first.
-On windows of up to 12 sites, unconditioned draws are by inverse CDF
-(Devroye, Non-Uniform Random Variate Generation, 1986, ch. III) over the
-full law, enumerated once per kernel by the same Schur steps over a prefix
-tree of the sites (:class:`_LawTable`).  On more, single draws walk a
-per-kernel memo of the conditional probabilities earlier draws visited
-(:class:`_NodeMemo`, at most 2^15 of them, under 4 MiB on 30 sites) and run
-the Schur pass only for a configuration the memo has not seen; window laws
-are concentrated, so most repeated draws take no pass.
+the full law of small windows and exact draws, free or conditioned on a
+local pattern.  Law and draws come from the same sequential Schur
+complements of K (Poulson, arXiv:1905.00165; Launay, Galerne and Desolneux,
+arXiv:1802.08429) through one rank-one step, :func:`_schur_step`, and no
+eigendecomposition.  Free draws on up to 12 sites are by inverse CDF over
+the law (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III);
+on more, single draws read a memo of visited conditional probabilities.
 """
 
 from __future__ import annotations
@@ -287,14 +282,13 @@ def correlation(k: KernelMatrix, sites: Iterable[Site]) -> float:
 def enumerate_distribution(k: KernelMatrix) -> Pmf:
     """The full law over all 2^n configurations (n <= 20), built one site per level.
 
-    Level i holds each configuration of sites 0..i-1: its probability, its
+    Level i holds each configuration of sites 0..i-1 with its probability, its
     trailing Schur complement of K in an (n - i, n - i, 2^i) stack, and q, the
     diagonal of I minus that, kept apart so that q = 1 - p keeps its digits as
-    p nears 1.  Site i splits each into an empty copy (factor q, pivot -q) and
-    then an occupied one (factor and pivot p), so bit i of the index is site i,
-    each updated as in :func:`_sequential_pass`: about 6 * 2^n entries in all.
-    A prefix of probability 0 passes 0 to all descendants, so a zero pivot
-    gives no NaN; a negative one (no valid kernel) reaches the clamp floor.
+    p nears 1.  :func:`_schur_step` splits each at site i into an empty copy
+    (factor q, pivot -q), then an occupied one (factor and pivot p): bit i of
+    the index is site i.  A prefix of probability 0 passes 0 on, so its zero
+    pivot gives no NaN; a negative one (no valid kernel) reaches the clamp floor.
     """
     n = k.size
     if n > MAX_ENUMERATION_SITES:
@@ -302,9 +296,9 @@ def enumerate_distribution(k: KernelMatrix) -> Pmf:
     m, q, probs = k.entries[:, :, None], 1.0 - np.diag(k.entries)[:, None], np.ones(1)
     with np.errstate(all="ignore"):  # the stacks of dead prefixes divide by zero
         for i in range(n):
-            factor = np.stack([q[0], m[0, 0]])  # (empty, occupied) by prefix
-            column, row = m[1:, 0, None] / (factor * [[-1.0], [1.0]]), m[0, 1:, None]
-            m = (m[1:, 1:, None] - column[:, None] * row).reshape(len(row), len(row), factor.size)
+            factor, row = np.stack([q[0], m[0, 0]]), m[0, 1:, None]  # (empty, occupied) by prefix
+            m, column = _schur_step(m[:, :, None], factor * [[-1.0], [1.0]])
+            m = m.reshape(len(row), len(row), factor.size)
             q = (q[1:, None] + column * row).reshape(len(row), factor.size)
             probs = np.where(probs == 0.0, 0.0, probs * factor).ravel()
     if not np.isfinite(probs).all():
@@ -314,21 +308,32 @@ def enumerate_distribution(k: KernelMatrix) -> Pmf:
     return Pmf(k.window, probs)
 
 
-def _sequential_pass(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw sites 0..len(u)-1 of every matrix in the stack m, shape (n, n, B), in place.
+def _schur_step(m: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition each matrix of the (r, r, ...) stack m on its site 0: the one rank-one update.
 
-    Site i is occupied when u[i] < p = m[i, i] (u = -inf forces it in, +inf
-    out); a rank-one Schur update with pivot p (in) or p - 1 (out) then
-    conditions the later sites.  A diagonal entry is final once visited, so
-    the diagonal, shape (B, len(u)), holds the conditional probabilities.
-    The batch axis is last so that each update sweeps contiguous memory.
+    Returns m[1:, 1:] - column * m[0, 1:] and the column m[1:, 0] / pivot.  The
+    caller picks the pivot, p for site 0 occupied and p - 1 or -q for it empty;
+    it broadcasts against m[0, 0], so it may widen the stack.
     """
-    for i in range(min(len(u), len(m) - 1)):
-        p = m[i, i]
-        column = m[i + 1:, i:i + 1] / (p - (u[i] >= p))
-        trailing = m[i + 1:, i + 1:]
-        trailing -= column * m[i, i + 1:]
-    return np.diagonal(m)[:, :len(u)]
+    column = m[1:, 0] / pivot
+    trailing = column[:, None] * m[0, 1:]
+    return np.subtract(m[1:, 1:], trailing, out=trailing), column
+
+
+def _sequential_pass(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw sites 0..len(u)-1 of K, given as the (n, n, 1) stack m, once per column of u.
+
+    Site i is occupied when u[i] < p, its diagonal entry given the sites before
+    it (u = -inf forces it in, +inf out); :func:`_schur_step` with pivot p (in)
+    or p - 1 (out) conditions the later sites and widens the stack to B draws.
+    Returns the (B, len(u)) conditional probabilities and the conditioned stack,
+    batch axis last so that each step sweeps contiguous memory.
+    """
+    probs = np.empty(u.shape)
+    for i, x in enumerate(u):
+        probs[i] = p = m[0, 0]
+        m, _ = _schur_step(m, p - (x >= p))
+    return probs.T, m
 
 
 def _require_probabilities(probs: np.ndarray) -> None:
@@ -377,8 +382,8 @@ class _NodeMemo(_Draws):
     """The conditional probabilities that single draws on a kernel have visited.
 
     ``probs[prefix | 1 << i]`` is P(site i occupied | sites 0..i-1 as in
-    bitmask `prefix`), as a one-draw :func:`_sequential_pass` gave it: a
-    function of the prefix alone, so a draw read off the memo equals its
+    bitmask `prefix`), as a one-draw :func:`_sequential_pass` on K itself gave
+    it: a function of the prefix alone, so a draw read off the memo equals its
     pass bit for bit.  A memo that would pass :data:`_MEMO_ENTRIES` is
     emptied in place, Configurations too, and the draw goes in from the root.
     """
@@ -400,7 +405,7 @@ class _NodeMemo(_Draws):
                 mask |= 1 << depth
         else:
             return self.config(mask)
-        visited = _sequential_pass(self.entries[:, :, np.newaxis].copy(), u[:, np.newaxis])
+        visited, _ = _sequential_pass(self.entries[:, :, np.newaxis], u[:, np.newaxis])
         _require_probabilities(visited)
         if len(self.probs) + len(u) - depth > _MEMO_ENTRIES:
             self.probs.clear()
@@ -426,20 +431,18 @@ def sample_many(
 ) -> list[Configuration]:
     """`count` exact draws, conditioned on `pattern` (a configuration on a sub-window) if given.
 
-    Unconditioned draws on up to 12 sites take one uniform each and find
-    their masks in the kernel's cumulative law (:class:`_LawTable`) with one
-    ``np.searchsorted``.  Other draws visit the sites in window order, each
-    kept with its conditional probability given the sites before it: the
-    diagonal entry of the running Schur complement of K.  They run as a
-    batch, in chunks of about 2^20 matrix entries, each draw taking one
-    uniform per free site in (draw, site) order.  Either way the draws equal
-    `count` successive :func:`sample` calls.  The pattern's sites are forced
-    first, once; its probability is the product of the forced factors p or
-    1 - p, summed in log space.  Raises WindowMismatchError for a pattern
-    outside the window, ZeroProbabilityError for one of probability below
-    1e-300, and NumericalError for a probability below the clamp floor or a
-    visited conditional probability outside [-1e-8, 1 + 1e-8], which no
-    valid kernel gives.
+    Free draws on up to 12 sites take one uniform each and find their masks
+    in the kernel's cumulative law (:class:`_LawTable`) by ``np.searchsorted``.
+    Other draws take one uniform per free site, in (draw, site) order, and
+    one :func:`_sequential_pass` per chunk of about 2^20 matrix entries.
+    Either way they equal `count` successive :func:`sample` calls.  A
+    pattern's sites are forced first, once, and the draws start from the
+    stack that pass leaves; its probability is the product of the forced
+    factors p or 1 - p, summed in log space.  Raises WindowMismatchError for
+    a pattern outside the window, ZeroProbabilityError for one of
+    probability below 1e-300, and NumericalError for a probability below the
+    clamp floor or a visited conditional probability outside
+    [-1e-8, 1 + 1e-8], which no valid kernel gives.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -457,13 +460,12 @@ def sample_many(
         m = k.entries[np.ix_(order, order)][:, :, np.newaxis]
         occupied = np.array(bits, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            probs = _sequential_pass(m, np.where(occupied, -np.inf, np.inf)[:, np.newaxis])[0]
+            (probs,), m = _sequential_pass(m, np.where(occupied, -np.inf, np.inf)[:, np.newaxis])
             log_probability = np.log(np.where(occupied, probs, 1.0 - probs)).sum()
         # NaN when a forced factor is not positive: the pattern is impossible
         if not log_probability >= math.log(_PROBABILITY_FLOOR):
             raise ZeroProbabilityError(f"pattern {pattern} has probability below 1e-300 on {k.window}")
         _require_probabilities(probs)
-        m = m[len(bits):, len(bits):]
     free = order[len(bits):]
     # Equal draws share one immutable Configuration; small windows repeat them often.
     shared: dict[tuple, Configuration] = {}
@@ -471,7 +473,7 @@ def sample_many(
     chunk = max(1, _STACK_ENTRIES // max(1, free.size ** 2))
     for first in range(0, count, chunk):
         u = rng.random((min(chunk, count - first), free.size))
-        probs = _sequential_pass(m.repeat(len(u), axis=2), u.T)
+        probs, _ = _sequential_pass(m, u.T)
         _require_probabilities(probs)
         occupancy = np.empty((len(u), k.size), dtype=np.int8)
         occupancy[:, order[:len(bits)]] = bits
@@ -487,12 +489,10 @@ def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
     On up to 12 sites it bisects the kernel's cumulative law (:class:`_LawTable`)
     with one uniform.  On more it takes one uniform per site and walks the
     kernel's memo of the conditional probabilities earlier draws visited
-    (:class:`_NodeMemo`); only at a node it lacks does it run the one-draw
-    Schur pass from the root, and it records the draw's nodes only after
-    they pass the [-1e-8, 1 + 1e-8] check.  The memo holds at most 2^15
-    probabilities (3.7 MiB with its Configurations on 30 sites, where no
-    draw repeats) and is emptied when full; a draw it gives takes a dict
-    lookup per site instead of a pass of about 6 us per site.
+    (:class:`_NodeMemo`, at most 2^15, 3.7 MiB with its Configurations on
+    30 sites); only at a node it lacks does it run the one-draw Schur pass
+    from the root, and it records the draw's nodes only after they pass the
+    [-1e-8, 1 + 1e-8] check.
     """
     return _draws(k).draw(rng)
 

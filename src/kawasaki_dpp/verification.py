@@ -5,9 +5,10 @@ and reports one named check per invariant, with the measured value and the
 tolerance it was held to.  Checks with ``tolerance=None`` are diagnostics:
 they are recorded (and must be finite) but carry no pass gate beyond that.
 
-Suites derive their working windows from the requested one, capping sizes so
-that exact enumeration stays cheap; the kernel suite uses the window as
-given (up to the eigendecomposition cap).
+Suites run on central subwindows of the window, capped so that enumeration
+stays cheap.  The kernel suite caps them at 200 sites (a/b identity), 100
+(kernel), 12 (minors) and 50 (difference operator); its projection probe
+takes the 40 sites about the window's centre.
 """
 
 from __future__ import annotations

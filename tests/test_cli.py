@@ -149,6 +149,7 @@ class TestExitCodes:
           "--sizes", ""], "--sizes"),
         (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "-1,0",
           "--sizes", "8,0"], "--sizes"),
+        (["verify", "--suite", "bogus"], "--suite"),
     ])
     def test_malformed_value_is_usage_error(self, capsys, tmp_path, argv, option):
         code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
@@ -353,6 +354,16 @@ class TestConfigFile:
         code, _, err = run(capsys, "kernel", "--config", str(config))
         assert code == 1
         assert "zoom" in err
+
+    def test_unknown_suite_in_config_is_usage_error(self, capsys, tmp_path):
+        # the flag's check holds for a value from the file too
+        config = tmp_path / "run.cfg"
+        config.write_text("suite = bogus\n")
+        code, out, err = run(capsys, "verify", "--config", str(config), "--window", "-2..2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: --suite: ")
+        assert "bogus" in err and len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:

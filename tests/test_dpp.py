@@ -120,7 +120,7 @@ def _count_passes(monkeypatch) -> list:
     """One entry per :func:`_sequential_pass` call from now on: the size of its batch."""
     passes, stack_pass = [], dpp_mod._sequential_pass
     monkeypatch.setattr(dpp_mod, "_sequential_pass",
-                        lambda m, u: passes.append(m.shape[2]) or stack_pass(m, u))
+                        lambda m, u: passes.append(u.shape[1]) or stack_pass(m, u))
     return passes
 
 
@@ -491,8 +491,12 @@ class TestSample:
         # again with a memo cap so small that it is emptied over and over
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
         reference_rng = SeededRng(21)
-        expected, _ = _schur_pass(k, reference_rng.random((600, size)))
+        expected, probs = _schur_pass(k, reference_rng.random((600, size)))
         after = reference_rng.random()
+        # node mask & (2^i - 1) | 2^i: site i given the sites of draw `mask` before it
+        reference = {mask & (1 << i) - 1 | 1 << i: p
+                     for mask, row in zip(expected.tolist(), probs.tolist())
+                     for i, p in enumerate(row)}
         passes, single_passes = _count_passes(monkeypatch), []
         for cap in (dpp_mod._MEMO_ENTRIES, 3 * size):
             monkeypatch.setattr(dpp_mod, "_MEMO_ENTRIES", cap)
@@ -501,6 +505,8 @@ class TestSample:
             draws += [sample(fresh, rng) for _ in range(200)]
             nodes = dpp_mod._draws(fresh).probs
             assert len(nodes) <= cap
+            # every kept probability is the one-draw pass's, bit for bit
+            assert nodes == {node: reference[node] for node in nodes}
             # a tree from the root: each node's parent, its prefix with the bit of the site
             # before it set, is kept
             assert all(node == 1 or (node ^ 1 << depth) | 1 << depth - 1 in nodes

@@ -105,7 +105,9 @@ def build_generator(
     :data:`MAX_GENERATOR_STATES`: past it SizeError names the count before any
     state is listed.  The state probabilities come from one batched
     determinant, and each swap's rate is read off its two states' ratio, the
-    source state checked by :func:`dpp._live`.
+    source state checked by :func:`dpp._live`.  Rates are taken with overflow
+    warnings off; NumericalError names the first state whose total rate is not
+    finite.
     """
     n = k.size
     n_states = 1 << n if sector is None else math.comb(n, sector) if 0 <= sector <= n else 0
@@ -122,8 +124,14 @@ def build_generator(
     src, dst, pair = _state_edges(states, occupied, positions)
     phi = weights[dst] / _live(k, occupied[src], weights[src])
     q = np.zeros((len(states), len(states)))
-    q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
-    np.fill_diagonal(q, -q.sum(axis=1))
+    with np.errstate(over="ignore"):
+        q[src, dst] = 2.0 * rate_from_ratio(model.kind, u[pair], phi)
+        total = q.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if len(bad):
+        config = Configuration.from_bitmask(k.window, int(states[bad[0]]))
+        raise NumericalError(f"configuration {config} has total jump rate {total[bad[0]]:g}")
+    np.fill_diagonal(q, -total)
     return GeneratorMatrix(model, k, sector, states, q, measure,
                            candidate_pairs(k.window, model.proximity))
 
@@ -184,15 +192,17 @@ def spectrum(g: GeneratorMatrix) -> SpectrumResult:
     second-largest.
     """
     residual = check_reversibility(g)
-    if residual >= _REVERSIBILITY_GATE:
+    if not residual < _REVERSIBILITY_GATE:  # NaN fails too
         raise NotReversibleError(
             f"reversibility residual {residual:g} >= {_REVERSIBILITY_GATE:g}"
         )
     if g.measure.min() <= 0.0:
         raise NumericalError("measure must be strictly positive to symmetrize")
     root = np.sqrt(g.measure)
-    symmetrized = (root[:, np.newaxis] * g.Q) / root[np.newaxis, :]
-    symmetrized = 0.5 * (symmetrized + symmetrized.T)
+    symmetrized = root[:, np.newaxis] * g.Q
+    symmetrized /= root
+    symmetrized += symmetrized.T
+    symmetrized *= 0.5
     ascending = np.linalg.eigvalsh(symmetrized)
     descending = ascending[::-1].copy()
     descending.setflags(write=False)
@@ -200,32 +210,48 @@ def spectrum(g: GeneratorMatrix) -> SpectrumResult:
     return SpectrumResult(descending, gap)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by Pade-13 scaling and squaring.
+def _expm(q: np.ndarray, t: float) -> np.ndarray:
+    """exp(t q) by Pade-13 scaling and squaring.
 
     Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): a is scaled by 2^-s
-    so that its 1-norm is at most theta_13, the [13/13] Pade approximant
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): a = t q is scaled by
+    2^-s so that its 1-norm is at most theta_13, the [13/13] Pade approximant
     r = (V - U)^-1 (V + U) is formed, and r is squared s times.  Scaling by a
-    power of two is exact, so a = 0 gives the identity exactly.
+    power of two is exact, so t = 0 gives the identity exactly.  NumericalError
+    if t q has no finite 1-norm.
+
+    At most 8 n x n arrays are live besides q: a, scaled in place, the
+    (3, n, n) powers A^2, A^4, A^6 and the (4, n, n) sums W1, W2, Z1, Z2.
+    Later products go to dead slots (A^6 W1 to A^2's, U to A^4's, V to W1's,
+    V - U and V + U to Z1's and Z2's), and a and the powers are dropped before
+    the solve, which holds the sums and LAPACK's two copies.
     """
-    n = len(a)
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    n = len(q)
+    with np.errstate(over="ignore"):
+        a = t * q
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise NumericalError(f"t * Q has 1-norm {norm:g}, not finite")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = np.ldexp(a, -s)
+    np.ldexp(a, -s, out=a)
     powers = np.empty((3, n, n))  # A^2, A^4, A^6
     np.matmul(a, a, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
     np.matmul(powers[1], powers[0], out=powers[2])
     # b13 A6 + b11 A4 + b9 A2, then the b7, b12 and b6 sums, in one product
-    w1, w2, z1, z2 = (_PADE13_SUMS @ powers.reshape(3, -1)).reshape(4, n, n)
+    sums = (_PADE13_SUMS @ powers.reshape(3, -1)).reshape(4, n, n)
+    w1, w2, z1, z2 = sums
     w2.flat[::n + 1] += _B[1]
     z2.flat[::n + 1] += _B[0]
-    w2 += powers[2] @ w1
-    u = a @ w2
-    v = powers[2] @ z1
+    w2 += np.matmul(powers[2], w1, out=powers[0])
+    u = np.matmul(a, w2, out=powers[1])
+    v = np.matmul(powers[2], z1, out=w1)
     v += z2
-    r = np.linalg.solve(v - u, v + u)
+    np.subtract(v, u, out=z1)
+    np.add(v, u, out=z2)
+    del a, powers, u, v, w1, w2
+    r = np.linalg.solve(z1, z2)
+    del sums, z1, z2
     for _ in range(s):
         r = r @ r
     return r
@@ -235,8 +261,10 @@ def transition_matrix(g: GeneratorMatrix, t: float) -> np.ndarray:
     """exp(t Q): the time-t Markov transition kernel of the chain, by Pade-13 (:func:`_expm`).
 
     It is taken of Q itself: exp of the symmetrized generator, conjugated
-    back, loses up to 8e-3 where the measure spans many decades.
+    back, loses up to 8e-3 where the measure spans many decades.  It holds at
+    most 8 n x n arrays besides Q (see :func:`_expm`).  NumericalError if t Q
+    is not finite.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    return _expm(t * g.Q)
+    return _expm(g.Q, t)

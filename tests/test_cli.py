@@ -101,6 +101,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: generator capped at 4096 states, got 48620\n"
 
+    def test_non_finite_generator_rate_is_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--model", "glauber-like", "--weight", "1e308",
+                             "--window", "-3..2", "--sector", "3", "--output-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: configuration 111000 has total jump rate inf\n"
+
     def test_ill_conditioned_start_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--window", "-14..13",
                            "--output-dir", str(tmp_path))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from kawasaki_dpp.dynamics import ProximitySpec, RateModel, rate
 from kawasaki_dpp.errors import (
     DimensionMismatchError,
     NotReversibleError,
+    NumericalError,
     SizeError,
     ZeroProbabilityError,
 )
 from kawasaki_dpp.exact import (
+    _B,
+    _PADE13_SUMS,
+    _THETA13,
     GeneratorMatrix,
     build_generator,
     check_reversibility,
@@ -52,6 +57,29 @@ def _scalar_moves(g: GeneratorMatrix):
             swapped = apply_transposition(config, swap)
             if swapped != config:
                 yield i, g.index_of(swapped.bitmask), config, swap
+
+
+def _expm_reference(a: np.ndarray) -> np.ndarray:
+    """Pade-13 scaling and squaring as first written, one new array per product: the bit pin."""
+    n = len(a)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = np.ldexp(a, -s)
+    powers = np.empty((3, n, n))  # A^2, A^4, A^6
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    w1, w2, z1, z2 = (_PADE13_SUMS @ powers.reshape(3, -1)).reshape(4, n, n)
+    w2.flat[::n + 1] += _B[1]
+    z2.flat[::n + 1] += _B[0]
+    w2 += powers[2] @ w1
+    u = a @ w2
+    v = powers[2] @ z1
+    v += z2
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 class TestSectorMasks:
@@ -138,6 +166,13 @@ class TestBuildGenerator:
             build_generator(_models()[0], k, sector=1)
         with pytest.raises(ZeroProbabilityError):
             build_generator(_models()[2], k)
+
+    @pytest.mark.parametrize("weight,state", [(1e308, "111000"), (3e306, "011100")])
+    def test_non_finite_rate_names_the_state(self, k6, weight, state):
+        # 1e308: a rate overflows; 3e306: the rates are finite but a row total is not
+        model = RateModel.glauber_like(ProximitySpec.nearest_neighbor(weight))
+        with pytest.raises(NumericalError, match=f"^configuration {state} has total jump rate inf$"):
+            build_generator(model, k6, sector=3)
 
     def test_size_caps(self, real_pair, monkeypatch):
         # The state count is capped before any state is listed or determinant taken.
@@ -254,6 +289,23 @@ class TestSpectrum:
         result = spectrum(g)
         assert result.spectral_gap == pytest.approx(SPECTRAL_GAP_PIN, rel=1e-9)
 
+    @pytest.mark.parametrize("sector", [3, None])
+    def test_symmetrizes_bitwise_as_written(self, k6, sector):
+        for model in _models():
+            g = build_generator(model, k6, sector=sector)
+            root = np.sqrt(g.measure)
+            symmetrized = (root[:, np.newaxis] * g.Q) / root[np.newaxis, :]
+            want = np.linalg.eigvalsh(0.5 * (symmetrized + symmetrized.T))[::-1]
+            assert np.array_equal(spectrum(g).eigenvalues, want)
+
+    def test_nan_residual_is_not_reversible(self, k6):
+        states = np.array([1, 2, 4])
+        q = np.array([[-1.0, 1.0, 0.0], [math.nan, -1.0, 1.0], [0.0, 1.0, -1.0]])
+        g = GeneratorMatrix(_models()[0], k6, 1, states, q, np.full(3, 1.0 / 3.0), ())
+        assert math.isnan(check_reversibility(g))
+        with pytest.raises(NotReversibleError, match="^reversibility residual nan >= 1e-08$"):
+            spectrum(g)
+
     def test_not_reversible_error(self, k6):
         # directed 3-cycle: stationary for uniform measure but not reversible
         states = np.array([1, 2, 4])
@@ -296,6 +348,37 @@ class TestTransitionMatrix:
     def test_time_zero_is_exactly_the_identity(self, k8):
         g = build_generator(_models()[0], k8, sector=3)
         assert np.array_equal(transition_matrix(g, 0.0), np.eye(g.n_states))
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("sector", [3, None])
+    def test_equals_the_reference_expm_bitwise(self, request, branch, sector):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(-4, 3))
+        for model in _models():
+            g = build_generator(model, k, sector=sector)
+            scalings = set()
+            for t in (0.0, 0.01, 1.0, 50.0):
+                norm = float(np.abs(t * g.Q).sum(axis=0).max())
+                scalings.add(max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0)
+                assert np.array_equal(transition_matrix(g, t), _expm_reference(t * g.Q)), t
+            assert 0 in scalings and max(scalings) > 0
+
+    def test_peak_memory_is_eight_arrays(self, real_pair):
+        g = build_generator(_models()[0], kernel_matrix(real_pair, Window.from_indices(-5, 4)),
+                            sector=5)
+        n = g.n_states
+        assert n == 252
+        tracemalloc.start()
+        try:
+            transition_matrix(g, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * n * n * 8
+
+    def test_non_finite_t_q_raises(self, k6):
+        g = build_generator(_models()[0], k6, sector=3)
+        with pytest.raises(NumericalError, match=r"^t \* Q has 1-norm inf, not finite$"):
+            transition_matrix(g, 1e308)
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     @pytest.mark.parametrize("window,sector", [(Window.from_indices(-4, 3), 3),

@@ -68,6 +68,8 @@ _HALF_WIDTH = 0.5 + 1e-8
 _PROBABILITY_FLOOR = 1e-300
 # Conditional probabilities kept per kernel by :class:`_NodeMemo`.
 _MEMO_ENTRIES = 1 << 15
+# Probabilities write_pmf_csv converts to Python floats at a time, not as one list.
+_CSV_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -516,14 +518,23 @@ def empirical_correlation(samples: Sequence[Configuration], sites: Iterable[Site
 
 def write_pmf_csv(pmf: Pmf, path) -> None:
     """Export a pmf as CSV: ``bitmask,probability`` with %.17g entries."""
-    write_csv(path, "bitmask,probability", "%d,%.17g", enumerate(pmf.probs.tolist()))
+    probs = pmf.probs
+    write_csv(path, "bitmask,probability",
+              ("%d,%.17g" % row for start in range(0, len(probs), _CSV_ROWS)
+               for row in enumerate(probs[start:start + _CSV_ROWS].tolist(), start)))
 
 
 def write_samples_csv(samples: Sequence[Configuration], path) -> None:
-    """Export samples as CSV: ``sample_index,<x=...>,...`` with 0/1 entries."""
+    """Export samples as CSV: ``sample_index,<x=...>,...`` with 0/1 entries.
+
+    Each distinct Configuration object's occupancy is formatted once, keyed
+    by identity as in ``write_trajectory_csv``: :func:`sample_many` shares
+    one Configuration per drawn mask.
+    """
     if not samples:
         raise EmptyInputError("no samples")
     window = samples[0].window
     header = "sample_index," + ",".join(f"x={s}" for s in window.sites)
-    write_csv(path, header, "%d" + ",%d" * window.size,
-              ((i, *c.occupancy) for i, c in enumerate(samples)))
+    occupancy = ",".join(["%d"] * window.size)
+    texts = {key: occupancy % c.occupancy for key, c in {id(c): c for c in samples}.items()}
+    write_csv(path, header, (f"{i},{texts[id(c)]}" for i, c in enumerate(samples)))

@@ -550,8 +550,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """
     swaps = {id(swap): swap for _, swap in trajectory.events}
     labels = {key: f"{swap.x},{swap.y}" for key, swap in swaps.items()}
-    write_csv(path, "time,x,y", "%.17g,%s",
-              ((when, labels[id(swap)]) for when, swap in trajectory.events))
+    write_csv(path, "time,x,y",
+              ("%.17g,%s" % (when, labels[id(swap)]) for when, swap in trajectory.events))
 
 
 def trajectory_sidecar(trajectory: Trajectory, z: complex, z_prime: complex, model: RateModel) -> dict:

@@ -40,6 +40,8 @@ __all__ = [
 MAX_GENERATOR_STATES = 4096
 
 _REVERSIBILITY_GATE = 1e-8
+# Largest |row sum - 1| transition_matrix returns; its callers check the same 1e-9.
+_ROW_SUM_TOLERANCE = 1e-9
 
 # Coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, divided by
 # b_0 so that V = I + ... and exp(0) comes out as the identity exactly, and the
@@ -252,8 +254,9 @@ def _expm(q: np.ndarray, t: float) -> np.ndarray:
     del a, powers, u, v, w1, w2
     r = np.linalg.solve(z1, z2)
     del sums, z1, z2
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
+        for _ in range(s):
+            r = r @ r
     return r
 
 
@@ -263,8 +266,17 @@ def transition_matrix(g: GeneratorMatrix, t: float) -> np.ndarray:
     It is taken of Q itself: exp of the symmetrized generator, conjugated
     back, loses up to 8e-3 where the measure spans many decades.  It holds at
     most 8 n x n arrays besides Q (see :func:`_expm`).  NumericalError if t Q
-    is not finite.
+    is not finite, or if a row sum of the result is off from 1 by more than
+    1e-9: the squarings lose accuracy as t grows (on a 20-state sector the
+    error is 5e-13 at t = 1e3, 4.5e-6 at t = 1e10, and the rows vanish or
+    overflow beyond t = 1e20), while t <= 50 stays within 7e-12.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    return _expm(g.Q, t)
+    p_t = _expm(g.Q, t)
+    with np.errstate(invalid="ignore"):  # inf - inf in an overflowed row
+        error = float(np.abs(p_t.sum(axis=1) - 1.0).max(initial=0.0))
+    if not error <= _ROW_SUM_TOLERANCE:  # NaN fails too
+        raise NumericalError(f"exp(t Q) at t = {t:g} has a row sum off from 1 by {error:g}, "
+                             f"above {_ROW_SUM_TOLERANCE:g}")
+    return p_t

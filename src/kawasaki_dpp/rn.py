@@ -163,5 +163,6 @@ def rn_stabilization(
 
 def write_stabilization_csv(table: StabilizationTable, path) -> None:
     """Export as CSV: ``window_size,phi_mean,phi_std,n_samples``."""
-    write_csv(path, "window_size,phi_mean,phi_std,n_samples", "%d,%.17g,%.17g,%d",
-              ((r.window_size, r.phi_mean, r.phi_std, r.n_samples) for r in table.rows))
+    write_csv(path, "window_size,phi_mean,phi_std,n_samples",
+              ("%d,%.17g,%.17g,%d" % (r.window_size, r.phi_mean, r.phi_std, r.n_samples)
+               for r in table.rows))

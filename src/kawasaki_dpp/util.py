@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,9 @@ __all__ = ["format_complex", "parse_complex", "parse_window_spec", "format_float
            "write_csv", "write_json"]
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+
+# Characters of CSV lines joined into one write; bounds what a writer holds.
+_CHUNK_CHARS = 1 << 16
 
 
 def format_float(x: float) -> str:
@@ -26,12 +30,15 @@ def format_complex(value: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a``, ``a+bi`` or ``a-bi`` literals (also accepts j)."""
+    """Parse ``a``, ``a+bi`` or ``a-bi`` literals (also accepts j); both parts must be finite."""
     cleaned = text.strip().replace(" ", "")
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_window_spec(text: str) -> Window:
@@ -47,9 +54,28 @@ def parse_window_spec(text: str) -> Window:
     return Window.from_indices(lo, hi)
 
 
-def write_csv(path, header: str, row_format: str, rows: Iterable[tuple]) -> None:
-    """Write ``header`` and then one ``row_format % row`` line per row."""
-    Path(path).write_text("\n".join([header, *(row_format % row for row in rows)]) + "\n")
+def write_csv(path, header: str, lines: Iterable[str]) -> None:
+    """Write ``header`` and then each of ``lines``, each ended by a newline.
+
+    Every CSV artifact goes through here.  Lines are joined and written in
+    chunks of about 64 Ki characters (a chunk ends after the line that
+    reaches the bound), so neither the whole text nor its encoded copy is
+    ever held.  The writers pass generators that format each line as it is
+    asked for, and each distinct value once: a kernel entry's text serves
+    its bitwise-equal mirror, and a draw's or a swap's text every row that
+    holds the same object.
+    """
+    with open(path, "w") as out:
+        chunk, size = [header], len(header)
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS:
+                chunk.append("")
+                out.write("\n".join(chunk))
+                chunk, size = [], 0
+        chunk.append("")
+        out.write("\n".join(chunk))
 
 
 def write_json(payload, path) -> None:

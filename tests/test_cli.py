@@ -31,6 +31,9 @@ class TestParsing:
         assert parse_complex("-1.25-2i") == -1.25 - 2j
         with pytest.raises(ValueError):
             parse_complex("nonsense")
+        for text in ("nan", "1e400", "-1e400", "1.5+nani", "0.3-1e400i"):
+            with pytest.raises(ValueError, match="is not finite$"):
+                parse_complex(text)
 
     def test_format_complex_roundtrip(self):
         for value in (1.5 + 0j, 0.3 + 0.4j, -2.0 - 0.125j):
@@ -86,6 +89,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "kernel", "--z", "0.5", "--zp", "1.5")
         assert code == 1
         assert "--z" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("admissible", "--z", "nan", "--zp", "1.7"), "--z"),
+        (("admissible", "--z", "1.5", "--zp=-1e400"), "--zp"),
+        (("kernel", "--z", "1e400", "--zp", "1.7", "--window", "0..3"), "--z"),
+        (("kernel", "--z", "nan", "--window", "0..3"), "--z"),
+        (("kernel", "--z", "0.3+0.4i", "--zp", "0.3-1e400i", "--window", "0..3"), "--zp"),
+    ])
+    def test_non_finite_parameter_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {flag}: complex literal ")
+        assert err.endswith(" is not finite\n") and err.count("\n") == 1
 
     def test_numeric_failure_is_exit_2(self, capsys):
         # enumeration cap exceeded inside the library layer

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,19 @@ class TestTransitionMatrix:
         g = build_generator(_models()[0], k6, sector=3)
         with pytest.raises(NumericalError, match=r"^t \* Q has 1-norm inf, not finite$"):
             transition_matrix(g, 1e308)
+
+    def test_row_sums_hold_up_to_large_times(self, k6):
+        g = build_generator(_models()[0], k6, sector=3)
+        assert float(np.abs(transition_matrix(g, 1e3).sum(axis=1) - 1.0).max()) <= 1e-9
+
+    @pytest.mark.parametrize("t, error", [(1e15, "0.2"), (1e20, "1"), (1e306, "inf")])
+    def test_inaccurate_result_raises(self, k6, t, error):
+        # the squarings lose the rows' sums: 0.28 off at 1e15, all-zero rows at 1e20,
+        # an overflow (no RuntimeWarning, which the test settings make an error) at 1e306
+        g = build_generator(_models()[0], k6, sector=3)
+        message = rf"^exp\(t Q\) at t = {re.escape(f'{t:g}')} has a row sum off from 1 by {error}"
+        with pytest.raises(NumericalError, match=message + r"\S*, above 1e-09$"):
+            transition_matrix(g, t)
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     @pytest.mark.parametrize("window,sector", [(Window.from_indices(-4, 3), 3),

@@ -134,6 +134,14 @@ class TestAdmissibility:
         with pytest.raises(DomainError):
             AdmissiblePair(0.5, 1.5)
 
+    @pytest.mark.parametrize("z,zp", [(math.nan, 1.7), (math.inf, 1.7), (1.5, -math.inf),
+                                      (complex(0.3, math.inf), complex(0.3, -math.inf)),
+                                      (complex(math.nan, 0.4), complex(math.nan, -0.4))])
+    def test_non_finite_parameters_inadmissible(self, z, zp):
+        assert not is_admissible(z, zp)
+        with pytest.raises(DomainError, match="is not an admissible pair$"):
+            AdmissiblePair(z, zp)
+
     def test_branch_classification(self, real_pair, conj_pair):
         assert real_pair.branch is Branch.REAL_INTERVAL
         assert conj_pair.branch is Branch.CONJUGATE_PAIR

@@ -8,17 +8,20 @@ bytes must be equal.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kawasaki_dpp import SeededRng, kernel_matrix, sample_many
+from kawasaki_dpp import SeededRng, enumerate_distribution, kernel_matrix, sample_many
 from kawasaki_dpp.dpp import Configuration, Pmf, write_pmf_csv, write_samples_csv
 from kawasaki_dpp.dynamics import (ProximitySpec, RateModel, Trajectory, simulate,
                                    trajectory_sidecar, write_trajectory_csv,
                                    write_trajectory_sidecar)
-from kawasaki_dpp.kernel import Site, Window, write_kernel_csv
+from kawasaki_dpp.kernel import KernelMatrix, Site, Window, write_kernel_csv
 from kawasaki_dpp.rn import StabilizationRow, StabilizationTable, SwapPair, write_stabilization_csv
+from kawasaki_dpp.util import _CHUNK_CHARS
 from kawasaki_dpp.verification import Check, Report
 
 
@@ -81,6 +84,39 @@ def test_kernel_csv(tmp_path, request, branch, lo, hi):
     assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
 
 
+def test_kernel_csv_mirrors_that_differ_in_the_last_bit(tmp_path, real_pair):
+    window = Window.from_indices(-20, 19)
+    entries = kernel_matrix(real_pair, window).entries.copy()
+    # below the diagonal, within and across blocks of rows; one above it
+    for i, j in ((1, 0), (39, 0), (25, 3), (33, 32), (39, 38)):
+        entries[i, j] = np.nextafter(entries[i, j], np.inf)
+    entries[5, 30] = np.nextafter(entries[5, 30], -np.inf)
+    k = KernelMatrix(window, entries)
+    assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
+    row = (tmp_path / "written").read_text().splitlines()[40].split(",")
+    assert row[1] == f"{entries[39, 0]:.17g}" != f"{entries[0, 39]:.17g}"
+
+
+def test_kernel_csv_mirrored_signed_zeros(tmp_path):
+    zero = np.array([[0.5, 0.0, -0.0], [-0.0, 0.5, 0.0], [0.0, -0.0, 0.5]])
+    k = KernelMatrix(Window.from_indices(0, 2), zero)
+    assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
+    assert (tmp_path / "written").read_text() == (
+        "x\\y,0.5,1.5,2.5\n0.5,0.5,0,-0\n1.5,-0,0.5,0\n2.5,0,-0,0.5\n")
+
+
+def test_kernel_csv_peak_memory(tmp_path, real_pair):
+    # The whole-file writer peaked at 7.1 MiB here, twice the 3.5 MiB file.
+    k = kernel_matrix(real_pair, Window.from_indices(-200, 199))
+    tracemalloc.start()
+    try:
+        write_kernel_csv(k, tmp_path / "kernel.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def test_pmf_csv_edge_values(tmp_path):
     pmf = Pmf(Window.from_indices(0, 1), [5e-324, -0.0, 0.1, 0.9])
     assert_same_bytes(tmp_path, write_pmf_csv, reference_pmf_csv, pmf)
@@ -88,9 +124,38 @@ def test_pmf_csv_edge_values(tmp_path):
         "0,4.9406564584124654e-324", "1,-0"]
 
 
+def test_pmf_csv_spans_chunks(tmp_path, real_pair):
+    pmf = enumerate_distribution(kernel_matrix(real_pair, Window.from_indices(-7, 5)))
+    assert_same_bytes(tmp_path, write_pmf_csv, reference_pmf_csv, pmf)
+    assert len((tmp_path / "written").read_text().splitlines()) == 8193
+    assert (tmp_path / "written").stat().st_size > 2 * _CHUNK_CHARS
+
+
+def test_pmf_csv_peak_memory(tmp_path, real_pair):
+    # The whole-file writer peaked at 7.3 MiB here, for a 1.8 MB file.
+    pmf = enumerate_distribution(kernel_matrix(real_pair, Window.from_indices(-8, 7)))
+    tracemalloc.start()
+    try:
+        write_pmf_csv(pmf, tmp_path / "pmf.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 * 2**20
+
+
 def test_samples_csv(tmp_path, conj_pair):
     draws = sample_many(kernel_matrix(conj_pair, Window.from_indices(-4, 4)), SeededRng(7), 200)
     assert_same_bytes(tmp_path, write_samples_csv, reference_samples_csv, draws)
+
+
+def test_samples_csv_shared_and_distinct_objects(tmp_path):
+    window = Window.from_indices(-2, 2)
+    shared = Configuration(window, (1, 0, 1, 0, 0))
+    samples = [shared, Configuration(window, (1, 0, 1, 0, 0)), shared, Configuration.empty(window),
+               Configuration.full(window), shared, Configuration(window, (0, 1, 0, 1, 1))]
+    assert_same_bytes(tmp_path, write_samples_csv, reference_samples_csv, samples)
+    assert (tmp_path / "written").read_text().splitlines()[1:4] == [
+        "0,1,0,1,0,0", "1,1,0,1,0,0", "2,1,0,1,0,0"]
 
 
 def test_trajectory_csv_without_events(tmp_path):

@@ -14,6 +14,8 @@ arXiv:1802.08429) through one rank-one step, :func:`_schur_step`, and no
 eigendecomposition.  Free draws on up to 12 sites are by inverse CDF over
 the law (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III);
 on more, single draws read a memo of visited conditional probabilities.
+Passes on more than 48 sites are blocked: rank-one steps on a strip of 48
+columns, then one product for the trailing block.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ _STACK_ENTRIES = 1 << 20
 _HALF_WIDTH = 0.5 + 1e-8
 # Configurations and patterns less likely than this count as impossible.
 _PROBABILITY_FLOOR = 1e-300
+# Sites of a Schur pass drawn by rank-one steps on a strip before one product
+# updates the trailing block; passes on at most this many sites take steps only.
+_PANEL = 48
 # Conditional probabilities kept per kernel by :class:`_NodeMemo`.
 _MEMO_ENTRIES = 1 << 15
 # Probabilities write_pmf_csv converts to Python floats at a time, not as one list.
@@ -323,18 +328,41 @@ def _schur_step(m: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _sequential_pass(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Draw sites 0..len(u)-1 of K, given as the (n, n, 1) stack m, once per column of u.
+    """Draw sites 0..len(u)-1 of K from the (n, n) kernel m and the (len,) uniforms u,
+    or from the (n, n, 1) stack m once per column of the (len, B) uniforms u.
 
     Site i is occupied when u[i] < p, its diagonal entry given the sites before
     it (u = -inf forces it in, +inf out); :func:`_schur_step` with pivot p (in)
     or p - 1 (out) conditions the later sites and widens the stack to B draws.
-    Returns the (B, len(u)) conditional probabilities and the conditioned stack,
-    batch axis last so that each step sweeps contiguous memory.
+    Each step updates a block of at most :data:`_PANEL` sites whole, so such
+    windows keep their bits.  On a larger block the next :data:`_PANEL` sites
+    step on the strip of their columns, then T - C R^T updates the trailing
+    block T: C and R hold the strip's divided and undivided columns on T's
+    rows, and by symmetry R's columns are the rows the steps would read.
+    Later sites then move by rounding (about 1e-14); each draw's product is
+    the same BLAS call in any batch.  Returns the (B, len(u)) or (len(u),)
+    conditional probabilities and the conditioned stack.
     """
     probs = np.empty(u.shape)
-    for i, x in enumerate(u):
-        probs[i] = p = m[0, 0]
-        m, _ = _schur_step(m, p - (x >= p))
+    for start in range(0, len(u), _PANEL):
+        if len(m) <= _PANEL:
+            for i in range(start, len(u)):
+                probs[i] = p = m[0, 0]
+                m, _ = _schur_step(m, p - (u[i] >= p))
+            break
+        width = min(_PANEL, len(u) - start)
+        # widened to u's batch, each draw's strip contiguous
+        strip = np.broadcast_to(m[:, :width], (len(m), width) + u.shape[1:]).T.copy().T
+        rows = np.empty(u.shape[1:] + (width, len(m) - width))  # R^T and C: one BLAS call per draw
+        columns = np.empty(u.shape[1:] + (len(m) - width, width))
+        for i, x in enumerate(u[start:start + width]):
+            probs[start + i] = p = strip[0, 0]
+            rows[..., i, :] = strip[width - i:, 0].T
+            strip, column = _schur_step(strip, p - (x >= p))
+            columns[..., i] = column[width - i - 1:].T
+        trailing = columns @ rows
+        np.subtract(np.moveaxis(m[width:, width:], (0, 1), (-2, -1)), trailing, out=trailing)
+        m = np.moveaxis(trailing, (-2, -1), (0, 1))
     return probs.T, m
 
 
@@ -407,13 +435,13 @@ class _NodeMemo(_Draws):
                 mask |= 1 << depth
         else:
             return self.config(mask)
-        visited, _ = _sequential_pass(self.entries[:, :, np.newaxis], u[:, np.newaxis])
+        visited, _ = _sequential_pass(self.entries, u)
         _require_probabilities(visited)
         if len(self.probs) + len(u) - depth > _MEMO_ENTRIES:
             self.probs.clear()
             self.configs.clear()
             mask, depth = 0, 0
-        for i, p in enumerate(visited[0, depth:].tolist(), depth):
+        for i, p in enumerate(visited[depth:].tolist(), depth):
             self.probs[mask | 1 << i] = p
             if uniforms[i] < p:
                 mask |= 1 << i

@@ -30,10 +30,10 @@ def format_complex(value: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a``, ``a+bi`` or ``a-bi`` literals (also accepts j); both parts must be finite."""
+    """Parse ``a``, ``a+bi`` or ``a-bi`` literals (a trailing i or j); both parts must be finite."""
     cleaned = text.strip().replace(" ", "")
     try:
-        value = complex(cleaned.replace("i", "j"))
+        value = complex(re.sub("i$", "j", cleaned))
     except ValueError:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
     if not cmath.isfinite(value):

@@ -22,7 +22,8 @@ from kawasaki_dpp.kernel import Window
 
 @pytest.fixture(scope="session")
 def run_python():
-    """``run(args, cwd)``: ``python *args`` in a subprocess, on this suite's package source.
+    """``run(args, cwd, **variables)``: ``python *args`` in a subprocess, on this suite's
+    package source, with the given environment variables set.
 
     The source root of the package this process imported goes first on the
     child's PYTHONPATH, absolute, so the child runs the same code from any
@@ -32,8 +33,8 @@ def run_python():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
 
-    def run(args: list[str], cwd) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    def run(args: list[str], cwd, **variables: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=cwd, env={**env, **variables},
                               capture_output=True, text=True, timeout=300)
 
     return run

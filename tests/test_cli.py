@@ -31,7 +31,8 @@ class TestParsing:
         assert parse_complex("-1.25-2i") == -1.25 - 2j
         with pytest.raises(ValueError):
             parse_complex("nonsense")
-        for text in ("nan", "1e400", "-1e400", "1.5+nani", "0.3-1e400i"):
+        for text in ("nan", "1e400", "-1e400", "1.5+nani", "0.3-1e400i", "inf", "-inf", "+inf",
+                     "1+infi", "-infi", "infi", "inf+1i", "nan-infi"):
             with pytest.raises(ValueError, match="is not finite$"):
                 parse_complex(text)
 
@@ -96,6 +97,10 @@ class TestExitCodes:
         (("kernel", "--z", "1e400", "--zp", "1.7", "--window", "0..3"), "--z"),
         (("kernel", "--z", "nan", "--window", "0..3"), "--z"),
         (("kernel", "--z", "0.3+0.4i", "--zp", "0.3-1e400i", "--window", "0..3"), "--zp"),
+        (("admissible", "--z", "inf", "--zp", "1.7"), "--z"),
+        (("admissible", "--z", "1.5", "--zp=-inf"), "--zp"),
+        (("admissible", "--z", "1+infi", "--zp", "1-infi"), "--z"),
+        (("kernel", "--z", "0.3+0.4i", "--zp", "0.3-infi", "--window", "0..3"), "--zp"),
     ])
     def test_non_finite_parameter_is_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -199,6 +204,21 @@ class TestParserBuiltOnce:
             fresh = run_python(["-m", "kawasaki_dpp", *argv], tmp_path)
             assert (code, out) == (fresh.returncode, fresh.stdout)
             assert without_timestamp(err) == without_timestamp(fresh.stderr)
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, run_python):
+    # 200 sites: each draw's pass updates its trailing blocks by BLAS products
+    samples = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads_{threads}"
+        run_dir.mkdir()
+        proc = run_python(["-m", "kawasaki_dpp", "sample", "--window", "-100..99",
+                           "--n-samples", "3", "--out", "samples.csv"], run_dir,
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        samples.append((run_dir / "samples.csv").read_bytes())
+    assert samples[0] == samples[1]
+    assert len(samples[0].splitlines()) == 4
 
 
 class TestOneSiteVerify:

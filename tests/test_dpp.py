@@ -117,10 +117,12 @@ def _not_a_kernel(seed: int) -> KernelMatrix:
 
 
 def _count_passes(monkeypatch) -> list:
-    """One entry per :func:`_sequential_pass` call from now on: the size of its batch."""
+    """One entry per :func:`_sequential_pass` call from now on: the size of its batch,
+    1 for a single draw's 1-D uniforms."""
     passes, stack_pass = [], dpp_mod._sequential_pass
     monkeypatch.setattr(dpp_mod, "_sequential_pass",
-                        lambda m, u: passes.append(u.shape[1]) or stack_pass(m, u))
+                        lambda m, u: passes.append(u.shape[1] if u.ndim > 1 else 1)
+                        or stack_pass(m, u))
     return passes
 
 
@@ -472,7 +474,11 @@ class TestSample:
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     @pytest.mark.parametrize("size, count", [
         pytest.param(20, 1, id="1"), pytest.param(20, 7, id="7"), pytest.param(20, 4096, id="4096"),
-        pytest.param(8, 20_000, id="8_sites-20000")])
+        pytest.param(8, 20_000, id="8_sites-20000"),
+        # above the panel, singles pass the 2-D kernel and batches an (n, n, B) stack
+        *(pytest.param(size, count, id=f"{size}_sites-{count}")
+          for size in (49, 100, 200) for count in (1, 2, 7)),
+        pytest.param(200, 30, id="200_sites-30")])
     def test_sample_many_matches_repeated_sample(self, request, branch, size, count):
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
         if size > 12 and count > 7:  # the stack pass, which runs in chunks
@@ -582,6 +588,57 @@ class TestSample:
         pattern = Configuration(Window.from_indices(2, 3), (0, 0))
         with pytest.raises(WindowMismatchError):
             sample_many(k6, SeededRng(0), 5, pattern=pattern)
+
+
+class TestBlockedPass:
+    """Passes on more than ``_PANEL`` sites: rank-one steps on a strip of the next
+    ``_PANEL`` sites, then one product for the trailing block."""
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [dpp_mod._PANEL, 100, 250, 400])
+    def test_matches_the_unblocked_pass(self, request, branch, size):
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
+        u = SeededRng(31).random((3, size))
+        _, reference = _schur_pass(k, u)
+        probs, _ = dpp_mod._sequential_pass(k.entries[:, :, np.newaxis], u.T)
+        singles = [dpp_mod._sequential_pass(k.entries, row)[0] for row in u]
+        assert probs.tobytes() == np.array(singles).tobytes()
+        # up to the panel width, and on the first panel of a wider window, the
+        # steps are the unblocked ones
+        panel = dpp_mod._PANEL
+        assert probs[:, :panel].tobytes() == reference[:, :panel].tobytes()
+        assert np.abs(probs - reference).max() <= 1e-12
+        assert ((u < probs) == (u < reference)).all()  # no draw flipped
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("forced", [5, 60])
+    def test_forcing_within_1e_12_of_unblocked_forcing(self, request, branch, forced):
+        # a drawn pattern on the first sites of a 120-site window: 5 sites take
+        # one narrow strip, 60 a full panel and then a strip of 12
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(120))
+        bits = np.array(sample(k, SeededRng(13)).occupancy[:forced], dtype=bool)
+        probs, stack = dpp_mod._sequential_pass(k.entries[:, :, np.newaxis],
+                                                np.where(bits, -np.inf, np.inf)[:, np.newaxis])
+        m = k.entries
+        for bit in bits:
+            column = m[1:, 0] / (m[0, 0] - (not bit))
+            m = m[1:, 1:] - column[:, np.newaxis] * m[0, 1:]
+        assert stack.shape == (120 - forced, 120 - forced, 1)
+        assert np.abs(stack[:, :, 0] - m).max() <= 1e-12
+        assert np.where(bits, probs[0], 1.0 - probs[0]).min() > 0.0
+
+    @pytest.mark.parametrize("size, count", [(1000, 1), (200, 8)])
+    def test_holds_two_stacks_at_most(self, real_pair, size, count):
+        # a trailing block's product is subtracted from in place, as each step's is
+        k = kernel_matrix(real_pair, Window.centered(size))
+        tracemalloc.start()
+        try:
+            draws = sample_many(k, SeededRng(3), count) if count > 1 else [sample(k, SeededRng(3))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == count
+        assert peak <= 2.2 * size ** 2 * count * 8
 
 
 class TestEmpiricalCorrelation:

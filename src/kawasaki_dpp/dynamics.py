@@ -319,13 +319,12 @@ def total_jump_rate(
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
-    positions, u = _pair_table(k.window, model.proximity)
+    store = _rate_store(k)
+    positions, u, swaps = store.pairs(model.proximity)
     pair, rates, _ = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
-                                 _rate_store(k))
+                                 store)
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
-    sites = k.window.sites
-    return total, [(SwapPair(sites[i], sites[j]), r)
-                   for (i, j), r in zip(positions[pair].tolist(), rates.tolist())]
+    return total, list(zip(map(swaps.__getitem__, pair.tolist()), rates.tolist()))
 
 
 @dataclass
@@ -391,6 +390,10 @@ class _RateStore:
     empty site give M and (2K - I) S: (K, I - 2K) and (I - K, 2K - I), stacked so one
     ``np.where`` makes both; and the column abs-sums of K and of I - K, so ||M||_1 is one
     masked max.
+
+    By proximity it keeps the window's :func:`_pair_table` and :func:`candidate_pairs`, so
+    the events of every :func:`simulate` call, and :func:`total_jump_rate`'s pairs, share
+    one SwapPair per pair, built once.
     """
 
     def __init__(self, k: KernelMatrix):
@@ -400,6 +403,15 @@ class _RateStore:
         self.column_sums = np.abs(k.entries).sum(axis=0), np.abs(complement).sum(axis=0)
         self.tables: dict[RateModel, dict[int, tuple]] = {}
         self.entries = 0
+        self.window = k.window
+        self.candidates: dict[ProximitySpec, tuple] = {}
+
+    def pairs(self, proximity: ProximitySpec) -> tuple:
+        """The window's pair positions and weights under `proximity`, and each pair's SwapPair."""
+        if proximity not in self.candidates:
+            self.candidates[proximity] = (*_pair_table(self.window, proximity),
+                                          candidate_pairs(self.window, proximity))
+        return self.candidates[proximity]
 
     def keep(self, model: RateModel, mask: int, table: tuple) -> None:
         """Store `table`, of state `mask` under `model`; a full store is emptied in place."""
@@ -462,55 +474,59 @@ def simulate(
     the tables the run built.
 
     Each event takes two uniforms from `rng`, the wait and then the choice,
-    and the final wait past t_max takes one.  They are drawn in blocks, and
+    and the final wait past t_max takes one.  They are drawn in blocks, each
+    wait u giving the exponential -log1p(-u) by ``math.log1p``, and on every
+    exit (the horizon, an absorbing state, or a state refused with an error)
     `rng` is left exactly where one scalar draw per uniform would leave it.
     """
     if initial.window != k.window:
         raise WindowMismatchError("initial configuration window differs from kernel window")
     if not 0.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
-    positions, u = _pair_table(k.window, model.proximity)
     store = _rate_store(k)
+    positions, u, swaps = store.pairs(model.proximity)
     tables = store.tables.setdefault(model, {})
     generator = rng.generator
     bits = generator.bit_generator
     mask, t, misses, worst = initial.bitmask, 0.0, 0, 0.0
     times, chosen = [], []
-    absorbed = False
-    # `block` was drawn from state `before`, and `used` of its uniforms are taken;
-    # its waits, at even places, are already exponential: -log1p(-uniform).
-    before, used, block = bits.state, 0, []
+    add_time, add_pair = times.append, chosen.append
+    absorbed, waited = False, 0
+    # `block` is drawn from state `before`, after `start` events; each event since
+    # takes two of its uniforms, and the wait past t_max one more (`waited`).
+    before, start = bits.state, 0
     try:
         while True:
-            table = tables.get(mask)
-            if table is None:
-                table, condition = _mask_table(model, k, mask, positions, u)
-                store.keep(model, mask, table)
-                misses += 1
-                worst = max(worst, condition)
-            total, pairs, cumulative, successors = table
-            if total <= 0.0:
-                absorbed = True
-                break
-            if used == len(block):
-                before, used = bits.state, 0
-                block = generator.random(_UNIFORM_BLOCK).tolist()
-                block[::2] = [-math.log1p(-w) for w in block[::2]]
-            t_next = t + block[used] / total
-            if t_next > t_max:
-                used += 1
-                break
-            choice = bisect_right(cumulative, block[used + 1] * total)
-            used += 2
-            mask = successors[choice]
-            t = t_next
-            times.append(t)
-            chosen.append(pairs[choice])
+            block = generator.random(_UNIFORM_BLOCK)
+            # lw = log1p(-u) <= 0 for the wait's uniform u, and t - lw / total is
+            # t + (-lw) / total to the bit: negation is exact, rounding sign-symmetric.
+            for lw, v in zip(map(math.log1p, (-block[::2]).tolist()), block[1::2].tolist()):
+                table = tables.get(mask)
+                if table is None:
+                    table, condition = _mask_table(model, k, mask, positions, u)
+                    store.keep(model, mask, table)
+                    misses += 1
+                    worst = max(worst, condition)
+                total, pairs, cumulative, successors = table
+                if total <= 0.0:
+                    absorbed = True
+                    break
+                t_next = t - lw / total
+                if t_next > t_max:
+                    waited = 1
+                    break
+                choice = bisect_right(cumulative, v * total)
+                mask = successors[choice]
+                t = t_next
+                add_time(t)
+                add_pair(pairs[choice])
+            else:  # the block is used up
+                before, start = bits.state, len(times)
+                continue
+            break
     finally:
         bits.state = before
-        generator.random(used)
-    sites, ends = k.window.sites, positions.tolist()
-    swaps = {p: SwapPair(sites[ends[p][0]], sites[ends[p][1]]) for p in set(chosen)}
+        generator.random(2 * (len(times) - start) + waited)
     events = list(zip(times, map(swaps.__getitem__, chosen)))
     return Trajectory(rng.seed, rng.stream, initial, events, t_max, absorbed, misses, worst,
                       mask)

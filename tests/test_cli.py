@@ -221,6 +221,23 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, run_python):
     assert len(samples[0].splitlines()) == 4
 
 
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, run_python):
+    # 40 sites: every rate table the two replicas build is a 40-by-40 LAPACK solve
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads_{threads}"
+        proc = run_python(["-m", "kawasaki_dpp", "simulate", "--window", "-20..19",
+                           "--initial", "dpp", "--t-max", "60", "--seed", "3",
+                           "--proximity", "range:4", "--model", "sqrt-ratio", "--replicas", "2",
+                           "--output-dir", str(run_dir)], tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in run_dir.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["trajectory_000.csv", "trajectory_000.json",
+                                  "trajectory_001.csv", "trajectory_001.json"]
+    assert [len(outputs[0][f"trajectory_00{i}.csv"].splitlines()) for i in (0, 1)] == [896, 878]
+
+
 class TestOneSiteVerify:
     # One site holds every check but the rn suite's, which swaps two sites.
     @pytest.mark.parametrize("suite", ["kernel", "dpp", "dynamics", "exact"])

@@ -78,9 +78,9 @@ def _pmf_entry(value: float) -> float:
     return float(pmf.probs[1])
 
 
-def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Bitmasks of the draws for the (B, n) uniforms `u`, one Schur pass per draw,
-    and the (B, n) conditional probabilities they visit.
+    as Python ints of any width, and the (B, n) conditional probabilities they visit.
 
     A copy of the stack pass that unconditioned draws take on windows of
     more than 12 sites: site i is occupied when u[:, i] is below the running
@@ -93,7 +93,9 @@ def _schur_pass(k: KernelMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         column = m[i + 1:, i:i + 1] / (p - (u[:, i] >= p))
         m[i + 1:, i + 1:] -= column * m[i, i + 1:]
     probs = np.diagonal(m)
-    return ((u < probs) << np.arange(k.size)).sum(axis=1), probs
+    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+             for row in u < probs]
+    return masks, probs
 
 
 def _inverse_cdf(k: KernelMatrix, u: np.ndarray) -> np.ndarray:
@@ -452,7 +454,8 @@ class TestSample:
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
     @pytest.mark.parametrize("size, centre", [(1, 0), (2, -20), (8, 0), (8, 17), (12, 0),
-                                              (12, -20), (13, 0), (13, -20), (14, 0), (14, 17)])
+                                              (12, -20), (13, 0), (13, -20), (14, 0), (14, 17),
+                                              (100, 0)])
     def test_draws_match_one_schur_pass_per_draw(self, request, branch, size, centre):
         # up to 12 sites a draw takes one uniform and the reference is the
         # inverse CDF over the enumerated law; above, one Schur pass per draw
@@ -465,10 +468,10 @@ class TestSample:
         rng, reference_rng = SeededRng(21), SeededRng(21)
         draws = [sample(k, rng) for _ in range(200)] + sample_many(k, rng, 500)
         if size <= 12:
-            expected = _inverse_cdf(k, reference_rng.random(700))
+            expected = _inverse_cdf(k, reference_rng.random(700)).tolist()
         else:
             expected, _ = _schur_pass(k, reference_rng.random((700, size)))
-        assert [c.bitmask for c in draws] == expected.tolist()
+        assert [c.bitmask for c in draws] == expected
         assert rng.random() == reference_rng.random()
 
     @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
@@ -501,7 +504,7 @@ class TestSample:
         after = reference_rng.random()
         # node mask & (2^i - 1) | 2^i: site i given the sites of draw `mask` before it
         reference = {mask & (1 << i) - 1 | 1 << i: p
-                     for mask, row in zip(expected.tolist(), probs.tolist())
+                     for mask, row in zip(expected, probs.tolist())
                      for i, p in enumerate(row)}
         passes, single_passes = _count_passes(monkeypatch), []
         for cap in (dpp_mod._MEMO_ENTRIES, 3 * size):
@@ -521,7 +524,7 @@ class TestSample:
             draws += sample_many(fresh, rng, 200)
             assert passes[single_passes[-1]:] == [200]  # the batch keeps its own pass
             passes.clear()
-            assert [c.bitmask for c in draws] == expected.tolist()
+            assert [c.bitmask for c in draws] == expected
             assert rng.random() == after
         # emptied, the small memo forgets draws and passes again
         assert 0 < single_passes[0] < single_passes[1] <= 400

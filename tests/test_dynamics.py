@@ -638,6 +638,36 @@ class TestSimulateStream:
         monkeypatch.setattr(dynamics, "_rate_table", trapping)
         self._assert_stream_ends_at(model, k, initial, 300.0, _UNIFORM_BLOCK)
 
+    @pytest.mark.parametrize("after", [100, 400], ids=["first_block", "later_block"])
+    def test_refusal_mid_run_leaves_the_stream_after_its_events(self, conj_pair, monkeypatch,
+                                                                after):
+        # The table of the first state reached anew after `after` events is
+        # refused: the stream is left past the two uniforms of each event before it.
+        window = Window.from_indices(-6, 5)
+        model = _all_models(PROXIMITIES["range:3"])[0]
+        initial = Configuration(window, tuple(i % 2 for i in range(window.size)))
+        events, _, _, _ = _loop_simulate(model, kernel_matrix(conj_pair, window), initial, 300.0,
+                                         SeededRng(8, 3))
+        states = [initial]
+        for _, swap in events:
+            states.append(apply_transposition(states[-1], swap))
+        taken = next(e for e in range(after, len(states)) if states[e] not in states[:e])
+        assert (taken < _UNIFORM_BLOCK // 2) == (after < _UNIFORM_BLOCK // 2)
+        refused_build = len(set(states[:taken])) + 1
+        build, built = dynamics._rate_table, []
+
+        def refusing(*args):
+            built.append(args[0])
+            if len(built) == refused_build:
+                raise NumericalError("refused")
+            return build(*args)
+
+        monkeypatch.setattr(dynamics, "_rate_table", refusing)
+        rng = SeededRng(8, 3)
+        with pytest.raises(NumericalError, match="^refused$"):
+            simulate(model, kernel_matrix(conj_pair, window), initial, 300.0, rng)
+        assert rng.random() == SeededRng(8, 3).random(2 * taken + 1)[-1]
+
 
 def _counting_rate_table(monkeypatch) -> list:
     """Patch dynamics._rate_table to record one entry per table built."""

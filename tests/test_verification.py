@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kawasaki_dpp import verification
-from kawasaki_dpp.dpp import Configuration, enumerate_distribution
+from kawasaki_dpp.dpp import Configuration, correlation, enumerate_distribution
 from kawasaki_dpp.errors import KawasakiDppError
-from kawasaki_dpp.kernel import Window, kernel_matrix
+from kawasaki_dpp.kernel import KernelMatrix, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition
 from kawasaki_dpp.verification import SUITE_NAMES, Report, run_suite
 
@@ -146,3 +148,22 @@ def test_particle_conservation_fails_on_a_no_op_event(real_pair, monkeypatch):
     checks = {c.name: c for c in verification.verify_dynamics(real_pair, WINDOW, seed=7)}
     assert checks["trajectory_seed_determinism"].passed
     assert not checks["trajectory_particle_conservation"].passed
+
+
+@pytest.mark.parametrize("size", [3, 9])
+def test_principal_minors_min_is_the_worst_correlation(real_pair, monkeypatch, size):
+    # Symmetric entries with negative minors stand in for the window's kernel:
+    # the check reads the smallest correlation over subsets of 1 to 4 sites.
+    window = Window.centered(size)
+    rnd = np.random.default_rng(size)
+    half = rnd.uniform(-0.7, 0.7, (size, size))
+    entries = half + half.T
+    np.fill_diagonal(entries, rnd.uniform(0.0, 1.0, size))
+    fake = KernelMatrix(window, entries)
+    monkeypatch.setattr(verification, "kernel_matrix",
+                        lambda pair, w: fake if w == window else kernel_matrix(pair, w))
+    check = next(c for c in verification.verify_kernel(real_pair, window, seed=0)
+                 if c.name == "principal_minors_min")
+    want = min(correlation(fake, subset) for count in range(1, min(size, 4) + 1)
+               for subset in itertools.combinations(window.sites, count))
+    assert want < -1e-10 and check.value == want and not check.passed

@@ -63,9 +63,9 @@ __all__ = [
 # simulate draws its uniforms this many at a time; even, as an event takes two.
 _UNIFORM_BLOCK = 512
 
-# A rate table's swap ratios are read off G = M^-1 (2K - I).  Their relative
-# error is estimated as cond_1(M), taken as ||M||_1 ||G||_1, times the error of
-# a kernel entry against an mpmath kernel; a state whose estimate exceeds the
+# A rate table's swap ratios are read off B = A^-1, A = K - diag(1 - eta).  Their
+# relative error is estimated as cond_1(A) = ||A||_1 ||B||_1 times the error of a
+# kernel entry against an mpmath kernel; a state whose estimate exceeds the
 # tolerance is refused.  Against that oracle the estimate bounds the observed
 # ratio error (see tests/test_dynamics.py::TestConditionGuard).
 _KERNEL_ERROR = 1.5e-14
@@ -245,47 +245,47 @@ def _state_edges(
 
 
 def _rate_table(
-    model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray,
-    store: _RateStore,
+    model: RateModel, k: KernelMatrix, occupied: np.ndarray, positions: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(pair index, rate 2c) of each positive-rate swap out of bool row `occupied`, and cond_1(M).
+    """(pair index, rate 2c) of each positive-rate swap out of bool row `occupied`, and cond_1(A).
 
-    M takes K's column at each occupied site and I - K's at each empty one, so
-    P(eta) = det M.  Swapping unequal sites i, j adds s_c (2K - I)[:, c] to columns
-    c = i, j of M, with s_c = -1 at the occupied site and +1 at the empty one.  So
-    with S = diag(s) and H = M^-1 (2K - I) S, one solve, the determinant lemma
-    gives phi = det(I + H[idx, idx]) = (1 + H_ii)(1 + H_jj) - H_ij H_ji for every
-    pair, idx = [i, j]; H is G = M^-1 (2K - I) with its columns signed.  No
-    probability is taken.  In order: the solve, whose LinAlgError (M exactly
-    singular) is a ZeroProbabilityError naming the state; the condition guard,
-    NumericalError when the ratios' error estimate cond_1(M) * 1.5e-14, with
-    cond_1(M) estimated as ||M||_1 ||H||_1, exceeds :data:`_RATIO_TOLERANCE`;
-    then phi.  A ratio in [-estimate, 0) is noise around an exact zero: it is set
-    to 0; a lower one is a NumericalError naming the state, and so is a total rate
-    that is not finite (rates are taken with overflow warnings off).  A state
-    without moves takes no solve, and its estimate is 0.
+    A = K - diag(1 - eta), K less 1 on the diagonal at empty sites, is symmetric,
+    and A diag(+-1), +1 at occupied sites, is the matrix M of K's columns at
+    occupied sites and I - K's at empty ones: P(eta) = |det A| and cond_1(M) =
+    cond_1(A) = ||A||_1 ||B||_1 with B = A^-1, one inverse (a table peaks at about
+    3 n^2 doubles: A, B and one absolute value).  Swapping occupied o and empty e
+    changes A's diagonal by -1 at o and +1 at e, so the determinant lemma gives
+    phi = (1 - B_oo)(1 + B_ee) + B_oe^2 for every pair; no probability is taken.
+    In order: the inverse, whose LinAlgError (A exactly singular) is a
+    ZeroProbabilityError naming the state; the condition guard, NumericalError
+    when the ratios' error estimate cond_1(A) * 1.5e-14 exceeds
+    :data:`_RATIO_TOLERANCE`; then phi.  A ratio in [-estimate, 0) is noise around
+    an exact zero: it is set to 0; a lower one is a NumericalError naming the
+    state, and so is a total rate that is not finite (rates are taken with
+    overflow warnings off).  A state without moves takes no inverse; its estimate
+    is 0.
     """
     sides = occupied[positions]
     pair = np.flatnonzero(sides[:, 0] != sides[:, 1])
     if not len(pair):
         return pair, np.empty(0), 0.0
-    m, signed = np.where(occupied, *store.columns)
+    a = k.entries - np.diag(~occupied)
     try:
-        h = np.linalg.solve(m, signed)
+        b = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         config = Configuration(k.window, tuple(map(int, occupied)))
         raise ZeroProbabilityError(
             f"configuration {config} has probability 0; ratio undefined") from None
-    condition = float(np.where(occupied, *store.column_sums).max() * np.abs(h).sum(axis=0).max())
+    condition = float(np.abs(a).sum(axis=0).max() * np.abs(b).sum(axis=0).max())
     error = condition * _KERNEL_ERROR
     if not error <= _RATIO_TOLERANCE:  # NaN fails too
         config = Configuration(k.window, tuple(map(int, occupied)))
         raise NumericalError(
             f"configuration {config} is ill-conditioned: swap ratios may be off by "
             f"{error:.2g} relative (cond_1 about {condition:.2g}), above {_RATIO_TOLERANCE:g}")
-    ends = positions[pair]
-    block = h[ends[:, :, np.newaxis], ends[:, np.newaxis, :]]
-    phi = (1.0 + block[:, 0, 0]) * (1.0 + block[:, 1, 1]) - block[:, 0, 1] * block[:, 1, 0]
+    shifted = np.where(occupied, 1.0 - b.diagonal(), 1.0 + b.diagonal())
+    i, j = positions[pair].T
+    phi = shifted[i] * shifted[j] + b[i, j] ** 2
     lowest = phi.min()
     if lowest < -error:
         config = Configuration(k.window, tuple(map(int, occupied)))
@@ -314,15 +314,14 @@ def total_jump_rate(
     generator sums over ordered pairs and c is symmetric); equal-occupancy
     pairs are omitted since swapping them does nothing, and so are pairs of
     rate zero.  Pairs come in :func:`candidate_pairs` order.  The ratios
-    come from :func:`_rate_table` (one solve, no determinant), which refuses a
-    state whose total is not finite; the total is summed in pair order.
+    come from :func:`_rate_table` (one inverse of the symmetric A, no
+    determinant), which refuses a state whose total is not finite; the total is
+    summed in pair order.
     """
     if config.window != k.window:
         raise WindowMismatchError("configuration window differs from kernel window")
-    store = _rate_store(k)
-    positions, u, swaps = store.pairs(model.proximity)
-    pair, rates, _ = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u,
-                                 store)
+    positions, u, swaps = _rate_store(k).pairs(model.proximity)
+    pair, rates, _ = _rate_table(model, k, np.array(config.occupancy, dtype=bool), positions, u)
     total = float(np.cumsum(rates)[-1]) if len(rates) else 0.0
     return total, list(zip(map(swaps.__getitem__, pair.tolist()), rates.tolist()))
 
@@ -337,8 +336,8 @@ class Trajectory:
     events: list[tuple[float, SwapPair]]
     t_max: float
     absorbed: bool = False
-    # What the run took, outside equality: rate tables built, the largest cond_1
-    # estimate of its tables, and the final bitmask (None: replay).
+    # What the run took, outside equality: rate tables built, the largest cond_1(A)
+    # of its tables, and the final bitmask (None: replay).
     rate_table_misses: int = field(default=0, compare=False)
     worst_condition: float = field(default=0.0, compare=False)
     final_mask: int | None = field(default=None, compare=False)
@@ -376,7 +375,7 @@ class Trajectory:
 
 
 class _RateStore:
-    """One kernel's rate tables, by rate model and state bitmask, and what their solves share.
+    """One kernel's rate tables, by rate model and state bitmask, and its candidate pairs.
 
     A table is ``(total, pairs, cumulative, successors)``: the total exit rate, then the
     pair-table index, running rate sum and resulting bitmask of each positive-rate swap, as
@@ -384,12 +383,8 @@ class _RateStore:
     ``bisect_right`` returns into `cumulative` reads a move.  Tables are pure in the kernel,
     so every :func:`simulate` call on it shares them.  Rates and successors count against
     the 2^20-entry budget of a determinant stack; a table that would overflow it clears the
-    tables first.
-
-    For :func:`_rate_table` it also keeps ``columns``, the columns that an occupied and an
-    empty site give M and (2K - I) S: (K, I - 2K) and (I - K, 2K - I), stacked so one
-    ``np.where`` makes both; and the column abs-sums of K and of I - K, so ||M||_1 is one
-    masked max.
+    tables first.  It keeps no n x n array: :func:`_rate_table` builds A from the kernel's
+    entries per table.
 
     By proximity it keeps the window's :func:`_pair_table` and :func:`candidate_pairs`, so
     the events of every :func:`simulate` call, and :func:`total_jump_rate`'s pairs, share
@@ -397,10 +392,6 @@ class _RateStore:
     """
 
     def __init__(self, k: KernelMatrix):
-        complement = np.eye(k.size) - k.entries
-        reflected = k.entries - complement
-        self.columns = np.stack([k.entries, -reflected]), np.stack([complement, reflected])
-        self.column_sums = np.abs(k.entries).sum(axis=0), np.abs(complement).sum(axis=0)
         self.tables: dict[RateModel, dict[int, tuple]] = {}
         self.entries = 0
         self.window = k.window
@@ -434,7 +425,7 @@ def _rate_store(k: KernelMatrix) -> _RateStore:
 def _mask_table(
     model: RateModel, k: KernelMatrix, mask: int, positions: np.ndarray, u: np.ndarray
 ) -> tuple[tuple[float, list[int], list[float], list[int]], float]:
-    """The :class:`_RateStore` table of the state with bitmask `mask`, and its cond_1 estimate.
+    """The :class:`_RateStore` table of the state with bitmask `mask`, and its cond_1(A).
 
     The bool occupancy row is unpacked from the mask's bytes, so a mask of
     any width works.
@@ -442,7 +433,7 @@ def _mask_table(
     n = k.size
     occupied = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8),
                              count=n, bitorder="little").view(bool)
-    pair, rates, condition = _rate_table(model, k, occupied, positions, u, _rate_store(k))
+    pair, rates, condition = _rate_table(model, k, occupied, positions, u)
     cumulative = np.cumsum(rates).tolist()
     total = cumulative[-1] if cumulative else 0.0
     pairs = pair.tolist() + pair[-1:].tolist()
@@ -467,11 +458,11 @@ def simulate(
     replicas and continuations of one run, share it (the swap ratio depends
     on the whole configuration, so a swap invalidates every pair's rate;
     caching by state keeps revisits cheap without approximating).  A missing
-    table costs one solve and no determinant (see :func:`_rate_table`); a state
-    whose ratios are ill-conditioned raises NumericalError.  If the total rate
-    hits zero the state is absorbing and the trajectory idles until t_max.
-    The trajectory keeps the final bitmask and the largest cond_1 estimate of
-    the tables the run built.
+    table costs one inverse of the symmetric A = K - diag(1 - eta) and no
+    determinant (see :func:`_rate_table`); a state whose ratios are
+    ill-conditioned raises NumericalError.  If the total rate hits zero the state
+    is absorbing and the trajectory idles until t_max.  The trajectory keeps the
+    final bitmask and the largest cond_1(A) of the tables the run built.
 
     Each event takes two uniforms from `rng`, the wait and then the choice,
     and the final wait past t_max takes one.  They are drawn in blocks, each

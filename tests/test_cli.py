@@ -222,7 +222,7 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path, run_python):
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, run_python):
-    # 40 sites: every rate table the two replicas build is a 40-by-40 LAPACK solve
+    # 40 sites: every rate table the two replicas build is a 40-by-40 LAPACK inverse
     outputs = []
     for threads in ("1", "2"):
         run_dir = tmp_path / f"threads_{threads}"

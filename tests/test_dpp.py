@@ -210,11 +210,13 @@ class TestConfigProbability:
             with pytest.raises(NumericalError,
                                match="^configuration 101 has determinant -inf, not finite$"):
                 call()
-        # The rate tables take no determinant: the condition guard refuses the state.
-        for call in (lambda: total_jump_rate(model, k, config),
-                     lambda: simulate(model, k, config, 1.0, SeededRng(0))):
-            with pytest.raises(NumericalError, match="^configuration 101 is ill-conditioned"):
-                call()
+        # The rate tables take no determinant.  A = K - diag(1 - eta) has entries
+        # of 1e200 and an inverse of 5e-201, and cond_1(A) = 3: both moves have
+        # phi = 1 (exactly so, by mpmath at 50 digits), so each rate 2 min(phi, 1) is 2.
+        total, per_pair = total_jump_rate(model, k, config)
+        assert total == 4.0 and [r for _, r in per_pair] == [2.0, 2.0]
+        trajectory = simulate(model, k, config, 1.0, SeededRng(0))
+        assert trajectory.n_events > 0 and trajectory.worst_condition == pytest.approx(3.0)
         # the sector's first state, bitmask 3
         with pytest.raises(NumericalError, match="^configuration 110 has determinant -inf,"):
             build_generator(model, k, sector=2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -286,8 +287,8 @@ class TestTotalJumpRate:
         assert total == pytest.approx(sum(r for _, r in per_pair))
 
     def test_rates_are_twice_c(self, k6):
-        # The table's ratios come from one solve and rate's from two determinants:
-        # they agree to 1.3e-13 relative here.
+        # The table's ratios come from one inverse and rate's from two determinants:
+        # they agree to 3.7e-13 relative here.
         model = _all_models()[1]
         config = Configuration(k6.window, (0, 1, 1, 0, 1, 0))
         _, per_pair = total_jump_rate(model, k6, config)
@@ -311,7 +312,7 @@ class TestTotalJumpRate:
                             if r > 0.0:
                                 want_pairs.append((swap, r))
                                 want_total += r
-                    # Solve against determinants: 5.5e-15 relative at most on these draws.
+                    # Inverse against determinants: 8.3e-15 relative at most on these draws.
                     total, per_pair = total_jump_rate(model, k, config)
                     assert [swap for swap, _ in per_pair] == [swap for swap, _ in want_pairs]
                     assert [r for _, r in per_pair] == pytest.approx([r for _, r in want_pairs],
@@ -360,7 +361,7 @@ class TestTotalJumpRate:
         probs = _probabilities(k, swapped)
         assert max(stacks) <= _STACK_ENTRIES < sum(stacks)
         monkeypatch.undo()
-        # The table, from one solve, against those determinants: 1e-12 relative.
+        # The table, from one inverse, against those determinants: 1e-12 relative.
         _, per_pair = total_jump_rate(model, k, config)
         index = {(positions[p, 0], positions[p, 1]): p for p in range(len(positions))}
         for swap, r in per_pair:
@@ -415,24 +416,24 @@ class TestDeterminantCount:
             call()
             return len(stacks), sum(stacks)
 
-        solves = []
-        solve = np.linalg.solve
+        inverses = []
+        inv = np.linalg.inv
 
-        def recording_solve(a, b):
-            solves.append(a.shape)
-            return solve(a, b)
+        def recording_inv(a):
+            inverses.append(a.shape)
+            return inv(a)
 
         monkeypatch.setattr(np.linalg, "det", recording_det)
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
         assert counts(lambda: rn_derivative(k, config, swap)) == (2, 2)
-        # One solve for its 5 ratios, and no determinant
+        # One inverse for its 5 ratios, and no determinant
         assert counts(lambda: total_jump_rate(model, k, config)) == (0, 0)
-        assert solves == [(8, 8)]
+        assert inverses == [(8, 8)]
         _, per_pair = total_jump_rate(model, k, config)
         assert len(per_pair) == 5
         for move, r in per_pair:
             assert r == pytest.approx(2.0 * rate(model, k, config, move), rel=1e-12)
-        solves.clear()
+        inverses.clear()
         assert counts(lambda: symmetry_check(model, k, config, swap)) == (2, 2)
         pattern = Configuration(Window.from_indices(0, 1), (1, 0))
         sizes = [4, 6, 8]
@@ -440,7 +441,7 @@ class TestDeterminantCount:
                                                    sizes, SeededRng(1), n_samples=10))
         assert calls == 2 * len(sizes)
         assert counts(lambda: build_generator(model, k, sector=4))[0] == 1
-        assert solves == []
+        assert inverses == []
 
 
 class TestSimulate:
@@ -488,8 +489,7 @@ class TestSimulate:
         estimates = []
         for mask in first.state_occupation():
             occupied = np.array(Configuration.from_bitmask(k.window, mask).occupancy, dtype=bool)
-            estimates.append(dynamics._rate_table(model, k, occupied, positions, u,
-                                                  dynamics._RateStore(k))[2])
+            estimates.append(dynamics._rate_table(model, k, occupied, positions, u)[2])
         assert first.rate_table_misses == len(estimates)
         assert first.worst_condition == max(estimates) > 1e6
         # A rerun builds no table, so it reports none.
@@ -757,26 +757,26 @@ class TestRateStore:
                     fresh = KernelMatrix(window, k.entries)
                     assert dynamics._mask_table(model, fresh, mask, positions, u)[0] == table
 
-    def test_chain_takes_one_solve_per_table(self, real_pair, monkeypatch):
-        # The three models' chains take one solve per table and no determinant.
+    def test_chain_takes_one_inverse_per_table(self, real_pair, monkeypatch):
+        # The three models' chains take one inverse per table and no determinant.
         k = kernel_matrix(real_pair, Window.centered(10))
         initial = Configuration(k.window, tuple(i % 2 for i in range(10)))
-        solves = []
-        solve = np.linalg.solve
+        inverses = []
+        inv = np.linalg.inv
 
-        def recording_solve(a, b):
-            solves.append(a.tobytes())
-            return solve(a, b)
+        def recording_inv(a):
+            inverses.append(a.tobytes())
+            return inv(a)
 
         monkeypatch.setattr(np.linalg, "det", _no_determinant)
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
         runs = [simulate(model, k, initial, 500.0, SeededRng(42, 1)) for model in _all_models()]
         monkeypatch.undo()
         store = k._rate_store
         misses = sum(t.rate_table_misses for t in runs)
-        assert misses == len(solves) == sum(map(len, store.tables.values()))
-        # Each model solves each of its states once; the models share states.
-        assert len(set(solves)) == len(set().union(*store.tables.values())) < misses
+        assert misses == len(inverses) == sum(map(len, store.tables.values()))
+        # Each model inverts each of its states' A once; the models share states.
+        assert len(set(inverses)) == len(set().union(*store.tables.values())) < misses
         # Against the determinant reference: each state's ratios are those of
         # rn_derivative within the state's own error estimate.
         metropolis = _all_models()[0]
@@ -784,11 +784,27 @@ class TestRateStore:
         for mask in store.tables[metropolis]:
             config = Configuration.from_bitmask(k.window, mask)
             pair, rates, condition = dynamics._rate_table(
-                metropolis, k, np.array(config.occupancy, dtype=bool), positions, u, store)
+                metropolis, k, np.array(config.occupancy, dtype=bool), positions, u)
             for p, r in zip(pair.tolist(), rates.tolist()):
                 swap = SwapPair(k.window.sites[positions[p, 0]], k.window.sites[positions[p, 1]])
                 phi = rn_derivative(k, config, swap)
                 assert abs(r / 2.0 - min(phi, 1.0)) <= condition * dynamics._KERNEL_ERROR * phi
+
+    def test_store_keeps_no_square_array(self, real_pair):
+        # 1024 sites: a table peaks at about 3 n^2 doubles (A, its inverse and
+        # one absolute value), and the store keeps none of them: the call leaves
+        # less than n^2 / 2 doubles allocated.
+        k = kernel_matrix(real_pair, Window.from_indices(-512, 511))
+        n, config = k.size, sample_many(k, SeededRng(1), 1)[0]
+        model = RateModel.metropolis(PROXIMITIES["nn"])
+        tracemalloc.start()
+        try:
+            _, per_pair = total_jump_rate(model, k, config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert per_pair
+        assert peak <= 3.5 * 8 * n * n and kept <= 0.5 * 8 * n * n
 
     def test_chain_and_total_rate_take_no_determinant(self, conj_pair, monkeypatch):
         k = kernel_matrix(conj_pair, Window.centered(8))
@@ -851,7 +867,7 @@ def _mp_ratios(pair, window, occupancy, ends) -> list[float]:
 
 
 class TestConditionGuard:
-    """A table's ratios come from one solve, behind a guard on cond_1(M) * 1.5e-14."""
+    """A table's ratios come from one inverse, behind a guard on cond_1(A) * 1.5e-14."""
 
     @pytest.mark.parametrize("size, refused", [(12, False), (20, False), (28, True), (36, True)])
     def test_alternating_start_against_mpmath(self, real_pair, monkeypatch, size, refused):
@@ -868,8 +884,7 @@ class TestConditionGuard:
             monkeypatch.setattr(dynamics, "_RATIO_TOLERANCE", math.inf)
         positions, u = _pair_table(window, model.proximity)
         pair, rates, condition = dynamics._rate_table(
-            model, k, np.array(config.occupancy, dtype=bool), positions, u,
-            dynamics._RateStore(k))
+            model, k, np.array(config.occupancy, dtype=bool), positions, u)
         # Every nn pair moves; a ratio that rounding took to 0 or below has no rate.
         want = np.array(_mp_ratios(real_pair, window, config.occupancy, positions.tolist()))
         phi = np.zeros(len(positions))
@@ -885,21 +900,35 @@ class TestConditionGuard:
     @pytest.mark.parametrize("proximity", ["nn", "range:3"])
     def test_ratios_equal_rn_derivative_within_the_estimate(self, request, branch, size,
                                                             proximity):
-        # Solve against two determinants: at most 0.12 of the estimate apart here.
+        # Inverse against two determinants: at most 0.15 of the estimate apart here.
         window = Window.centered(size)
         k = kernel_matrix(request.getfixturevalue(branch), window)
         model = RateModel.sqrt_ratio(PROXIMITIES[proximity])
         positions, u = _pair_table(window, model.proximity)
         starts = [Configuration(window, tuple(i % 2 for i in range(size)))]
-        store = dynamics._RateStore(k)
         for config in starts + sample_many(k, SeededRng(5), 4):
             pair, rates, condition = dynamics._rate_table(
-                model, k, np.array(config.occupancy, dtype=bool), positions, u, store)
+                model, k, np.array(config.occupancy, dtype=bool), positions, u)
             estimate = condition * dynamics._KERNEL_ERROR
             for p, r in zip(pair.tolist(), rates.tolist()):
                 swap = SwapPair(window.sites[positions[p, 0]], window.sites[positions[p, 1]])
                 want = rn_derivative(k, config, swap)
                 assert abs((r / (2.0 * u[p])) ** 2 - want) <= estimate * want
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [8, 16, 24, 32, 40])
+    def test_estimate_is_cond_1_of_the_determinant_matrix(self, request, branch, size):
+        # cond_1(A) = ||A||_1 ||A^-1||_1 equals cond_1(M) of M, whose column is
+        # K's at each occupied site and I - K's at each empty one.
+        window = Window.centered(size)
+        k = kernel_matrix(request.getfixturevalue(branch), window)
+        model = RateModel.sqrt_ratio(PROXIMITIES["range:3"])
+        positions, u = _pair_table(window, model.proximity)
+        for config in sample_many(k, SeededRng(13), 3):
+            occupied = np.array(config.occupancy, dtype=bool)
+            _, _, condition = dynamics._rate_table(model, k, occupied, positions, u)
+            m = np.where(occupied, k.entries, np.eye(size) - k.entries)
+            assert condition == pytest.approx(np.linalg.cond(m, 1), rel=1e-10)
 
     def test_impossible_swap_has_rate_zero(self):
         # Sites 0 and 1 hold exactly one particle (a rank-one projection block),
@@ -919,7 +948,7 @@ class TestConditionGuard:
         assert dict(per_pair)[SwapPair(Site(1), Site(2))] == 2.0
 
     def test_ratio_below_its_error_bound_names_the_state(self):
-        # Not a DPP kernel: out of 101 (P = 2.125, cond_1(M) about 5), swapping
+        # Not a DPP kernel: out of 101 (P = 2.125, cond_1(A) about 5), swapping
         # sites 1 and 2 leads to 110, whose determinant is -1.875.  phi = -0.88
         # is no rounding noise, so it is refused, as the determinants refuse it.
         entries = np.array([[0.5, 2.0, 0.0], [2.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
@@ -936,9 +965,10 @@ class TestConditionGuard:
             rn_derivative(k, config, SwapPair(Site(1), Site(2)))
 
     def test_independent_sites_far_below_the_probability_floor(self):
-        # K = I/2 on 1000 sites: fair coins, cond_1(M) = 1 and every phi = 1,
-        # but P(eta) = 2^-1000 = 9.3e-302.  The tables take no probability, so
-        # they run; the determinant reference divides by P(eta) and refuses it.
+        # K = I/2 on 1000 sites: fair coins, A = diag(+-1/2), so cond_1(A) = 1
+        # and every phi = 1, but P(eta) = 2^-1000 = 9.3e-302.  The tables take no
+        # probability, so they run; the determinant reference divides by P(eta)
+        # and refuses it.
         window = Window.from_indices(0, 999)
         k = KernelMatrix(window, np.eye(1000) / 2.0)
         config = Configuration(window, tuple(i % 2 for i in range(1000)))
@@ -946,7 +976,7 @@ class TestConditionGuard:
         total, per_pair = total_jump_rate(model, k, config)
         assert total == 1998.0 and {r for _, r in per_pair} == {2.0}
         trajectory = simulate(model, k, config, 2e-3, SeededRng(1))
-        assert trajectory.n_events > 0 and trajectory.worst_condition == 0.0
+        assert trajectory.n_events > 0 and trajectory.worst_condition == 1.0
         with pytest.raises(ZeroProbabilityError, match=r"has probability 9\.33\d*e-302; ratio"):
             rn_derivative(k, config, per_pair[0][0])
 

@@ -255,7 +255,8 @@ def _run_config(command: str, options: _Options) -> RunConfig:
         rate_model=options.raw("model"),
         proximity=options.get("proximity", lambda text: _parse_proximity(text, weight)),
         t_max=options.get("t_max", _POSITIVE),
-        seed=options.get("seed", _checked(int, lambda v: v >= 0, ">= 0")),
+        # SeededRng's range, checked without a generator: kernel runs never import numpy.random
+        seed=options.get("seed", _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")),
         n_samples=options.get("n_samples", _POSITIVE_INT),
         output_dir=Path(options.raw("output_dir")),
     )

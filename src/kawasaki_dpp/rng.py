@@ -16,18 +16,16 @@ import numpy as np
 
 __all__ = ["SeededRng"]
 
-_MASK64 = (1 << 64) - 1
-
 
 class SeededRng:
     """A named random stream identified by (seed, stream)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be nonnegative integers")
+        if not (0 <= seed < 2**64 and 0 <= stream < 2**64):  # Philox's key is two 64-bit words
+            raise ValueError("seed and stream must be integers in [0, 2**64)")
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def spawn(self, stream: int) -> "SeededRng":

@@ -35,7 +35,6 @@ within twice scipy's own error.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "log_gamma_complex",
     "digamma",
     "sinpi",
-    "sinpi_complex",
 ]
 
 # Entries with Re w and |Im w| below the shift are the only ones moved before a
@@ -235,12 +233,4 @@ def sinpi(x: float) -> float:
     if r > 0.5:
         r = 1.0 - r
     s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def sinpi_complex(w: complex) -> complex:
-    """sin(pi * w) with the real part reduced modulo 2."""
-    w = complex(w)
-    n = math.floor(w.real)
-    s = cmath.sin(math.pi * (w - n))
     return -s if n % 2 else s

@@ -68,6 +68,15 @@ def test_no_scipy_at_import_or_run_time(tmp_path, run_python):
     assert result == {"codes": [0] * 6, "scipy": []}
 
 
+def test_kernel_command_imports_no_random_generator(tmp_path, run_python):
+    # numpy.random adds about 6 MiB to a process; a command that draws nothing leaves it out
+    code = ("import sys; from kawasaki_dpp import cli; "
+            "code = cli.main(['kernel', '--window', '-2..1', '--output-dir', '.']); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 # The suites share one dispatch signature, (pair, window, seed); the kernel suite draws nothing.
 _UNREAD_ALLOWED = {("verification.py", "verify_kernel", "seed")}
 

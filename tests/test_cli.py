@@ -185,6 +185,46 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"usage error: {option}: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--proximity", "bogus"],
+         "--proximity: expected 'nn', 'exp:ALPHA' or 'range:R', got 'bogus'"),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "1"],
+         "--swap: expected 'i,j' site indices (e.g. -1,0), got '1'"),
+        (["rn", "--pattern", "101", "--pattern-window", "-1..0", "--swap", "-1,0"],
+         "--pattern: must be 2 characters of 0/1 for window [-0.5..0.5], got '101'"),
+        (["sample", "--seed", "18446744073709551616"],
+         "--seed: must be in [0, 2**64), got '18446744073709551616'"),
+    ])
+    def test_usage_error_message(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["kernel", "--z", "1.5+120i", "--zp", "1.5-120i"], 0),
+        (["kernel", "--z", "0.5+1e300i", "--zp", "0.5-1e300i"], 2),
+        (["kernel", "--z", "0.5", "--zp", "0.5"], 1),
+        (["sample", "--seed", "18446744073709551616"], 1),
+        (["sample", "--window", "-5000..5000"], 2),
+        (["simulate", "--proximity", "range:1.5"], 1),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "-1,-1"], 1),
+        (["rn", "--pattern", "10", "--pattern-window", "-1..0", "--swap", "5,6",
+          "--sizes", "4"], 2),
+        (["exact-probs", "--window", "-10..10"], 2),
+        (["admissible", "--z", "1e400"], 1),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_edge_argv_keeps_the_exit_contract(self, capsys, tmp_path, monkeypatch,
+                                               argv, expected):
+        # 0 with the echo as the last stderr line, or one line: 'usage error:' (1), 'error:' (2)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert code == expected
+        if code == 0:
+            assert json.loads(lines[-1])["command"] == argv[0]
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith("usage error: " if code == 1 else "error: ")
+
 
 class TestParserBuiltOnce:
     def test_usage_error_then_valid_command_as_in_fresh_processes(self, capsys, tmp_path,
@@ -413,6 +453,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "kernel", "--config", str(config))
         assert code == 1
         assert "zoom" in err
+
+    def test_config_line_without_equals_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("z = 1.5\nwindow -2..1\n")
+        code, out, err = run(capsys, "kernel", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {config}:2: expected 'key = value', got 'window -2..1'\n"
 
     def test_unknown_suite_in_config_is_usage_error(self, capsys, tmp_path):
         # the flag's check holds for a value from the file too

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -335,6 +336,39 @@ class TestKernelMatrix:
             for y in k.window.sites:
                 want = _mp_kernel(mp.mpmathify(z), mp.mpmathify(zp), x, y)
                 assert k.entry(x, y) == pytest.approx(want, abs=1e-12, rel=1e-10)
+
+    @pytest.mark.parametrize("z", [
+        0.3 + 1e-3j, 0.3 - 1e-3j, 0.3 + 0.4j, -2.7 + 50j,
+        1.5 + 112.9j,  # pi sinh(2 pi Im z) overflows: a complex prefactor reads 0
+        1.5 - 113j, 1.5 + 120j, 0.7 - 1e3j,
+        -4.001 - 0.000225j, 1.994 - 0.000243j,  # sin(pi z) near a zero
+    ])
+    def test_conjugate_scale_against_80_digits(self, z):
+        k = kernel_matrix(AdmissiblePair(z, z.conjugate()), Window.from_indices(-3, 3))
+        with mp.workdps(80):
+            w = mp.mpc(z.real, z.imag)
+            prefactor = _mp_prefactor(w, mp.conj(w))
+            half = mp.mpf(1) / 2
+            values = [mp.mpf(x.index) + half for x in k.window.sites]
+            a = [g / abs(g) for g in (mp.gamma(w + v + half) for v in values)]  # B = conj(A)
+            for i, x in enumerate(values):
+                for j, y in enumerate(values):
+                    if i == j:
+                        d = mp.digamma(w + x + half) - mp.digamma(mp.conj(w) + x + half)
+                    else:
+                        d = (a[i] * mp.conj(a[j]) - mp.conj(a[i]) * a[j]) / (x - y)
+                    assert abs(k.entries[i, j] - mp.re(prefactor * d)) <= 1e-12
+
+    @pytest.mark.parametrize("imag", [1e5, -1e15, 1e300])
+    def test_conjugate_pair_beyond_the_cap_refused(self, imag):
+        # Im log Gamma(z + x + 1/2) grows like |Im z| log |Im z|: uncapped, the
+        # 7-site kernel is off from mpmath by 5.5e-10 at 1e6
+        pair = AdmissiblePair(0.5 + 1j * imag, 0.5 - 1j * imag)
+        message = "^" + re.escape(f"|Im z| = {abs(imag):g} exceeds 1000: the phases of Gamma")
+        with pytest.raises(NumericalError, match=message):
+            kernel_matrix(pair, Window.from_indices(-3, 3))
+        with pytest.raises(NumericalError, match=message):
+            ab_values(pair, Site(0))
 
     @pytest.mark.parametrize("branch", ["real", "conj"])
     def test_large_window_bitwise_symmetric(self, real_pair, conj_pair, branch):

@@ -1,0 +1,93 @@
+"""Refusals across the layers: each call raises its typed error with its message.
+
+Each case is a call on a tiny input that a check refuses before any other
+work: a malformed kernel, a mismatched window, an empty or zero-mass input.
+"""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+import pytest
+
+from kawasaki_dpp.dpp import Configuration, enumerate_distribution, write_samples_csv
+from kawasaki_dpp.dynamics import ProximitySpec, RateModel, total_jump_rate
+from kawasaki_dpp.errors import (
+    DomainError,
+    EmptyInputError,
+    NumericalError,
+    SizeError,
+    WindowMismatchError,
+)
+from kawasaki_dpp.exact import build_generator, spectrum
+from kawasaki_dpp.kernel import AdmissiblePair, KernelMatrix, Site, Window, is_admissible
+from kawasaki_dpp.rn import SwapPair, rn_stabilization
+from kawasaki_dpp.rng import SeededRng
+
+W1 = Window.from_indices(0, 0)
+W2 = Window.from_indices(0, 1)
+W3 = Window.from_indices(0, 2)
+METROPOLIS = RateModel.metropolis(ProximitySpec.nearest_neighbor())
+
+
+def _inadmissible_pair(z, zp):
+    # the one refusal is the pair's own; is_admissible answers False first
+    assert not is_admissible(z, zp)
+    return AdmissiblePair(z, zp)
+
+
+CASES = {
+    "kernel-shape": (lambda tmp: KernelMatrix(W3, np.eye(2)),
+                     ValueError, "entries shape (2, 2) != window size 3"),
+    "kernel-asymmetry": (lambda tmp: KernelMatrix(W2, [[0.5, 0.1], [0.1 + 1e-11, 0.5]]),
+                         NumericalError, "kernel matrix asymmetry 1e-11 exceeds 1e-12"),
+    "kernel-diagonal-above-one": (lambda tmp: KernelMatrix(W1, [[1.5]]),
+                                  NumericalError, "kernel diagonal outside [0, 1]"),
+    "kernel-diagonal-negative": (lambda tmp: KernelMatrix(W1, [[-0.5]]),
+                                 NumericalError, "kernel diagonal outside [0, 1]"),
+    "validate-eigenvalues": (lambda tmp: KernelMatrix(W2, [[0.5, 0.9], [0.9, 0.5]]).validate(),
+                             NumericalError, "eigenvalues [-0.4, 1.4] outside [-1e-9, 1+1e-9]"),
+    "window-of-no-sites": (lambda tmp: Window.centered(0),
+                           ValueError, "window size must be >= 1"),
+    "integer-parameter": (lambda tmp: _inadmissible_pair(1.0, 1.5),
+                          DomainError, "(z, z') = ((1+0j), (1.5+0j)) is not an admissible pair"),
+    "bitmask-above-range": (lambda tmp: Configuration.from_bitmask(W3, 8),
+                            ValueError, "bitmask 8 out of range for window [0.5..2.5]"),
+    "bitmask-negative": (lambda tmp: Configuration.from_bitmask(W3, -1),
+                         ValueError, "bitmask -1 out of range for window [0.5..2.5]"),
+    "pmf-other-window": (
+        lambda tmp: enumerate_distribution(KernelMatrix(W2, 0.5 * np.eye(2))).prob(
+            Configuration.empty(W3)),
+        WindowMismatchError, "configuration window differs from pmf window"),
+    "pmf-zero-mass-sector": (
+        lambda tmp: enumerate_distribution(KernelMatrix(W2, np.zeros((2, 2)))).sector(1),
+        NumericalError, "sector 1 has zero total probability"),
+    "no-samples": (lambda tmp: write_samples_csv([], tmp / "samples.csv"),
+                   EmptyInputError, "no samples"),
+    "jump-rate-other-window": (
+        lambda tmp: total_jump_rate(METROPOLIS, KernelMatrix(W2, 0.5 * np.eye(2)),
+                                    Configuration(W3, (1, 0, 0))),
+        WindowMismatchError, "configuration window differs from kernel window"),
+    "stabilization-below-pattern": (
+        lambda tmp: rn_stabilization(AdmissiblePair(1.5, 1.7), Configuration(W3, (1, 0, 0)),
+                                     SwapPair(Site(0), Site(1)), [2], SeededRng(0)),
+        SizeError, "window size 2 smaller than pattern support 3"),
+    # K = I occupies every site: the sector one below full carries no mass
+    "generator-zero-mass": (lambda tmp: build_generator(METROPOLIS, KernelMatrix(W3, np.eye(3)),
+                                                        sector=2),
+                            NumericalError, "state list carries zero probability"),
+    # one site with K = 1: the empty state has measure 0 and no swap touches it
+    "spectrum-zero-measure": (
+        lambda tmp: spectrum(build_generator(METROPOLIS, KernelMatrix(W1, [[1.0]]))),
+        NumericalError, "measure must be strictly positive to symmetrize"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_refusal_names_its_cause(name, tmp_path):
+    call, error, message = CASES[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir())
+

@@ -28,3 +28,17 @@ class TestExponential:
         with pytest.raises(ValueError, match="^rate must be positive and finite, got inf$"):
             rng.exponential(math.inf)
         assert rng.random() == SeededRng(3).random()
+
+
+class TestKey:
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**64, 0), (5, 2**64 + 1)])
+    def test_seed_and_stream_outside_64_bits_refused(self, seed, stream):
+        # Philox is keyed by two 64-bit words: 2**64 + 1 would draw stream 1
+        message = r"^seed and stream must be integers in \[0, 2\*\*64\)$"
+        with pytest.raises(ValueError, match=message):
+            SeededRng(seed, stream)
+
+    def test_largest_seed_and_stream_key_philox(self):
+        rng = SeededRng(2**64 - 1, 2**64 - 1)
+        assert rng.generator.bit_generator.state["state"]["key"].tolist() == [2**64 - 1] * 2
+        assert rng.random() != SeededRng(0, 0).random()

@@ -23,7 +23,6 @@ from kawasaki_dpp.specfun import (
     log_gamma_complex,
     log_gamma_parts,
     sinpi,
-    sinpi_complex,
 )
 
 mp.mp.dps = 40
@@ -197,11 +196,6 @@ class TestSinPi:
     def test_vs_oracle(self):
         for x in np.linspace(-12.3, 12.3, 247):
             assert abs(sinpi(float(x)) - float(mp.sinpi(mp.mpf(float(x))))) < 5e-16
-
-    def test_complex_vs_oracle(self):
-        for w in (0.3 + 0.4j, -2.2 - 0.8j, 5.75 + 0.1j):
-            want = complex(mp.sinpi(mp.mpc(w.real, w.imag)))
-            assert abs(sinpi_complex(w) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 # The kernel's gamma arguments are z + n and z' + n for integers n: the real

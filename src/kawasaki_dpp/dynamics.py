@@ -31,12 +31,10 @@ from .dpp import (
     _STACK_ENTRIES,
     Configuration,
     _live,
-    _occupancy,
     _probabilities,
-    _sector_masks,
     config_probability,
 )
-from .errors import NumericalError, SamePointError, WindowMismatchError, ZeroProbabilityError
+from .errors import NumericalError, SamePointError, SizeError, WindowMismatchError, ZeroProbabilityError
 from .kernel import KernelMatrix, Site, Window
 from .rn import SwapPair, apply_transposition, rn_derivative
 from .rng import SeededRng
@@ -62,6 +60,8 @@ __all__ = [
 
 # simulate draws its uniforms this many at a time; even, as an event takes two.
 _UNIFORM_BLOCK = 512
+# simulate refuses a run that reaches this many events before t_max.
+_MAX_EVENTS = 1 << 20
 
 # A rate table's swap ratios are read off B = A^-1, A = K - diag(1 - eta).  Their
 # relative error is estimated as cond_1(A) = ||A||_1 ||B||_1 times the error of a
@@ -468,7 +468,8 @@ def simulate(
     and the final wait past t_max takes one.  They are drawn in blocks, each
     wait u giving the exponential -log1p(-u) by ``math.log1p``, and on every
     exit (the horizon, an absorbing state, or a state refused with an error)
-    `rng` is left exactly where one scalar draw per uniform would leave it.
+    `rng` is left exactly where one scalar draw per uniform would leave it.  A run
+    that reaches 2^20 events before t_max, checked after each block, is a SizeError.
     """
     if initial.window != k.window:
         raise WindowMismatchError("initial configuration window differs from kernel window")
@@ -513,6 +514,9 @@ def simulate(
                 add_pair(pairs[choice])
             else:  # the block is used up
                 before, start = bits.state, len(times)
+                if start >= _MAX_EVENTS:
+                    raise SizeError(f"simulate reached its cap of {_MAX_EVENTS} events "
+                                    f"before t_max = {t_max:g}")
                 continue
             break
     finally:
@@ -526,26 +530,16 @@ def simulate(
 def sector_graph_connected(window: Window, proximity: ProximitySpec, count: int) -> bool:
     """Whether the swap graph restricted to a particle-count sector is connected.
 
-    Components by hooking and pointer jumping: each state points to a state
-    of its component with a smaller or equal index.  Every round hooks the
-    root of each edge's source under the smaller root of its destination,
-    then jumps each pointer to its root.  The edges come in both directions,
-    so the roots fall until no edge joins two trees; the sector is connected
-    when every state's root is state 0.
+    Sectors of 0 or n particles are one state.  Otherwise transpositions along a
+    connected site graph generate every permutation, each a chain move or a no-op
+    on a state; if the sites split into parts, each keeps its particle count, and
+    0 < count < n admits two splits.  Every weight is non-increasing in the
+    separation (exp(-alpha d) underflows from some d on), so the sites are
+    connected exactly when the nearest-neighbour weight is positive.
     """
-    masks = _sector_masks(window.size, count)
-    positions, _ = _pair_table(window, proximity)
-    src, dst, _ = _state_edges(masks, _occupancy(masks, window.size), positions)
-    root = np.arange(len(masks))
-    while True:
-        np.minimum.at(root, root[src], root[dst])
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-        if np.array_equal(root[src], root[dst]):
-            return not root.any()
+    if not 0 <= count <= window.size:
+        raise ValueError(f"count {count} out of range for {window.size} sites")
+    return count in (0, window.size) or proximity_u(proximity, Site(0), Site(1)) > 0.0
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

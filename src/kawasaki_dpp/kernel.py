@@ -200,6 +200,11 @@ class AdmissiblePair:
 
 
 def _site_values(window: Window) -> np.ndarray:
+    """The window's x = index + 1/2; DomainError unless each is an exact double, |x| < 2^52."""
+    for index in (window.lo.index, window.hi.index):
+        if not -2**52 <= index < 2**52:
+            raise DomainError(f"site index {index}: x = index + 1/2 is not an exact double, "
+                              f"|x| must be below 2^52")
     return np.arange(window.lo.index, window.hi.index + 1) + 0.5
 
 
@@ -210,7 +215,9 @@ def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np
     if pair.branch is Branch.REAL_INTERVAL:
         # A = sign * sqrt(|Gamma(z + x + 1/2) / Gamma(z' + x + 1/2)|), and B = sign' / sqrt(...).
         # Where both gammas are normal doubles the ratio is taken as it is: a difference
-        # of logs would lose ulp(log Gamma), about 1e-14 at x = 100.
+        # of logs would lose ulp(log Gamma), about 1e-14 at x = 100.  Admissibility puts
+        # both arguments in one unit interval; rounding moves one at most onto an end, a
+        # pole (PoleError) or a positive integer, so the two gammas agree in sign.
         both = np.add.outer((z.real, zp.real), arg)
         in_range = (np.abs(both) < _GAMMA_RANGE).all(axis=0)
         near = in_range.nonzero()[0]
@@ -224,12 +231,6 @@ def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np
             log_abs, sign[:, far] = log_gamma_parts(both[:, far])
             gamma = _gamma(both[:, near])
             sign[:, near] = np.sign(gamma)
-        mismatch = (sign[0] != sign[1]).nonzero()[0]
-        if mismatch.size:
-            raise DomainError(
-                f"Gamma(z + x + 1/2) and Gamma(z' + x + 1/2) differ in sign at "
-                f"x = {values[mismatch[0]]:g}; the product under the square root is not positive"
-            )
         ratio = np.sqrt(gamma[0] / gamma[1])
         if whole:
             root = ratio
@@ -292,7 +293,7 @@ def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
     unit-modulus complex pair with B = conj(A).  A(x) * B(x) = 1 in both
     cases.
     """
-    p, q = _ab_arrays(pair, np.array([x.value]))
+    p, q = _ab_arrays(pair, _site_values(Window(x, x)))
     if pair.branch is Branch.REAL_INTERVAL:
         return float(p[0]), float(q[0])
     a = complex(p[0], q[0])
@@ -301,7 +302,8 @@ def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
 
 def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
     """K(x, y) off the block over x and y; the digamma diagonal formula is used when x = y."""
-    return float(_kernel_block(pair, np.unique((x.value, y.value)))[0, -1])
+    values = np.unique(np.concatenate([_site_values(Window(s, s)) for s in (x, y)]))
+    return float(_kernel_block(pair, values)[0, -1])
 
 
 class KernelMatrix:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kawasaki_dpp.cli as cli
+from kawasaki_dpp import dynamics
 from kawasaki_dpp.cli import main
 from kawasaki_dpp.dpp import sample
 from kawasaki_dpp.kernel import AdmissiblePair, kernel_matrix
@@ -211,6 +212,7 @@ class TestExitCodes:
           "--sizes", "4"], 2),
         (["exact-probs", "--window", "-10..10"], 2),
         (["admissible", "--z", "1e400"], 1),
+        (["kernel", "--window", "4503599627370496..4503599627370499"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_edge_argv_keeps_the_exit_contract(self, capsys, tmp_path, monkeypatch,
                                                argv, expected):
@@ -224,6 +226,15 @@ class TestExitCodes:
         else:
             assert len(lines) == 1
             assert lines[0].startswith("usage error: " if code == 1 else "error: ")
+
+    def test_simulate_event_cap_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        # Without a cap this run's event lists grow until memory runs out.
+        monkeypatch.setattr(dynamics, "_MAX_EVENTS", 1024)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "simulate", "--window", "-2..1", "--t-max", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: simulate reached its cap of 1024 events before t_max = 1e+308\n"
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestParserBuiltOnce:

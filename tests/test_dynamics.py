@@ -56,6 +56,17 @@ PROXIMITIES = {
     "exp:0.5": ProximitySpec.exp_decay(0.5),
 }
 
+# Weights that stay positive, reach a few sites, underflow from separation 2 or 3
+# on, or vanish at every separation.
+SEARCH_PROXIMITIES = {
+    "nn": ProximitySpec.nearest_neighbor(),
+    "nn:1e-320": ProximitySpec.nearest_neighbor(1e-320),
+    **{f"range:{r}": ProximitySpec.finite_range(r) for r in (1, 2, 3, 9)},
+    **{f"exp:{a:g}": ProximitySpec.exp_decay(a) for a in (0.5, 300.0, 700.0, 745.0, 1000.0)},
+    "exp:2,1e-320": ProximitySpec.exp_decay(2.0, 1e-320),
+    "exp:0.5,5e-324": ProximitySpec.exp_decay(0.5, 5e-324),
+}
+
 
 def _all_models(proximity=None):
     proximity = proximity or ProximitySpec.nearest_neighbor()
@@ -124,6 +135,22 @@ class TestProximity:
     def test_symmetry(self):
         spec = ProximitySpec.exp_decay(alpha=0.7, weight=1.3)
         assert proximity_u(spec, Site(-2), Site(4)) == proximity_u(spec, Site(4), Site(-2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_increasing_in_the_separation(self, seed):
+        # sector_graph_connected rests on this: a weight of 0 at separation 1 is 0 at all.
+        gen = np.random.default_rng(seed)
+        separations = np.unique(np.r_[1:60, np.geomspace(60, 1e5, 100).astype(int)]).tolist()
+        for _ in range(60):
+            weight = float(gen.choice([5e-324, 1e-320, 1e-310]) if gen.random() < 0.3
+                           else math.exp(gen.uniform(-690.0, 690.0)))
+            alpha = math.exp(gen.uniform(-7.0, 7.0))
+            for spec in (ProximitySpec.nearest_neighbor(weight),
+                         ProximitySpec.finite_range(int(gen.integers(1, 30)), weight),
+                         ProximitySpec.exp_decay(alpha, weight)):
+                x = Site(int(gen.integers(-1000, 1000)))
+                u = [proximity_u(spec, x, Site(x.index + d)) for d in separations]
+                assert all(a >= b for a, b in zip(u, u[1:])), spec
 
     def test_same_point(self):
         with pytest.raises(SamePointError):
@@ -638,6 +665,23 @@ class TestSimulateStream:
         monkeypatch.setattr(dynamics, "_rate_table", trapping)
         self._assert_stream_ends_at(model, k, initial, 300.0, _UNIFORM_BLOCK)
 
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    def test_event_cap_leaves_the_stream_after_its_events(self, request, monkeypatch, branch):
+        # With the cap at three blocks' events the run is refused at the end of the
+        # third block, the stream left past the two uniforms of each event.
+        cap = 3 * _UNIFORM_BLOCK // 2
+        monkeypatch.setattr(dynamics, "_MAX_EVENTS", cap)
+        k = kernel_matrix(request.getfixturevalue(branch), Window.from_indices(-3, 2))
+        model, initial = _all_models()[0], Configuration(k.window, (1, 0, 1, 0, 1, 0))
+        rng = SeededRng(8, 3)
+        with pytest.raises(SizeError, match=rf"^simulate reached its cap of {cap} events "
+                                            r"before t_max = 1e\+308$"):
+            simulate(model, k, initial, 1e308, rng)
+        assert rng.random() == SeededRng(8, 3).random(2 * cap + 1)[-1]
+        # A horizon reached one event short of the cap runs as before.
+        events, _, _, _ = _loop_simulate(model, k, initial, 1000.0, SeededRng(8, 3))
+        self._assert_stream_ends_at(model, k, initial, events[cap - 2][0], 2 * cap - 1)
+
     @pytest.mark.parametrize("after", [100, 400], ids=["first_block", "later_block"])
     def test_refusal_mid_run_leaves_the_stream_after_its_events(self, conj_pair, monkeypatch,
                                                                 after):
@@ -993,11 +1037,10 @@ class TestSectorGraph:
         with pytest.raises(ValueError):
             sector_graph_connected(window6, ProximitySpec.nearest_neighbor(), 7)
 
-    @pytest.mark.parametrize("size", [21, 64])
+    @pytest.mark.parametrize("size", [21, 64, 4096])
     def test_size_cap_before_listing(self, size):
-        # 2^64 masks could not be listed; the cap is checked first
-        with pytest.raises(SizeError, match="^sector listing capped at 20 sites"):
-            sector_graph_connected(Window.centered(size), ProximitySpec.nearest_neighbor(), 2)
+        # No state is listed, so windows past a listing's reach are answered too.
+        assert sector_graph_connected(Window.centered(size), ProximitySpec.nearest_neighbor(), 2)
 
     @pytest.mark.parametrize("count", range(7))
     def test_no_positive_weight_leaves_only_the_end_sectors_connected(self, window6, count):
@@ -1005,32 +1048,19 @@ class TestSectorGraph:
         connected = sector_graph_connected(window6, ProximitySpec.exp_decay(1000.0), count)
         assert connected == (count in (0, 6))
 
-    @pytest.mark.parametrize("name", ["nn", "range:3"])
-    def test_equals_breadth_first_search(self, window8, name):
-        pairs = [(window8.position(p.x), window8.position(p.y))
-                 for p in _loop_candidate_pairs(window8, PROXIMITIES[name])]
-        for count in range(window8.size + 1):
-            assert sector_graph_connected(window8, PROXIMITIES[name], count) == \
-                _search_connected(window8.size, count, pairs)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_components_of_random_graphs(self, monkeypatch, window8, seed):
-        # Random symmetric edge sets on the 70 states of 8 sites, sector 4,
-        # from trees to graphs of several components, against a search.
-        gen = np.random.default_rng(seed)
-        n = 70
-        src = gen.integers(0, n, gen.integers(0, 3 * n))
-        dst = gen.integers(0, n, src.size)
-        both = (np.r_[src, dst], np.r_[dst, src])
-        monkeypatch.setattr(dynamics, "_state_edges", lambda *args: (*both, None))
-        neighbours = [set() for _ in range(n)]
-        for a, b in zip(*both):
-            neighbours[a].add(int(b))
-        seen, frontier = {0}, [0]
-        while frontier:
-            frontier = [b for a in frontier for b in neighbours[a] if b not in seen]
-            seen.update(frontier)
-        assert sector_graph_connected(window8, ProximitySpec.nearest_neighbor(), 4) == (len(seen) == n)
+    @pytest.mark.parametrize("name", SEARCH_PROXIMITIES)
+    def test_equals_breadth_first_search(self, name):
+        # Every count of windows of 1-9 sites, against a search over the sector's
+        # states along the pairs whose weight is positive.
+        proximity = SEARCH_PROXIMITIES[name]
+        for size in range(1, 10):
+            window = Window.centered(size)
+            pairs = [(window.position(p.x), window.position(p.y))
+                     for p in _loop_candidate_pairs(window, proximity)
+                     if proximity_u(proximity, p.x, p.y) > 0.0]
+            for count in range(size + 1):
+                assert sector_graph_connected(window, proximity, count) == \
+                    _search_connected(size, count, pairs), (size, count)
 
 
 def _search_connected(n_sites: int, count: int, pairs) -> bool:

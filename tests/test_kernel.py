@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from kawasaki_dpp.errors import DomainError, NumericalError, SizeError
+from kawasaki_dpp.errors import DomainError, NumericalError, PoleError, SizeError
 from kawasaki_dpp.kernel import (
     MAX_WINDOW_SITES,
     AdmissiblePair,
@@ -174,9 +175,53 @@ class TestABValues:
             _, sign_zp = log_gamma_parts(real_pair.z_prime.real + arg)
             assert sign_z == sign_zp
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_integer_pairs_on_far_windows(self, seed):
+        # z or z' within 4 ulps of an integer m: a rounded gamma argument can land on
+        # the end of its unit interval, a pole (refused) or a positive integer, but the
+        # two gammas never differ in sign.
+        gen = np.random.default_rng(seed)
+        for _ in range(40):
+            m = int(gen.integers(-6, 7))
+            near = float(m)
+            for _ in range(int(gen.integers(1, 5))):
+                near = math.nextafter(near, m + 1)
+            z, zp = near, m + gen.uniform(0.01, 0.99)
+            if gen.random() < 0.5:
+                z, zp = zp, z
+            pair = AdmissiblePair(z, zp)
+            scale = 10 ** int(gen.integers(1, 8))  # centres up to 1e7 away, near and far
+            window = Window.centered(7, int(gen.integers(-scale, scale)))
+            try:
+                kernel_matrix(pair, window)
+                products = [math.prod(ab_values(pair, x)) for x in window.sites]
+            except PoleError:
+                continue
+            assert max(abs(p - 1.0) for p in products) < 1e-15, (z, zp, window)
+
     def test_value_against_oracle(self, real_pair):
         a, _ = ab_values(real_pair, Site(0))
         assert a == pytest.approx(A_AT_HALF_REAL, rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda pair: kernel_entry(pair, Site(2**52), Site(2**52 + 1)),
+        lambda pair: kernel_matrix(pair, Window.from_indices(2**52 - 2, 2**52 + 1)),
+        lambda pair: ab_values(pair, Site(2**52)),
+        lambda pair: difference_operator_matrix(pair, Window.from_indices(2**52 - 2, 2**52 + 1)),
+        lambda pair: ab_values(pair, Site(-2**52 - 1)),
+    ], ids=["kernel_entry", "kernel_matrix", "ab_values", "difference_operator", "negative"])
+    def test_site_beyond_exact_doubles_refused(self, real_pair, conj_pair, call):
+        # x = index + 1/2 is an exact double only for |x| < 2^52.
+        for pair in (real_pair, conj_pair):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=r"^site index -?450359962737049[67]: x = "
+                                                      r"index \+ 1/2 is not an exact double"):
+                    call(pair)
+
+    def test_last_exact_sites_admitted(self, real_pair):
+        for index in (2**52 - 1, -2**52):
+            assert math.prod(ab_values(real_pair, Site(index))) == pytest.approx(1.0, abs=1e-15)
 
     def test_conjugate_structure(self, conj_pair):
         a, b = ab_values(conj_pair, Site(3))

@@ -24,10 +24,11 @@ unit-modulus complex number with B(x) = conj(A(x)), taken from the phase of
 the complex log-gamma; every downstream combination is mathematically real
 and is formed in real arithmetic.
 
-Every value comes from one vectorized pass, with no cache between calls:
-over a whole window, or one or two sites for single entries and A/B.  A
-4096-site window (the cap) builds in about 0.5 s at a peak RSS of about
-325 MiB (2-vCPU Xeon at 2.0 GHz, numpy 2.4).
+No value is cached between calls: each call evaluates a whole window, or
+one or two sites for single entries and A/B.  Real-branch gammas are taken
+site by site, everything else in vectorized passes.  A 4096-site window
+(the cap) builds in about 0.5 s at a peak RSS of about 325 MiB (2-vCPU Xeon
+at 2.0 GHz, numpy 2.4).
 
 The same kernel is, equivalently, the spectral projection onto the positive
 part of the spectrum of a second-order symmetric difference operator;
@@ -46,14 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
-from .specfun import (
-    _GAMMA_RANGE,
-    _gamma,
-    digamma,
-    log_gamma_complex,
-    log_gamma_parts,
-    sinpi,
-)
+from .specfun import _GAMMA_RANGE, _check_poles, digamma, log_gamma_complex, sinpi
 from .util import format_float, write_csv
 
 __all__ = [
@@ -211,40 +205,42 @@ def _site_values(window: Window) -> np.ndarray:
 def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A and B at the site values; on the conjugate branch cos and sin of arg A."""
     z, zp = pair.z, pair.z_prime
-    arg = values + 0.5  # gamma arguments are z + x + 1/2
     if pair.branch is Branch.REAL_INTERVAL:
-        # A = sign * sqrt(|Gamma(z + x + 1/2) / Gamma(z' + x + 1/2)|), and B = sign' / sqrt(...).
-        # Where both gammas are normal doubles the ratio is taken as it is: a difference
-        # of logs would lose ulp(log Gamma), about 1e-14 at x = 100.  Admissibility puts
-        # both arguments in one unit interval; rounding moves one at most onto an end, a
-        # pole (PoleError) or a positive integer, so the two gammas agree in sign.
-        both = np.add.outer((z.real, zp.real), arg)
-        in_range = (np.abs(both) < _GAMMA_RANGE).all(axis=0)
-        near = in_range.nonzero()[0]
-        whole = near.size == len(values)
-        if whole:
-            gamma = _gamma(both)
-            sign = np.sign(gamma)
-        else:
-            far = (~in_range).nonzero()[0]
-            sign = np.empty_like(both)
-            log_abs, sign[:, far] = log_gamma_parts(both[:, far])
-            gamma = _gamma(both[:, near])
-            sign[:, near] = np.sign(gamma)
-        ratio = np.sqrt(gamma[0] / gamma[1])
-        if whole:
-            root = ratio
-        else:
-            root = np.empty(len(values))
-            root[far] = np.exp(0.5 * (log_abs[0] - log_abs[1]))
-            root[near] = ratio
-        return sign[0] * root, sign[1] / root
+        # A = sign * sqrt(|Gamma(z + x + 1/2) / Gamma(z' + x + 1/2)|), and B = sign / sqrt(...),
+        # site by site.  Where both gammas are normal doubles the ratio is taken as it is:
+        # a difference of logs would lose ulp(log Gamma), about 1e-14 at x = 100.
+        # Admissibility puts both arguments in one unit interval; rounding moves one at
+        # most onto an end, a pole (PoleError) or a positive integer, so the two gammas
+        # agree in sign.
+        p, q = [], []
+        zr, zpr = z.real, zp.real
+        for x in values.tolist():
+            t = x + 0.5  # gamma arguments are z + x + 1/2
+            a, b = zr + t, zpr + t
+            try:
+                if abs(a) < _GAMMA_RANGE and abs(b) < _GAMMA_RANGE:
+                    gamma = math.gamma(a)
+                    root = math.sqrt(gamma / math.gamma(b))
+                    sign = math.copysign(1.0, gamma)
+                else:
+                    root = math.exp(0.5 * (math.lgamma(a) - math.lgamma(b)))
+                    # Gamma(a) < 0 exactly when a < 0 and floor(a) is odd
+                    sign = -1.0 if a < 0.0 and math.floor(a) % 2 else 1.0
+            except ValueError:  # raised at the poles only
+                both = np.add.outer((zr, zpr), values + 0.5)
+                _check_poles(both[both <= 0.0], "gamma")
+                raise
+            except OverflowError:  # Gamma(a) for |a| below 5.6e-309
+                raise NumericalError(f"Gamma overflows a double at site {x}") from None
+            p.append(sign * root)
+            q.append(sign / root)
+        return np.array(p), np.array(q)
     # Conjugate branch: Gamma(z' + x + 1/2) = conj(Gamma(z + x + 1/2)), so
     # A(x) = Gamma/|Gamma| = cos(theta) + i sin(theta) and B = conj(A).
     if abs(z.imag) > _CONJUGATE_IM_CAP:
         raise NumericalError(f"|Im z| = {abs(z.imag):g} exceeds {_CONJUGATE_IM_CAP:g}: "
                              f"the phases of Gamma(z + x + 1/2) have lost their digits")
-    theta = log_gamma_complex(z + arg).imag
+    theta = log_gamma_complex(z + (values + 0.5)).imag
     return np.cos(theta), np.sin(theta)
 
 
@@ -374,8 +370,8 @@ class KernelMatrix:
 def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
     """The window restriction K_W, entry-identical to kernel_entry calls.
 
-    The whole window is one array pass.  It is exactly symmetric because
-    swapping x and y negates both the A/B combination and (x - y).
+    The whole window is one :func:`_kernel_block`.  It is exactly symmetric
+    because swapping x and y negates both the A/B combination and (x - y).
     """
     if window.size > MAX_WINDOW_SITES:
         raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
@@ -392,16 +388,8 @@ def difference_operator_matrix(pair: AdmissiblePair, window: Window) -> np.ndarr
     z, zp = pair.z, pair.z_prime
     values = _site_values(window)
     t = values[:-1] + 0.5
-    if pair.branch is Branch.REAL_INTERVAL:
-        prod = (z.real + t) * (zp.real + t)
-        if (prod <= 0.0).any():
-            bad = window.sites[int(np.argmax(prod <= 0.0))]
-            raise DomainError(f"non-positive coupling product at site {bad}")
-        coupling = np.sqrt(prod)
-    else:
-        # hypot, as in abs() of a Python complex; numpy's complex abs can
-        # differ from it in the last bit
-        coupling = np.hypot((z + t).real, (z + t).imag)
+    # Admissibility makes (z + t)(z' + t) = |z + t| |z' + t| > 0 on both branches
+    coupling = np.sqrt(np.abs(z + t)) * np.sqrt(np.abs(zp + t))
     return np.diag(-(2.0 * values + (z + zp).real)) + np.diag(coupling, 1) + np.diag(coupling, -1)
 
 

@@ -213,6 +213,7 @@ class TestExitCodes:
         (["exact-probs", "--window", "-10..10"], 2),
         (["admissible", "--z", "1e400"], 1),
         (["kernel", "--window", "4503599627370496..4503599627370499"], 2),
+        (["kernel", "--z", "5e-324", "--zp", "0.38", "--window", "-1..3"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_edge_argv_keeps_the_exit_contract(self, capsys, tmp_path, monkeypatch,
                                                argv, expected):

@@ -24,6 +24,8 @@ from kawasaki_dpp.kernel import (
     KernelMatrix,
     Site,
     Window,
+    _ab_arrays,
+    _site_values,
     ab_values,
     difference_operator_matrix,
     is_admissible,
@@ -32,7 +34,7 @@ from kawasaki_dpp.kernel import (
     spectral_projection_check,
     write_kernel_csv,
 )
-from kawasaki_dpp.specfun import log_gamma_parts
+from kawasaki_dpp.specfun import _GAMMA_RANGE, _gamma, log_gamma_parts
 from kawasaki_dpp.verification import run_suite
 
 mp.mp.dps = 40
@@ -82,6 +84,28 @@ def _mp_kernel(z, zp, x: Site, y: Site):
         return gq / mp.sqrt(gp * gq)
     value = _mp_prefactor(z, zp) * (a(xv) * b(yv) - b(xv) * a(yv)) / (xv - yv)
     return complex(value).real
+
+
+def _vectorized_real_ab(pair: AdmissiblePair, values: np.ndarray):
+    """The real branch of A and B as the whole-window numpy path that the per-site loop
+    of ``_ab_arrays`` replaced: one pass when every argument is below _GAMMA_RANGE, else
+    log-gammas at the far sites and gammas at the near ones."""
+    both = np.add.outer((pair.z.real, pair.z_prime.real), values + 0.5)
+    in_range = (np.abs(both) < _GAMMA_RANGE).all(axis=0)
+    near = in_range.nonzero()[0]
+    if near.size == len(values):
+        gamma = _gamma(both)
+        root = np.sqrt(gamma[0] / gamma[1])
+        return np.sign(gamma[0]) * root, np.sign(gamma[1]) / root
+    far = (~in_range).nonzero()[0]
+    sign = np.empty_like(both)
+    log_abs, sign[:, far] = log_gamma_parts(both[:, far])
+    gamma = _gamma(both[:, near])
+    sign[:, near] = np.sign(gamma)
+    root = np.empty(len(values))
+    root[far] = np.exp(0.5 * (log_abs[0] - log_abs[1]))
+    root[near] = np.sqrt(gamma[0] / gamma[1])
+    return sign[0] * root, sign[1] / root
 
 
 class TestSiteWindow:
@@ -192,12 +216,56 @@ class TestABValues:
             pair = AdmissiblePair(z, zp)
             scale = 10 ** int(gen.integers(1, 8))  # centres up to 1e7 away, near and far
             window = Window.centered(7, int(gen.integers(-scale, scale)))
+            values = _site_values(window)
             try:
-                kernel_matrix(pair, window)
-                products = [math.prod(ab_values(pair, x)) for x in window.sites]
-            except PoleError:
+                want = _vectorized_real_ab(pair, values)
+            except PoleError as exc:  # the same pole is named
+                with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+                    kernel_matrix(pair, window)
                 continue
+            kernel_matrix(pair, window)
+            products = [math.prod(ab_values(pair, x)) for x in window.sites]
             assert max(abs(p - 1.0) for p in products) < 1e-15, (z, zp, window)
+            for got, ref in zip(_ab_arrays(pair, values), want):
+                np.testing.assert_allclose(got, ref, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_vectorized_path_below_gamma_range(self, seed):
+        # Where every gamma argument is below 160 in absolute value, A and B keep their bits.
+        gen = np.random.default_rng(seed)
+        for _ in range(100):
+            m = int(gen.integers(-150, 151))
+            pair = AdmissiblePair(*(m + gen.uniform(0.001, 0.999, 2)))
+            n = int(gen.integers(1, 41))
+            lo = int(gen.integers(-160 - m, 160 - m - n))  # arguments in (m + lo + 1, m + lo + n + 1)
+            values = _site_values(Window.from_indices(lo, lo + n - 1))
+            both = np.add.outer((pair.z.real, pair.z_prime.real), values + 0.5)
+            assert np.abs(both).max() < _GAMMA_RANGE
+            for got, want in zip(_ab_arrays(pair, values), _vectorized_real_ab(pair, values)):
+                assert got.tobytes() == want.tobytes(), (pair, lo, n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_vectorized_path_on_far_windows(self, seed):
+        # Beyond 160, math.exp against numpy's exp: A and B agree within 4e-16 relative.
+        gen = np.random.default_rng(100 + seed)
+        for _ in range(100):
+            m = int(gen.integers(-150, 151))
+            pair = AdmissiblePair(*(m + gen.uniform(0.001, 0.999, 2)))
+            scale = 10 ** int(gen.integers(3, 8))
+            window = Window.centered(int(gen.integers(1, 41)), int(gen.integers(-scale, scale)))
+            values = _site_values(window)
+            for got, want in zip(_ab_arrays(pair, values), _vectorized_real_ab(pair, values)):
+                np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("z, zp", [(5e-324, 0.38), (-1e-320, -0.5), (1e-310, 0.5)])
+    def test_gamma_overflow_refused(self, z, zp):
+        # Gamma(z + x + 1/2) is past the doubles at x = -1/2 when |z| < 5.6e-309.
+        pair = AdmissiblePair(z, zp)
+        for call in (lambda: kernel_matrix(pair, Window.from_indices(-1, 3)),
+                     lambda: ab_values(pair, Site(-1)),
+                     lambda: kernel_entry(pair, Site(-1), Site(0))):
+            with pytest.raises(NumericalError, match=r"^Gamma overflows a double at site -0\.5$"):
+                call()
 
     def test_value_against_oracle(self, real_pair):
         a, _ = ab_values(real_pair, Site(0))
@@ -499,6 +567,39 @@ class TestDifferenceOperator:
     def test_conjugate_off_diagonals_positive(self, conj_pair):
         d = difference_operator_matrix(conj_pair, Window.centered(16))
         assert np.diagonal(d, 1).min() > 0.0
+
+    def test_coupling_of_a_parameter_near_zero(self):
+        # (z + t)(z' + t) underflows to 0 at t = 0 for z = 5e-324; the roots of the factors do not.
+        d = difference_operator_matrix(AdmissiblePair(5e-324, 0.38), Window.from_indices(-3, 3))
+        coupling = np.diagonal(d, 1)
+        assert coupling.min() > 0.0
+        assert coupling[2] == pytest.approx(math.sqrt(5e-324) * math.sqrt(0.38), rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coupling_matches_two_branch_formula(self, seed):
+        # The branch split the single coupling replaced: the root of the real product,
+        # and hypot of z + t on the conjugate branch.
+        gen = np.random.default_rng(seed)
+        for _ in range(200):
+            if gen.random() < 0.5:
+                m = int(gen.integers(-1000, 1001))
+                pair = AdmissiblePair(*(m + gen.uniform(0.001, 0.999, 2)))
+            else:
+                z = complex(gen.uniform(-5.0, 5.0), gen.uniform(0.01, 5.0))
+                pair = AdmissiblePair(z, z.conjugate())
+            scale = 10 ** int(gen.integers(1, 7))
+            window = Window.centered(int(gen.integers(2, 61)), int(gen.integers(-scale, scale)))
+            values = _site_values(window)
+            t = values[:-1] + 0.5
+            z, zp = pair.z, pair.z_prime
+            if pair.branch is Branch.REAL_INTERVAL:
+                want = np.sqrt((z.real + t) * (zp.real + t))
+            else:
+                want = np.hypot((z + t).real, (z + t).imag)
+            d = difference_operator_matrix(pair, window)
+            np.testing.assert_allclose(np.diagonal(d, 1), want, rtol=1e-15, atol=0.0)
+            assert np.array_equal(np.diagonal(d), -(2.0 * values + (z + zp).real))
+            assert np.array_equal(d, d.T)
 
 
 class TestSpectralProjection:

@@ -76,7 +76,6 @@ from .rn import (
     rn_stabilization,
 )
 from .rng import SeededRng
-from .specfun import digamma, log_gamma_complex
 
 __version__ = "0.1.0"
 
@@ -107,14 +106,12 @@ __all__ = [
     "config_probability",
     "correlation",
     "difference_operator_matrix",
-    "digamma",
     "dirichlet_form",
     "empirical_correlation",
     "enumerate_distribution",
     "is_admissible",
     "kernel_entry",
     "kernel_matrix",
-    "log_gamma_complex",
     "proximity_u",
     "rate",
     "rn_derivative",

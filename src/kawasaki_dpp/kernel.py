@@ -17,18 +17,14 @@ with ``prefactor = sin(pi z) sin(pi z') / (pi sin(pi (z - z')))`` and
 
     A(x) = Gamma(z + x + 1/2) / sqrt(Gamma(z + x + 1/2) Gamma(z' + x + 1/2)),
 
-B(x) the same with z and z' exchanged.  On the real branch A(x)^2 is the
-gamma ratio itself where both gammas are normal doubles, and the exponential
-of a log-gamma difference beyond.  On the conjugate branch A(x) is a
-unit-modulus complex number with B(x) = conj(A(x)), taken from the phase of
-the complex log-gamma; every downstream combination is mathematically real
-and is formed in real arithmetic.
-
-No value is cached between calls: each call evaluates a whole window, or
-one or two sites for single entries and A/B.  Real-branch gammas are taken
-site by site, everything else in vectorized passes.  A 4096-site window
-(the cap) builds in about 0.5 s at a peak RSS of about 325 MiB (2-vCPU Xeon
-at 2.0 GHz, numpy 2.4).
+B(x) the same with z and z' exchanged (on the conjugate branch, B = conj(A)
+with |A| = 1).  No gamma value is taken: K depends on A and B only through
+the ratios of neighbouring sites, A(x + 1) / A(x) = sgn(a) sqrt(a / b) with
+a = z + x + 1/2 and b = z' + x + 1/2, and through psi(a) - psi(b), which
+moves by -(z - z') / (ab) per site; each window takes one anchor series
+(:mod:`kawasaki_dpp.specfun`), and ``ab_values`` one series at its site.
+Nothing is cached between calls.  A 4096-site window (the cap) builds in
+0.31-0.45 s at a peak RSS of 293 MiB (2-vCPU Xeon, numpy 2.4).
 
 The same kernel is, equivalently, the spectral projection onto the positive
 part of the spectrum of a second-order symmetric difference operator;
@@ -41,13 +37,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
-from .specfun import _GAMMA_RANGE, _check_poles, digamma, log_gamma_complex, sinpi
+from .specfun import digamma_difference, log_gamma_difference, sinpi
 from .util import format_float, write_csv
 
 __all__ = [
@@ -68,8 +65,9 @@ __all__ = [
 ]
 
 MAX_WINDOW_SITES = 4096
-# Largest |Im z| of a conjugate pair: the phases Im log Gamma(z + x + 1/2) grow like
-# |Im z| log |Im z|: a 7-site kernel is off by up to 3.8e-12 at 1e4, 2.8e-13 at 1e3.
+# Largest |Im z| of a conjugate pair.  ab_values takes the phase Im log Gamma(z + x + 1/2)
+# at its site, which grows like |Im z| log |Im z| and keeps its ulp: 1.7e-12 off at 1e3.
+# The kernel takes only phase steps, but keeps the cap so that both admit the same pairs.
 _CONJUGATE_IM_CAP = 1e3
 # Rows write_kernel_csv formats together; their texts for later rows are one piece per column.
 _MIRROR_ROWS = 32
@@ -193,84 +191,87 @@ class AdmissiblePair:
         object.__setattr__(self, "branch", branch)
 
 
+def _exact(index: int) -> int:
+    """The index; DomainError unless x = index + 1/2 is an exact double, |x| < 2^52."""
+    if not -2**52 <= index < 2**52:
+        raise DomainError(f"site index {index}: x = index + 1/2 is not an exact double, "
+                          f"|x| must be below 2^52")
+    return index
+
+
 def _site_values(window: Window) -> np.ndarray:
-    """The window's x = index + 1/2; DomainError unless each is an exact double, |x| < 2^52."""
-    for index in (window.lo.index, window.hi.index):
-        if not -2**52 <= index < 2**52:
-            raise DomainError(f"site index {index}: x = index + 1/2 is not an exact double, "
-                              f"|x| must be below 2^52")
-    return np.arange(window.lo.index, window.hi.index + 1) + 0.5
+    """The window's x = index + 1/2, each an exact double (see :func:`_exact`)."""
+    return np.arange(_exact(window.lo.index), _exact(window.hi.index) + 1) + 0.5
 
 
-def _ab_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and B at the site values; on the conjugate branch cos and sin of arg A."""
-    z, zp = pair.z, pair.z_prime
-    if pair.branch is Branch.REAL_INTERVAL:
-        # A = sign * sqrt(|Gamma(z + x + 1/2) / Gamma(z' + x + 1/2)|), and B = sign / sqrt(...),
-        # site by site.  Where both gammas are normal doubles the ratio is taken as it is:
-        # a difference of logs would lose ulp(log Gamma), about 1e-14 at x = 100.
-        # Admissibility puts both arguments in one unit interval; rounding moves one at
-        # most onto an end, a pole (PoleError) or a positive integer, so the two gammas
-        # agree in sign.
-        p, q = [], []
-        zr, zpr = z.real, zp.real
-        for x in values.tolist():
-            t = x + 0.5  # gamma arguments are z + x + 1/2
-            a, b = zr + t, zpr + t
-            try:
-                if abs(a) < _GAMMA_RANGE and abs(b) < _GAMMA_RANGE:
-                    gamma = math.gamma(a)
-                    root = math.sqrt(gamma / math.gamma(b))
-                    sign = math.copysign(1.0, gamma)
-                else:
-                    root = math.exp(0.5 * (math.lgamma(a) - math.lgamma(b)))
-                    # Gamma(a) < 0 exactly when a < 0 and floor(a) is odd
-                    sign = -1.0 if a < 0.0 and math.floor(a) % 2 else 1.0
-            except ValueError:  # raised at the poles only
-                both = np.add.outer((zr, zpr), values + 0.5)
-                _check_poles(both[both <= 0.0], "gamma")
-                raise
-            except OverflowError:  # Gamma(a) for |a| below 5.6e-309
-                raise NumericalError(f"Gamma overflows a double at site {x}") from None
-            p.append(sign * root)
-            q.append(sign / root)
-        return np.array(p), np.array(q)
-    # Conjugate branch: Gamma(z' + x + 1/2) = conj(Gamma(z + x + 1/2)), so
-    # A(x) = Gamma/|Gamma| = cos(theta) + i sin(theta) and B = conj(A).
-    if abs(z.imag) > _CONJUGATE_IM_CAP:
-        raise NumericalError(f"|Im z| = {abs(z.imag):g} exceeds {_CONJUGATE_IM_CAP:g}: "
+def _check_cap(pair: AdmissiblePair) -> None:
+    """NumericalError for a conjugate pair past :data:`_CONJUGATE_IM_CAP`."""
+    if pair.branch is Branch.CONJUGATE_PAIR and abs(pair.z.imag) > _CONJUGATE_IM_CAP:
+        raise NumericalError(f"|Im z| = {abs(pair.z.imag):g} exceeds {_CONJUGATE_IM_CAP:g}: "
                              f"the phases of Gamma(z + x + 1/2) have lost their digits")
-    theta = log_gamma_complex(z + (values + 0.5)).imag
-    return np.cos(theta), np.sin(theta)
+
+
+def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
+    """(p, q, diagonal, scale) over contiguous site values, in O(n).
+
+    K(x, y) = scale (p_x q_y - q_x p_y) / (x - y).  With a = z + x + 1/2,
+    b = z' + x + 1/2 and d = z - z' from the parameters, neighbours differ by a
+    step log(a / b) (log1p(d / b) where |d / b| <= 1/2) on the real branch, and
+    by arg(a) on the conjugate one, taken as arg(-a) and a flip of sign where
+    Re a < 0.  S sums the steps, 0 at the middle site; sigma = (-1)^(flips).
+    Real: p, q = sigma sinh(S / 2), sigma cosh(S / 2), p_x q_y - q_x p_y = sigma
+    sigma sinh((S_x - S_y) / 2) is half of A_x B_y - B_x A_y, and the scale is
+    twice the prefactor.  Conjugate: p + i q = sigma e^(iS) is A up to one
+    phase, A_x B_y - B_x A_y = -2i (p_x q_y - q_x p_y), and the scale is
+    2 Im(prefactor), the prefactor -i (sin^2 pi x + sinh^2 pi y) /
+    (pi sinh 2 pi y) being imaginary (z = x + iy).  The diagonal is scale / 2
+    times psi(a) - psi(b) (or -2 Im psi(a)): one series at the first site, then
+    -d / (ab) (or -2 Im(1 / a)) per site.  A real prefactor below the normal
+    doubles (a parameter within about 1e-308 of an integer) or |S / 2| past
+    354, where cosh^2 overflows, raises NumericalError.
+    """
+    z, zp = pair.z, pair.z_prime
+    t = values + 0.5  # a = z + t, b = z' + t
+    real = pair.branch is Branch.REAL_INTERVAL
+    if real:
+        z, zp = z.real, zp.real
+        a, b = z + t, zp + t
+        u = (z - zp) / b
+        step = np.log(np.abs(a)) - np.log(np.abs(b))
+        np.log1p(u, out=step, where=np.abs(u) <= 0.5)
+        flip = a < 0.0
+        scale = 2.0 * sinpi(z) * sinpi(zp) / (math.pi * sinpi(z - zp))
+    else:
+        _check_cap(pair)
+        x, y = z.real + t, z.imag
+        flip = x < 0.0
+        step = np.arctan2(np.where(flip, -y, y), np.abs(x))
+        c, s = math.pi * abs(y), sinpi(z.real)
+        # -sgn(y) (sin^2 pi Re z / (sinh c cosh c) + tanh c) / pi, c = pi |y|, with no overflow
+        inverse = 4.0 * math.exp(-2.0 * c) / -math.expm1(-4.0 * c)  # 1 / (sinh c cosh c)
+        scale = -math.copysign((s * s * inverse + math.tanh(c)) / math.pi, y)
+        psi = np.append(-digamma_difference(z, zp, int(t[0])).imag, (2.0 * y / (x * x + y * y))[:-1])
+    total = np.cumsum(np.append(0.0, step[:-1]))
+    total -= total[len(total) // 2]
+    sign = np.where(np.cumsum(np.append(False, flip[:-1])) % 2, -1.0, 1.0)
+    if not real:
+        return sign * np.cos(total), sign * np.sin(total), 0.5 * scale * np.cumsum(psi), scale
+    h = 0.5 * total
+    if not (abs(scale) >= 2.0 * sys.float_info.min and np.abs(h).max() <= 354.0):
+        raise NumericalError(f"kernel entries leave the normal doubles between sites "
+                             f"{values[0]:g} and {values[-1]:g}")
+    psi = np.append(digamma_difference(z, zp, int(t[0])), -(u / a)[:-1])
+    return sign * np.sinh(h), sign * np.cosh(h), 0.5 * scale * np.cumsum(psi), scale
 
 
 def _kernel_block(pair: AdmissiblePair, values: np.ndarray) -> np.ndarray:
-    """K(x, y) for x (rows) and y (columns) over the distinct site values ``values``.
+    """K(x, y) for x (rows) and y (columns) over contiguous site values.
 
-    The only path that evaluates K.  Besides the result it allocates one
-    array of the block's size.  Both branches scale p_x q_y - q_x p_y, with
-    (p, q) from :func:`_ab_arrays`, by one real scale.  On the conjugate
-    branch, z = x + iy, A = p + i q and B = conj(A) give A_x B_y - B_x A_y =
-    -2i (p_x q_y - q_x p_y), and the prefactor -i (sin^2 pi x + sinh^2 pi y) /
-    (pi sinh 2 pi y) is purely imaginary: the scale is 2 Im(prefactor) and the
-    diagonal -scale Im psi(z + x + 1/2), in real arithmetic, as complex array
-    products may fuse multiply-adds and break the bitwise symmetry K(x, y) = K(y, x).
+    The only path that evaluates K as a block; besides the result it allocates
+    one array of the block's size.  It is real arithmetic throughout, as complex
+    array products may fuse multiply-adds and break the bitwise symmetry.
     """
-    z, zp = pair.z, pair.z_prime
-    p, q = _ab_arrays(pair, values)
-    arg = values + 0.5
-    if pair.branch is Branch.REAL_INTERVAL:
-        prefactor = sinpi(z.real) * sinpi(zp.real) / (math.pi * sinpi(z.real - zp.real))
-        psi_p, psi_q = digamma(np.add.outer((z.real, zp.real), arg))
-        diagonal = prefactor * (psi_p - psi_q)
-        scale = prefactor
-    else:
-        a = math.pi * abs(z.imag)
-        s = sinpi(z.real)
-        # -sgn(y) (sin^2 pi x / (sinh a cosh a) + tanh a) / pi, a = pi |y|, with no overflow
-        inverse = 4.0 * math.exp(-2.0 * a) / -math.expm1(-4.0 * a)  # 1 / (sinh a cosh a)
-        scale = -math.copysign((s * s * inverse + math.tanh(a)) / math.pi, z.imag)
-        diagonal = -scale * digamma(z + arg).imag
+    p, q, diagonal, scale = _kernel_arrays(pair, values)
     out = np.multiply.outer(p, q)
     scratch = np.multiply.outer(q, p)
     out -= scratch
@@ -283,23 +284,41 @@ def _kernel_block(pair: AdmissiblePair, values: np.ndarray) -> np.ndarray:
 
 
 def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
-    """The pair (A(x), B(x)).
+    """The pair (A(x), B(x)), from one series at x, with A(x) * B(x) = 1.
 
     Real floats on the RealInterval branch; on the ConjugatePair branch a
-    unit-modulus complex pair with B = conj(A).  A(x) * B(x) = 1 in both
-    cases.
+    unit-modulus complex pair with B = conj(A).
     """
-    p, q = _ab_arrays(pair, _site_values(Window(x, x)))
+    t = _exact(x.index) + 1  # gamma arguments are z + x + 1/2
+    z, zp = pair.z, pair.z_prime
     if pair.branch is Branch.REAL_INTERVAL:
-        return float(p[0]), float(q[0])
-    a = complex(p[0], q[0])
+        half = 0.5 * log_gamma_difference(z.real, zp.real, t)
+        # Gamma(a) < 0 exactly when floor(a) = floor(z) + t is negative and odd
+        floor = math.floor(z.real) + t
+        sign = -1.0 if floor < 0 and floor % 2 else 1.0
+        return sign * math.exp(half), sign * math.exp(-half)
+    _check_cap(pair)
+    theta = log_gamma_difference(z, zp, t)
+    a = complex(math.cos(theta), math.sin(theta))
     return a, a.conjugate()
 
 
 def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
-    """K(x, y) off the block over x and y; the digamma diagonal formula is used when x = y."""
-    values = np.unique(np.concatenate([_site_values(Window(s, s)) for s in (x, y)]))
-    return float(_kernel_block(pair, values)[0, -1])
+    """K(x, y), the corner entry of the O(n) pass over ``Window(min, max)``.
+
+    It costs O(|x - y|), forms no n^2 block, and is bitwise :func:`kernel_matrix`'s
+    entry on that window and within 5e-14 of max|K| of any enclosing window's.
+    A gap of more than MAX_WINDOW_SITES sites raises SizeError.
+    """
+    window = Window(min(x, y), max(x, y))
+    if window.size > MAX_WINDOW_SITES:
+        raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
+    values = _site_values(window)
+    p, q, diagonal, scale = _kernel_arrays(pair, values)
+    if x == y:
+        return float(diagonal[0])
+    i, j = (0, -1) if x < y else (-1, 0)
+    return float((p[i] * q[j] - q[i] * p[j]) * scale / (values[i] - values[j]))
 
 
 class KernelMatrix:
@@ -368,10 +387,10 @@ class KernelMatrix:
 
 
 def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
-    """The window restriction K_W, entry-identical to kernel_entry calls.
+    """The window restriction K_W, one :func:`_kernel_block`.
 
-    The whole window is one :func:`_kernel_block`.  It is exactly symmetric
-    because swapping x and y negates both the A/B combination and (x - y).
+    It is exactly symmetric because swapping x and y negates both the A/B
+    combination and (x - y).
     """
     if window.size > MAX_WINDOW_SITES:
         raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")

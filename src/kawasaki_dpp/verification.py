@@ -50,10 +50,8 @@ from .exact import (
 )
 from .kernel import (
     AdmissiblePair,
-    Branch,
     Window,
-    _ab_arrays,
-    _site_values,
+    ab_values,
     difference_operator_matrix,
     kernel_matrix,
     spectral_projection_check,
@@ -139,10 +137,8 @@ def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check
                         float(products.real.min())))
     checks.append(_bounded("admissibility_product_imag", float(np.abs(products.imag).max()), 1e-12))
 
-    # One pass over the subwindow; on the conjugate branch p, q = cos, sin of arg A.
-    p, q = _ab_arrays(pair, _site_values(_subwindow(window, 200)))
-    products = p * q if pair.branch is Branch.REAL_INTERVAL else p * p + q * q
-    ab_err = float(np.abs(products - 1.0).max())
+    ab_err = max(abs(complex(a * b) - 1.0)
+                 for a, b in (ab_values(pair, x) for x in _subwindow(window, 200).sites))
     checks.append(_bounded("ab_identity_max_error", ab_err, 1e-12))
 
     k = kernel_matrix(pair, _subwindow(window, 100))

@@ -136,12 +136,12 @@ class TestExitCodes:
         assert err.startswith("error: configuration 0101") and " is ill-conditioned: " in err
 
     def test_verify_all_reports_a_suite_that_raises(self, capsys):
-        # The dynamics suite raises on -40..-20; under all it is one failed check.
+        # The dynamics and exact suites raise on -40..-20; under all each is one failed check.
         code, out, _ = run(capsys, "verify", "--suite", "all", "--window", "-40..-20")
         report = json.loads(out)
-        assert (code, report["suite"], report["failures"]) == (2, "all", 1)
+        assert (code, report["suite"], report["failures"]) == (2, "all", 2)
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert [c["name"] for c in failed] == ["dynamics_error"]
+        assert [c["name"] for c in failed] == ["dynamics_error", "exact_error"]
         code, out, err = run(capsys, "verify", "--suite", "dynamics", "--window", "-40..-20")
         assert (code, out) == (2, "")
         assert err.startswith("error: configuration 1111100000 is ill-conditioned: ")

@@ -1,8 +1,9 @@
 """Kernel formulas, admissibility and the difference-operator cross-checks.
 
-The live oracle `_mp_kernel` transcribes the closed form directly into
-mpmath at 40 digits, independent of the log-space evaluation under test.
-Frozen spot values were produced by the same oracle before the build.
+The live oracles `_mp_kernel` and `_mp_window` transcribe the closed form
+directly into mpmath (gamma and digamma values, never rounded), independent
+of the neighbour-ratio evaluation under test.  Frozen spot values were
+produced by the same oracle before the build.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kawasaki_dpp.errors import DomainError, NumericalError, PoleError, SizeError
+from kawasaki_dpp.errors import DomainError, KawasakiDppError, NumericalError, SizeError
 from kawasaki_dpp.kernel import (
     MAX_WINDOW_SITES,
     AdmissiblePair,
@@ -24,7 +25,6 @@ from kawasaki_dpp.kernel import (
     KernelMatrix,
     Site,
     Window,
-    _ab_arrays,
     _site_values,
     ab_values,
     difference_operator_matrix,
@@ -34,7 +34,6 @@ from kawasaki_dpp.kernel import (
     spectral_projection_check,
     write_kernel_csv,
 )
-from kawasaki_dpp.specfun import _GAMMA_RANGE, _gamma, log_gamma_parts
 from kawasaki_dpp.verification import run_suite
 
 mp.mp.dps = 40
@@ -86,26 +85,42 @@ def _mp_kernel(z, zp, x: Site, y: Site):
     return complex(value).real
 
 
-def _vectorized_real_ab(pair: AdmissiblePair, values: np.ndarray):
-    """The real branch of A and B as the whole-window numpy path that the per-site loop
-    of ``_ab_arrays`` replaced: one pass when every argument is below _GAMMA_RANGE, else
-    log-gammas at the far sites and gammas at the near ones."""
-    both = np.add.outer((pair.z.real, pair.z_prime.real), values + 0.5)
-    in_range = (np.abs(both) < _GAMMA_RANGE).all(axis=0)
-    near = in_range.nonzero()[0]
-    if near.size == len(values):
-        gamma = _gamma(both)
-        root = np.sqrt(gamma[0] / gamma[1])
-        return np.sign(gamma[0]) * root, np.sign(gamma[1]) / root
-    far = (~in_range).nonzero()[0]
-    sign = np.empty_like(both)
-    log_abs, sign[:, far] = log_gamma_parts(both[:, far])
-    gamma = _gamma(both[:, near])
-    sign[:, near] = np.sign(gamma)
-    root = np.empty(len(values))
-    root[far] = np.exp(0.5 * (log_abs[0] - log_abs[1]))
-    root[near] = np.sqrt(gamma[0] / gamma[1])
-    return sign[0] * root, sign[1] / root
+def _mp_window(z, zp, window: Window, dps: int):
+    """(A, B, K) over the window's sites from mpmath at `dps` digits, with z + x + 1/2 formed
+    exactly; A and B as mpmath numbers, K as floats."""
+    with mp.workdps(dps):
+        z, zp = mp.mpmathify(z), mp.mpmathify(zp)
+        prefactor = _mp_prefactor(z, zp)
+        xs = [mp.mpf(site.index) + mp.mpf(1) / 2 for site in window.sites]
+        a, b = [], []
+        for x in xs:
+            gp, gq = mp.gamma(z + x + mp.mpf(1) / 2), mp.gamma(zp + x + mp.mpf(1) / 2)
+            root = mp.sqrt(gp * gq)
+            a.append(gp / root)
+            b.append(gq / root)
+        k = np.empty((len(xs), len(xs)))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                if i == j:
+                    d = mp.digamma(z + x + mp.mpf(1) / 2) - mp.digamma(zp + x + mp.mpf(1) / 2)
+                else:
+                    d = (a[i] * b[j] - b[i] * a[j]) / (x - y)
+                k[i, j] = float(mp.re(prefactor * d))
+        return a, b, k
+
+
+def _kernel_error(pair: AdmissiblePair, window: Window, dps: int) -> float:
+    """max |K - K_mpmath| / max |K_mpmath| of kernel_matrix on the window."""
+    want = _mp_window(pair.z, pair.z_prime, window, dps)[2]
+    return float(np.abs(kernel_matrix(pair, window).entries - want).max() / np.abs(want).max())
+
+
+def _assert_entry_contract(pair: AdmissiblePair, k: KernelMatrix, x: Site, y: Site) -> None:
+    """kernel_entry(x, y) is bitwise kernel_matrix's on Window(min, max), and within
+    5e-14 of max|K| of the enclosing window's entry."""
+    got = kernel_entry(pair, x, y)
+    assert got == kernel_matrix(pair, Window(min(x, y), max(x, y))).entry(x, y)
+    assert abs(got - k.entry(x, y)) <= 5e-14 * np.abs(k.entries).max()
 
 
 class TestSiteWindow:
@@ -195,15 +210,16 @@ class TestABValues:
     def test_same_gamma_sign_on_real_branch(self, real_pair):
         for index in range(-25, 25):
             arg = index + 1.0  # x + 1/2 for x = index + 1/2
-            _, sign_z = log_gamma_parts(real_pair.z.real + arg)
-            _, sign_zp = log_gamma_parts(real_pair.z_prime.real + arg)
-            assert sign_z == sign_zp
+            sign_z = math.copysign(1.0, math.gamma(real_pair.z.real + arg))
+            sign_zp = math.copysign(1.0, math.gamma(real_pair.z_prime.real + arg))
+            assert sign_z == sign_zp == math.copysign(1.0, ab_values(real_pair, Site(index))[0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_near_integer_pairs_on_far_windows(self, seed):
-        # z or z' within 4 ulps of an integer m: a rounded gamma argument can land on
-        # the end of its unit interval, a pole (refused) or a positive integer, but the
-        # two gammas never differ in sign.
+        # z or z' within 4 ulps of an integer m: no gamma argument is rounded, so no pole
+        # is reachable.  The kernel is within 1e-14 of max|K| of mpmath, and A within
+        # 2e-14 (A is up to e^17 here, and log A carries its ulp); only a parameter
+        # within 2e-323 of 0, whose sin(pi z) is subnormal, is refused.
         gen = np.random.default_rng(seed)
         for _ in range(40):
             m = int(gen.integers(-6, 7))
@@ -216,56 +232,47 @@ class TestABValues:
             pair = AdmissiblePair(z, zp)
             scale = 10 ** int(gen.integers(1, 8))  # centres up to 1e7 away, near and far
             window = Window.centered(7, int(gen.integers(-scale, scale)))
-            values = _site_values(window)
-            try:
-                want = _vectorized_real_ab(pair, values)
-            except PoleError as exc:  # the same pole is named
-                with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+            if m == 0:
+                with pytest.raises(NumericalError, match="^kernel entries leave the normal doubles"):
                     kernel_matrix(pair, window)
-                continue
-            kernel_matrix(pair, window)
-            products = [math.prod(ab_values(pair, x)) for x in window.sites]
-            assert max(abs(p - 1.0) for p in products) < 1e-15, (z, zp, window)
-            for got, ref in zip(_ab_arrays(pair, values), want):
-                np.testing.assert_allclose(got, ref, rtol=4e-16, atol=0.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_equals_vectorized_path_below_gamma_range(self, seed):
-        # Where every gamma argument is below 160 in absolute value, A and B keep their bits.
-        gen = np.random.default_rng(seed)
-        for _ in range(100):
-            m = int(gen.integers(-150, 151))
-            pair = AdmissiblePair(*(m + gen.uniform(0.001, 0.999, 2)))
-            n = int(gen.integers(1, 41))
-            lo = int(gen.integers(-160 - m, 160 - m - n))  # arguments in (m + lo + 1, m + lo + n + 1)
-            values = _site_values(Window.from_indices(lo, lo + n - 1))
-            both = np.add.outer((pair.z.real, pair.z_prime.real), values + 0.5)
-            assert np.abs(both).max() < _GAMMA_RANGE
-            for got, want in zip(_ab_arrays(pair, values), _vectorized_real_ab(pair, values)):
-                assert got.tobytes() == want.tobytes(), (pair, lo, n)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_near_vectorized_path_on_far_windows(self, seed):
-        # Beyond 160, math.exp against numpy's exp: A and B agree within 4e-16 relative.
-        gen = np.random.default_rng(100 + seed)
-        for _ in range(100):
-            m = int(gen.integers(-150, 151))
-            pair = AdmissiblePair(*(m + gen.uniform(0.001, 0.999, 2)))
-            scale = 10 ** int(gen.integers(3, 8))
-            window = Window.centered(int(gen.integers(1, 41)), int(gen.integers(-scale, scale)))
-            values = _site_values(window)
-            for got, want in zip(_ab_arrays(pair, values), _vectorized_real_ab(pair, values)):
-                np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+            else:
+                assert _kernel_error(pair, window, 40) <= 1e-14, (z, zp, window)
+            # z + x + 1/2 takes 340 digits to hold exactly for a subnormal z
+            a_want, b_want, _ = _mp_window(z, zp, window, 400 if m == 0 else 40)
+            for x, a, b in zip(window.sites, a_want, b_want):
+                got = ab_values(pair, x)
+                bound = 1e-12 if m == 0 else 2e-14  # |log A| up to 372 for a subnormal z
+                assert abs(got[0] - a) <= bound * abs(a) and abs(got[1] - b) <= bound * abs(b)
+                assert abs(math.prod(got) - 1.0) < 1e-15, (z, zp, x)
 
     @pytest.mark.parametrize("z, zp", [(5e-324, 0.38), (-1e-320, -0.5), (1e-310, 0.5)])
     def test_gamma_overflow_refused(self, z, zp):
-        # Gamma(z + x + 1/2) is past the doubles at x = -1/2 when |z| < 5.6e-309.
+        # Gamma(z + x + 1/2) is past the doubles at x = -1/2 when |z| < 5.6e-309.  A and B
+        # are within 1e-12 of mpmath (log A carries the ulp of 372), and the kernel,
+        # whose prefactor is subnormal, is refused.  400 digits hold z + x + 1/2 exactly.
         pair = AdmissiblePair(z, zp)
+        for index in (-1, -1000):
+            a_want, b_want, _ = _mp_window(z, zp, Window.from_indices(index, index), 400)
+            try:
+                a, b = ab_values(pair, Site(index))
+            except KawasakiDppError:
+                continue
+            assert abs(a - a_want[0]) <= 1e-12 * abs(a_want[0])
+            assert abs(b - b_want[0]) <= 1e-12 * abs(b_want[0])
         for call in (lambda: kernel_matrix(pair, Window.from_indices(-1, 3)),
-                     lambda: ab_values(pair, Site(-1)),
                      lambda: kernel_entry(pair, Site(-1), Site(0))):
-            with pytest.raises(NumericalError, match=r"^Gamma overflows a double at site -0\.5$"):
+            with pytest.raises(NumericalError, match=r"^kernel entries leave the normal doubles "
+                                                     r"between sites -0\.5 and"):
                 call()
+
+    @pytest.mark.parametrize("pair", [(1.5, 1.7), (0.3 + 0.4j, 0.3 - 0.4j)], ids=["real", "conj"])
+    @pytest.mark.parametrize("index", [-10**6, 10**6])
+    def test_against_mpmath_at_a_million(self, pair, index):
+        pair = AdmissiblePair(*pair)
+        a_want, b_want, _ = _mp_window(pair.z, pair.z_prime, Window.from_indices(index, index), 40)
+        a, b = ab_values(pair, Site(index))
+        assert abs(a - a_want[0]) <= 1e-15 * abs(a_want[0])
+        assert abs(b - b_want[0]) <= 1e-15 * abs(b_want[0])
 
     def test_value_against_oracle(self, real_pair):
         a, _ = ab_values(real_pair, Site(0))
@@ -348,26 +355,38 @@ class TestKernelMatrix:
     def test_matches_entry_loop_bitwise(self, real_pair, conj_pair):
         # every ordered pair, x = y among them, of -6..5 (reflected where the
         # real part of z + x + 1/2 is negative: from index -3 down on the real
-        # branch, -2 on the conjugate one) and of the sites where |z + x + 1/2|
-        # crosses 160 on either branch, between indices -163 and -161 and
-        # between 157 and 159; |x - y| reaches 324
+        # branch, -2 on the conjugate one) and of the sites between indices
+        # -164 and -160 and between 156 and 160; |x - y| reaches 324.  Each entry
+        # is bitwise that of its own gap window and near the enclosing window's.
         w = Window.from_indices(-164, 160)
         sites = [Site(i) for i in (*range(-164, -159), *range(-6, 6), *range(156, 161))]
         for pair in (real_pair, conj_pair):
             k = kernel_matrix(pair, w)
             for x in sites:
                 for y in sites:
-                    assert k.entry(x, y) == kernel_entry(pair, x, y)
+                    _assert_entry_contract(pair, k, x, y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entries_agree_across_enclosing_windows(self, seed):
+        # 300 random entries of windows up to the cap, each read off its gap window
+        gen = np.random.default_rng(seed)
+        pair = AdmissiblePair(*[(1.5, 1.7), (0.3 + 0.4j, 0.3 - 0.4j), (-2.5, -2.1),
+                                (0.7 - 1e3j, 0.7 + 1e3j)][seed])
+        k = kernel_matrix(pair, Window.from_indices(*[(-2048, 2047), (-600, -201), (0, 999),
+                                                      (300, 419)][seed]))
+        bound = 5e-14 * np.abs(k.entries).max()
+        for i, j in gen.integers(0, k.size, size=(300, 2)).tolist():
+            x, y = k.window.sites[i], k.window.sites[j]
+            assert abs(kernel_entry(pair, x, y) - k.entry(x, y)) <= bound
 
     @pytest.mark.parametrize("center", [-159, 157])
     def test_windows_across_the_gamma_range(self, real_pair, center):
-        # |z + x + 1/2| crosses 160 inside the window: A and B come from gamma
-        # ratios on one side and from log-gamma differences on the other
+        # |z + x + 1/2| crosses 160 inside the window
         k = kernel_matrix(real_pair, Window.centered(12, center))
         z, zp = mp.mpf("1.5"), mp.mpf("1.7")
         for x in k.window.sites:
             for y in k.window.sites:
-                assert k.entry(x, y) == kernel_entry(real_pair, x, y)
+                _assert_entry_contract(real_pair, k, x, y)
                 assert k.entry(x, y) == pytest.approx(_mp_kernel(z, zp, x, y), abs=1e-12, rel=1e-10)
 
     def test_eigenvalues_within_unit_interval(self, real_pair, conj_pair):
@@ -497,7 +516,9 @@ class TestKernelMatrix:
         k = kernel_matrix(pair, w)
         assert k.size == MAX_WINDOW_SITES
         for x, y in ((w.lo, w.hi), (w.hi, w.hi), (Site(0), Site(1))):
-            assert k.entry(x, y) == kernel_entry(pair, x, y)
+            _assert_entry_contract(pair, k, x, y)
+        with pytest.raises(SizeError, match="^window of 4097 sites exceeds cap 4096$"):
+            kernel_entry(pair, w.lo, Site(w.hi.index + 1))
 
     def test_eigenvalues_take_no_eigenvectors(self, real_pair, conj_pair, monkeypatch):
         def no_eigh(a):
@@ -528,6 +549,30 @@ class TestKernelMatrix:
         assert lines[1].startswith("-0.5,")
         parsed = [float(v) for v in lines[2].split(",")[1:]]
         assert parsed == [k.entries[1, 0], k.entries[1, 1], k.entries[1, 2]]
+
+
+_ORACLE_PAIRS = [(1.5, 1.7), (-2.5, -2.1), (0.3 + 0.4j, 0.3 - 0.4j), (0.3 - 0.4j, 0.3 + 0.4j),
+                 (-4.001 - 0.000225j, -4.001 + 0.000225j), (-4.001 + 0.000225j, -4.001 - 0.000225j),
+                 (0.7 - 1e3j, 0.7 + 1e3j), (0.7 + 1e3j, 0.7 - 1e3j)]
+
+
+class TestAgainstMpmath:
+    """kernel_matrix against an 80-digit mpmath kernel, near the origin and far from it."""
+
+    @pytest.mark.parametrize("center", [0, 385, 10**4, 10**6, -10**6])
+    @pytest.mark.parametrize("z, zp", _ORACLE_PAIRS)
+    def test_seven_site_windows(self, z, zp, center):
+        assert _kernel_error(AdmissiblePair(z, zp), Window.centered(7, center), 80) <= 1e-14
+
+    @pytest.mark.parametrize("center", [0, 385])
+    @pytest.mark.parametrize("z, zp", [(0.3, 0.3 + 1e-6), (0.3, 0.3 + 1e-12), (0.3 + 1e-12, 0.3)])
+    def test_close_pairs(self, z, zp, center):
+        # README's stand-in for equal parameters, z' = z + 1e-6, and a closer one
+        assert _kernel_error(AdmissiblePair(z, zp), Window.centered(7, center), 80) <= 1e-14
+
+    @pytest.mark.parametrize("z, zp", [(1.5, 1.7), (0.3 + 0.4j, 0.3 - 0.4j)])
+    def test_window_of_120_sites(self, z, zp):
+        assert _kernel_error(AdmissiblePair(z, zp), Window.from_indices(300, 419), 30) <= 5e-14
 
 
 class TestDifferenceOperator:

@@ -205,8 +205,10 @@ def _sector_masks(n: int, count: int) -> np.ndarray:
         raise ValueError(f"count {count} out of range for {n} sites")
     if n > MAX_ENUMERATION_SITES:
         raise SizeError(f"sector listing capped at {MAX_ENUMERATION_SITES} sites, got {n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    return masks[_occupancy(masks, n).sum(axis=1) == count]
+    counts = np.zeros(1 << n, dtype=np.int8)  # popcounts, doubled up one bit at a time
+    for i in range(n):
+        counts[1 << i:2 << i] = counts[:1 << i] + 1
+    return np.flatnonzero(counts == count)
 
 
 def _clamp(probs: np.ndarray, configuration: Callable[[int], Configuration]) -> int:

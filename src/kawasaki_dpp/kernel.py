@@ -24,7 +24,9 @@ a = z + x + 1/2 and b = z' + x + 1/2, and through psi(a) - psi(b), which
 moves by -(z - z') / (ab) per site; each window takes one anchor series
 (:mod:`kawasaki_dpp.specfun`), and ``ab_values`` one series at its site.
 Nothing is cached between calls.  A 4096-site window (the cap) builds in
-0.31-0.45 s at a peak RSS of 293 MiB (2-vCPU Xeon, numpy 2.4).
+0.31-0.45 s at a peak RSS of 293 MiB (2-vCPU Xeon, numpy 2.4), and a larger
+one is refused before any work.  The kernel admits every conjugate pair but
+one with a subnormal Im z; ``ab_values`` caps |Im z| at 1e3.
 
 The same kernel is, equivalently, the spectral projection onto the positive
 part of the spectrum of a second-order symmetric difference operator;
@@ -65,9 +67,9 @@ __all__ = [
 ]
 
 MAX_WINDOW_SITES = 4096
-# Largest |Im z| of a conjugate pair.  ab_values takes the phase Im log Gamma(z + x + 1/2)
-# at its site, which grows like |Im z| log |Im z| and keeps its ulp: 1.7e-12 off at 1e3.
-# The kernel takes only phase steps, but keeps the cap so that both admit the same pairs.
+# Largest |Im z| of a conjugate pair in ab_values, which takes the phase Im log Gamma(z + x + 1/2)
+# at its site: it grows like |Im z| log |Im z| and keeps its ulp, 1.7e-12 off at 1e3.  The
+# kernel takes only phase steps, each below pi, and admits every conjugate pair.
 _CONJUGATE_IM_CAP = 1e3
 # Rows write_kernel_csv formats together; their texts for later rows are one piece per column.
 _MIRROR_ROWS = 32
@@ -200,15 +202,10 @@ def _exact(index: int) -> int:
 
 
 def _site_values(window: Window) -> np.ndarray:
-    """The window's x = index + 1/2, each an exact double (see :func:`_exact`)."""
+    """The window's x = index + 1/2, exact doubles (:func:`_exact`); SizeError past the cap."""
+    if window.size > MAX_WINDOW_SITES:
+        raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
     return np.arange(_exact(window.lo.index), _exact(window.hi.index) + 1) + 0.5
-
-
-def _check_cap(pair: AdmissiblePair) -> None:
-    """NumericalError for a conjugate pair past :data:`_CONJUGATE_IM_CAP`."""
-    if pair.branch is Branch.CONJUGATE_PAIR and abs(pair.z.imag) > _CONJUGATE_IM_CAP:
-        raise NumericalError(f"|Im z| = {abs(pair.z.imag):g} exceeds {_CONJUGATE_IM_CAP:g}: "
-                             f"the phases of Gamma(z + x + 1/2) have lost their digits")
 
 
 def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
@@ -226,9 +223,10 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
     2 Im(prefactor), the prefactor -i (sin^2 pi x + sinh^2 pi y) /
     (pi sinh 2 pi y) being imaginary (z = x + iy).  The diagonal is scale / 2
     times psi(a) - psi(b) (or -2 Im psi(a)): one series at the first site, then
-    -d / (ab) (or -2 Im(1 / a)) per site.  A real prefactor below the normal
-    doubles (a parameter within about 1e-308 of an integer) or |S / 2| past
-    354, where cosh^2 overflows, raises NumericalError.
+    -d / (ab) (or -2 Im(1 / a)) per site.  NumericalError, before the diagonal,
+    unless the prefactor is a finite normal double (not so for a real parameter
+    within about 1e-308 of an integer, or a subnormal Im z) and, on the real
+    branch, |S / 2| <= 354, where cosh^2 stays finite.
     """
     z, zp = pair.z, pair.z_prime
     t = values + 0.5  # a = z + t, b = z' + t
@@ -242,7 +240,6 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
         flip = a < 0.0
         scale = 2.0 * sinpi(z) * sinpi(zp) / (math.pi * sinpi(z - zp))
     else:
-        _check_cap(pair)
         x, y = z.real + t, z.imag
         flip = x < 0.0
         step = np.arctan2(np.where(flip, -y, y), np.abs(x))
@@ -250,16 +247,17 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
         # -sgn(y) (sin^2 pi Re z / (sinh c cosh c) + tanh c) / pi, c = pi |y|, with no overflow
         inverse = 4.0 * math.exp(-2.0 * c) / -math.expm1(-4.0 * c)  # 1 / (sinh c cosh c)
         scale = -math.copysign((s * s * inverse + math.tanh(c)) / math.pi, y)
-        psi = np.append(-digamma_difference(z, zp, int(t[0])).imag, (2.0 * y / (x * x + y * y))[:-1])
     total = np.cumsum(np.append(0.0, step[:-1]))
     total -= total[len(total) // 2]
-    sign = np.where(np.cumsum(np.append(False, flip[:-1])) % 2, -1.0, 1.0)
-    if not real:
-        return sign * np.cos(total), sign * np.sin(total), 0.5 * scale * np.cumsum(psi), scale
     h = 0.5 * total
-    if not (abs(scale) >= 2.0 * sys.float_info.min and np.abs(h).max() <= 354.0):
+    if not (2.0 * sys.float_info.min <= abs(scale) < math.inf
+            and (not real or np.abs(h).max() <= 354.0)):
         raise NumericalError(f"kernel entries leave the normal doubles between sites "
                              f"{values[0]:g} and {values[-1]:g}")
+    sign = np.where(np.cumsum(np.append(False, flip[:-1])) % 2, -1.0, 1.0)
+    if not real:
+        psi = np.append(-digamma_difference(z, zp, int(t[0])).imag, (2.0 * y / (x * x + y * y))[:-1])
+        return sign * np.cos(total), sign * np.sin(total), 0.5 * scale * np.cumsum(psi), scale
     psi = np.append(digamma_difference(z, zp, int(t[0])), -(u / a)[:-1])
     return sign * np.sinh(h), sign * np.cosh(h), 0.5 * scale * np.cumsum(psi), scale
 
@@ -297,7 +295,9 @@ def ab_values(pair: AdmissiblePair, x: Site) -> tuple:
         floor = math.floor(z.real) + t
         sign = -1.0 if floor < 0 and floor % 2 else 1.0
         return sign * math.exp(half), sign * math.exp(-half)
-    _check_cap(pair)
+    if abs(z.imag) > _CONJUGATE_IM_CAP:
+        raise NumericalError(f"|Im z| = {abs(z.imag):g} exceeds {_CONJUGATE_IM_CAP:g}: "
+                             f"the phases of Gamma(z + x + 1/2) have lost their digits")
     theta = log_gamma_difference(z, zp, t)
     a = complex(math.cos(theta), math.sin(theta))
     return a, a.conjugate()
@@ -311,8 +311,6 @@ def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
     A gap of more than MAX_WINDOW_SITES sites raises SizeError.
     """
     window = Window(min(x, y), max(x, y))
-    if window.size > MAX_WINDOW_SITES:
-        raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
     values = _site_values(window)
     p, q, diagonal, scale = _kernel_arrays(pair, values)
     if x == y:
@@ -392,8 +390,6 @@ def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
     It is exactly symmetric because swapping x and y negates both the A/B
     combination and (x - y).
     """
-    if window.size > MAX_WINDOW_SITES:
-        raise SizeError(f"window of {window.size} sites exceeds cap {MAX_WINDOW_SITES}")
     return KernelMatrix(window, _kernel_block(pair, _site_values(window)))
 
 
@@ -402,7 +398,7 @@ def difference_operator_matrix(pair: AdmissiblePair, window: Window) -> np.ndarr
 
     Symmetric tridiagonal: diagonal -(2x + z + z'), off-diagonal
     sqrt((z + x + 1/2)(z' + x + 1/2)) coupling x to x + 1.  Sites outside the
-    window are dropped (zero Dirichlet boundary).
+    window are dropped (zero Dirichlet boundary); the window is capped as K's.
     """
     z, zp = pair.z, pair.z_prime
     values = _site_values(window)

@@ -202,7 +202,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, expected", [
         (["kernel", "--z", "1.5+120i", "--zp", "1.5-120i"], 0),
-        (["kernel", "--z", "0.5+1e300i", "--zp", "0.5-1e300i"], 2),
+        (["kernel", "--z", "0.5+1e300i", "--zp", "0.5-1e300i"], 0),
+        (["kernel", "--z", "0.3+1e-310i", "--zp", "0.3-1e-310i", "--window", "-3..3"], 2),
+        (["verify", "--suite", "kernel", "--z", "0.5+2000i", "--zp", "0.5-2000i"], 2),
         (["kernel", "--z", "0.5", "--zp", "0.5"], 1),
         (["sample", "--seed", "18446744073709551616"], 1),
         (["sample", "--window", "-5000..5000"], 2),
@@ -227,6 +229,14 @@ class TestExitCodes:
         else:
             assert len(lines) == 1
             assert lines[0].startswith("usage error: " if code == 1 else "error: ")
+
+    def test_ab_values_cap_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify", "--suite", "kernel", "--z", "0.5+2000i",
+                             "--zp", "0.5-2000i")
+        assert (code, out) == (2, "")
+        assert err == ("error: |Im z| = 2000 exceeds 1000: the phases of Gamma(z + x + 1/2) "
+                       "have lost their digits\n")
 
     def test_simulate_event_cap_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         # Without a cap this run's event lists grow until memory runs out.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -93,6 +94,24 @@ class TestSectorMasks:
     def test_range_check(self):
         with pytest.raises(ValueError):
             sector_masks(4, 5)
+
+    @pytest.mark.parametrize("n_sites", range(11))
+    def test_equal_to_combinations(self, n_sites):
+        for count in range(n_sites + 1):
+            want = sorted(sum(1 << i for i in chosen)
+                          for chosen in itertools.combinations(range(n_sites), count))
+            assert sector_masks(n_sites, count) == want
+
+    def test_listing_takes_no_occupancy_table(self):
+        # a (2^20, 20) bool table of every mask would take 20 MiB
+        tracemalloc.start()
+        try:
+            masks = sector_masks(20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks == [1 << i for i in range(20)]
+        assert peak <= 4 << 20
 
     @pytest.mark.parametrize("n_sites", [21, 64])
     def test_size_cap_before_listing(self, n_sites):

@@ -491,14 +491,18 @@ class TestKernelMatrix:
                         d = (a[i] * mp.conj(a[j]) - mp.conj(a[i]) * a[j]) / (x - y)
                     assert abs(k.entries[i, j] - mp.re(prefactor * d)) <= 1e-12
 
-    @pytest.mark.parametrize("imag", [1e5, -1e15, 1e300])
-    def test_conjugate_pair_beyond_the_cap_refused(self, imag):
-        # Im log Gamma(z + x + 1/2) grows like |Im z| log |Im z|: uncapped, the
-        # 7-site kernel is off from mpmath by 5.5e-10 at 1e6
-        pair = AdmissiblePair(0.5 + 1j * imag, 0.5 - 1j * imag)
+    @pytest.mark.parametrize("imag", [2e3, 1e5, 1e10, -1e15, 1e300])
+    def test_conjugate_pair_past_the_ab_values_cap(self, imag):
+        # The kernel takes phase steps, each below pi, and admits every conjugate pair;
+        # ab_values takes Im log Gamma(z + x + 1/2), which grows like |Im z| log |Im z|.
+        # The oracle's gamma phases take log10 |Im z| digits more to hold 30.
+        pair = AdmissiblePair(0.3 + 1j * imag, 0.3 - 1j * imag)
+        for center in (0, 385, -10**6):
+            window = Window.centered(7, center)
+            assert _kernel_error(pair, window, 30 + int(math.log10(abs(imag)))) <= 1e-14
+            k = kernel_matrix(pair, window)
+            _assert_entry_contract(pair, k, window.lo, window.hi)
         message = "^" + re.escape(f"|Im z| = {abs(imag):g} exceeds 1000: the phases of Gamma")
-        with pytest.raises(NumericalError, match=message):
-            kernel_matrix(pair, Window.from_indices(-3, 3))
         with pytest.raises(NumericalError, match=message):
             ab_values(pair, Site(0))
 

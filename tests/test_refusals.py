@@ -1,12 +1,14 @@
 """Refusals across the layers: each call raises its typed error with its message.
 
-Each case is a call on a tiny input that a check refuses before any other
-work: a malformed kernel, a mismatched window, an empty or zero-mass input.
+Each case is a call that a check refuses before any other work: a malformed
+kernel, a mismatched window, an empty or zero-mass input, a window past the
+kernel's cap, a pair whose kernel leaves the doubles.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +23,26 @@ from kawasaki_dpp.errors import (
     WindowMismatchError,
 )
 from kawasaki_dpp.exact import build_generator, spectrum
-from kawasaki_dpp.kernel import AdmissiblePair, KernelMatrix, Site, Window, is_admissible
+from kawasaki_dpp.kernel import (
+    AdmissiblePair,
+    KernelMatrix,
+    Site,
+    Window,
+    difference_operator_matrix,
+    is_admissible,
+    kernel_entry,
+    kernel_matrix,
+    spectral_projection_check,
+)
 from kawasaki_dpp.rn import SwapPair, rn_stabilization
 from kawasaki_dpp.rng import SeededRng
 
 W1 = Window.from_indices(0, 0)
 W2 = Window.from_indices(0, 1)
 W3 = Window.from_indices(0, 2)
+PAST_CAP = Window.centered(4097)
+# The conjugate scale, about sin^2(pi Re z) / (pi^2 |Im z|), overflows for a subnormal Im z
+SUBNORMAL = AdmissiblePair(0.3 + 1e-310j, 0.3 - 1e-310j)
 METROPOLIS = RateModel.metropolis(ProximitySpec.nearest_neighbor())
 
 
@@ -48,6 +63,18 @@ CASES = {
                                  NumericalError, "kernel diagonal outside [0, 1]"),
     "validate-eigenvalues": (lambda tmp: KernelMatrix(W2, [[0.5, 0.9], [0.9, 0.5]]).validate(),
                              NumericalError, "eigenvalues [-0.4, 1.4] outside [-1e-9, 1+1e-9]"),
+    "kernel-subnormal-imaginary-part": (
+        lambda tmp: kernel_matrix(SUBNORMAL, Window.from_indices(-3, 3)),
+        NumericalError, "kernel entries leave the normal doubles between sites -2.5 and 3.5"),
+    "kernel-entry-subnormal-imaginary-part": (
+        lambda tmp: kernel_entry(SUBNORMAL, Site(-3), Site(3)),
+        NumericalError, "kernel entries leave the normal doubles between sites -2.5 and 3.5"),
+    "difference-operator-past-cap": (
+        lambda tmp: difference_operator_matrix(AdmissiblePair(1.5, 1.7), PAST_CAP),
+        SizeError, "window of 4097 sites exceeds cap 4096"),
+    "projection-check-past-cap": (
+        lambda tmp: spectral_projection_check(AdmissiblePair(1.5, 1.7), PAST_CAP, 1),
+        SizeError, "window of 4097 sites exceeds cap 4096"),
     "window-of-no-sites": (lambda tmp: Window.centered(0),
                            ValueError, "window size must be >= 1"),
     "integer-parameter": (lambda tmp: _inadmissible_pair(1.0, 1.5),
@@ -91,3 +118,16 @@ def test_refusal_names_its_cause(name, tmp_path):
         call(tmp_path)
     assert not any(tmp_path.iterdir())
 
+
+@pytest.mark.parametrize("name", ["difference-operator-past-cap", "projection-check-past-cap"])
+def test_window_past_the_cap_is_refused_before_its_work(name, tmp_path):
+    # a 4097^2 operator alone would take 128 MiB
+    call, error, _ = CASES[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -7,17 +7,21 @@ appears), so artifacts on disk are byte-reproducible from the same argv and
 seed.  Exit codes: 0 success, 1 usage error, 2 numeric or verification
 failure.
 
-Options may also come from a config file of ``key = value`` lines
-(``--config``); explicit flags win over file values, which win over built-in
-defaults.  Every value goes through one typed reader, ``_Options.get``, so a
-value its parser rejects (a malformed number, a negative seed, a sector the
-window cannot hold) is a usage error that names the option.  Window syntax is
-``lo..hi`` in integer site indices (site value = index + 1/2), complex
-parameters are ``a+bi`` literals, and all floating output uses %.17g.  A run
-resolves its shared options and admissible pair once (``_run_config``); a
-command that writes one file does so through ``_write_artifact``, which also
-echoes and prints the path.  Every written file's directory is created first,
-and an unreadable ``--config`` file is a usage error.
+Each subcommand is one ``add`` in ``_build_parser``: its name, handler,
+options and own defaults (``rn``'s 100 draws).  Options may also come from a
+config file of ``key = value`` lines (``--config``, before or after the
+subcommand; after wins); explicit flags win over file values, which win over
+the command's defaults and then the built-in ones.  Every value goes through
+one typed reader, ``_Options.get``, so a value its parser rejects (a malformed
+number, a negative seed, an unknown model, a sector the window cannot hold) is
+a usage error that names the option.  Window syntax is ``lo..hi`` in integer
+site indices (site value = index + 1/2), complex parameters are ``a+bi``
+literals, and all floating output uses %.17g.  A run resolves its shared
+options, the rate model and the admissible pair among them, once
+(``_run_config``); a command that writes one file does so through
+``_write_artifact``, which also echoes and prints the path.  Every written
+file's directory is created first, and an unreadable ``--config`` file is a
+usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import math
 import re
 import sys
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -109,8 +114,7 @@ class RunConfig:
     command: str
     pair: AdmissiblePair
     window: Window
-    rate_model: str
-    proximity: ProximitySpec
+    model: RateModel
     t_max: float
     seed: int
     n_samples: int
@@ -122,8 +126,8 @@ class RunConfig:
             "z": format_complex(self.pair.z),
             "z_prime": format_complex(self.pair.z_prime),
             "window": f"{self.window.lo.index}..{self.window.hi.index}",
-            "rate_model": self.rate_model,
-            "proximity": self.proximity.label(),
+            "rate_model": self.model.kind.value,
+            "proximity": self.model.proximity.label(),
             "t_max": self.t_max,
             "seed": self.seed,
             "n_samples": self.n_samples,
@@ -136,33 +140,6 @@ def _echo(payload: dict) -> None:
     """The run's one stderr JSON line, the only place a timestamp appears."""
     payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(json.dumps(payload), file=sys.stderr)
-
-
-@lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kawasaki-dpp", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="file of key = value option defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *options: str):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help=argparse.SUPPRESS)
-        for opt in options:
-            p.add_argument(f"--{opt.replace('_', '-')}", dest=opt, default=None)
-        return p
-
-    add("admissible", "z", "zp")
-    add("kernel", "z", "zp", "window", "out", "output_dir")
-    add("sample", "z", "zp", "window", "seed", "n_samples", "out", "output_dir")
-    add("exact-probs", "z", "zp", "window", "out", "output_dir")
-    add("rn", "z", "zp", "pattern", "pattern_window", "swap", "sizes", "seed",
-        "n_samples", "out", "output_dir")
-    add("simulate", "z", "zp", "window", "model", "proximity", "weight", "t_max",
-        "seed", "initial", "replicas", "output_dir")
-    add("spectrum", "z", "zp", "window", "model", "proximity", "weight", "sector",
-        "out", "output_dir")
-    add("verify", "z", "zp", "window", "seed", "suite", "out", "output_dir")
-    return parser
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -186,23 +163,15 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class _Options:
-    """Flag > config-file > default resolution, with one typed reader."""
+    """Flag > config file > the command's default > built-in default, with one typed reader."""
 
     def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
-        self._args = vars(args)
-        self._file = file_values
+        self.command = args.command
+        flags = {key: value for key, value in vars(args).items() if value is not None}
+        self._values = ChainMap(flags, file_values, args.defaults, _DEFAULTS)
 
     def raw(self, key: str) -> str:
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
-        if key in self._file:
-            return self._file[key]
-        return _DEFAULTS[key]
-
-    def provided(self, key: str) -> bool:
-        """Whether the value came from a flag or the config file."""
-        return self._args.get(key) is not None or key in self._file
+        return self._values[key]
 
     def get(self, key: str, convert):
         """``convert(raw value)``; a value it rejects is a usage error naming the option."""
@@ -237,23 +206,20 @@ def _parse_proximity(text: str, weight: float) -> ProximitySpec:
     raise ValueError(f"expected 'nn', 'exp:ALPHA' or 'range:R', got {spec!r}")
 
 
-def _rate_model(options: _Options, proximity: ProximitySpec) -> RateModel:
-    """``--model`` names a ``RateKind`` value, with ``-`` for ``_`` (``sqrt-ratio``)."""
-    return options.get("model", lambda text: RateModel(
-        RateKind(text.strip().lower().replace("-", "_")), proximity))
-
-
-def _run_config(command: str, options: _Options) -> RunConfig:
+def _run_config(options: _Options) -> RunConfig:
     z = options.get("z", parse_complex)
     # an inadmissible pair is a DomainError, which is a ValueError
     pair = options.get("zp", lambda text: AdmissiblePair(z, parse_complex(text)))
     weight = options.get("weight", _POSITIVE)
+    window = options.get("window", parse_window_spec)
+    proximity = options.get("proximity", lambda text: _parse_proximity(text, weight))
     return RunConfig(
-        command=command,
+        command=options.command,
         pair=pair,
-        window=options.get("window", parse_window_spec),
-        rate_model=options.raw("model"),
-        proximity=options.get("proximity", lambda text: _parse_proximity(text, weight)),
+        window=window,
+        # --model names a RateKind value, with - for _ (sqrt-ratio)
+        model=options.get("model", lambda text: RateModel(
+            RateKind(text.strip().lower().replace("-", "_")), proximity)),
         t_max=options.get("t_max", _POSITIVE),
         # SeededRng's range, checked without a generator: kernel runs never import numpy.random
         seed=options.get("seed", _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")),
@@ -282,7 +248,7 @@ def _cmd_admissible(options: _Options) -> int:
               "e.g. z + 1e-6", file=sys.stderr)
     # the full RunConfig presumes an admissible pair; echo the reduced form
     _echo({
-        "command": "admissible",
+        "command": options.command,
         "z": format_complex(z),
         "z_prime": format_complex(zp),
         "admissible": result,
@@ -292,21 +258,21 @@ def _cmd_admissible(options: _Options) -> int:
 
 
 def _cmd_kernel(options: _Options) -> int:
-    config = _run_config("kernel", options)
+    config = _run_config(options)
     k = kernel_matrix(config.pair, config.window)
     k.validate()
     return _write_artifact(options, config, "kernel.csv", write_kernel_csv, k)
 
 
 def _cmd_sample(options: _Options) -> int:
-    config = _run_config("sample", options)
+    config = _run_config(options)
     k = kernel_matrix(config.pair, config.window)
     draws = sample_many(k, SeededRng(config.seed), config.n_samples)
     return _write_artifact(options, config, "samples.csv", write_samples_csv, draws)
 
 
 def _cmd_exact_probs(options: _Options) -> int:
-    config = _run_config("exact-probs", options)
+    config = _run_config(options)
     pmf = enumerate_distribution(kernel_matrix(config.pair, config.window))
     return _write_artifact(options, config, "pmf.csv", write_pmf_csv, pmf)
 
@@ -319,7 +285,7 @@ def _parse_swap(text: str) -> SwapPair:
 
 
 def _cmd_rn(options: _Options) -> int:
-    config = _run_config("rn", options)
+    config = _run_config(options)
     pattern_window = options.get("pattern_window", parse_window_spec)
 
     def parse_pattern(text: str) -> Configuration:
@@ -335,8 +301,6 @@ def _cmd_rn(options: _Options) -> int:
         lambda text: [int(s) for s in text.split(",") if s.strip()],
         lambda sizes: sizes and min(sizes) >= pattern_window.size,
         f"a nonempty list of window sizes of at least {pattern_window.size}"))
-    if not options.provided("n_samples"):
-        config.n_samples = 100  # the stabilization study's own default per size
     table = rn_stabilization(config.pair, pattern, swap, sizes, SeededRng(config.seed),
                              n_samples=config.n_samples)
     return _write_artifact(options, config, "rn_stabilization.csv", write_stabilization_csv,
@@ -356,8 +320,7 @@ def _parse_initial(text: str, window: Window) -> Configuration | None:
 
 
 def _cmd_simulate(options: _Options) -> int:
-    config = _run_config("simulate", options)
-    model = _rate_model(options, config.proximity)
+    config = _run_config(options)
     k = kernel_matrix(config.pair, config.window)
     replicas = options.get("replicas", _POSITIVE_INT)
     initial = options.get("initial", lambda text: _parse_initial(text, config.window))
@@ -365,14 +328,14 @@ def _cmd_simulate(options: _Options) -> int:
         # The initial draw uses the first stream index not taken by a
         # replica, so replica streams stay untouched.
         initial = sample(k, SeededRng(config.seed, replicas))
-    trajectories = [simulate(model, k, initial, config.t_max, SeededRng(config.seed, stream))
-                    for stream in range(replicas)]
+    trajectories = [simulate(config.model, k, initial, config.t_max,
+                             SeededRng(config.seed, stream)) for stream in range(replicas)]
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     paths = [config.output_dir / f"trajectory_{stream:03d}.csv" for stream in range(replicas)]
     for trajectory, path in zip(trajectories, paths):
         write_trajectory_csv(trajectory, path)
-        write_trajectory_sidecar(trajectory, config.pair.z, config.pair.z_prime, model,
+        write_trajectory_sidecar(trajectory, config.pair.z, config.pair.z_prime, config.model,
                                  path.with_suffix(".json"))
     config.echo(replicas=replicas, workers=1, n_events=[t.n_events for t in trajectories],
                 rate_table_misses=sum(t.rate_table_misses for t in trajectories),
@@ -391,16 +354,15 @@ def _parse_sector(text: str, window: Window) -> int | None:
 
 
 def _cmd_spectrum(options: _Options) -> int:
-    config = _run_config("spectrum", options)
-    model = _rate_model(options, config.proximity)
+    config = _run_config(options)
     sector = options.get("sector", lambda text: _parse_sector(text, config.window))
     k = kernel_matrix(config.pair, config.window)
-    g = build_generator(model, k, sector=sector)
+    g = build_generator(config.model, k, sector=sector)
     result = spectrum(g)
     payload = {
         "window": f"{config.window.lo.index}..{config.window.hi.index}",
         "sector": sector,
-        "model": model.kind.value,
+        "model": config.model.kind.value,
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "spectral_gap": result.spectral_gap,
     }
@@ -411,7 +373,7 @@ def _cmd_spectrum(options: _Options) -> int:
 def _cmd_verify(options: _Options) -> int:
     suite = options.get("suite", _checked(str, lambda v: v in (*SUITE_NAMES, "all"),
                                           f"one of {', '.join(SUITE_NAMES)} or all"))
-    config = _run_config("verify", options)
+    config = _run_config(options)
     options.get("window", lambda text: check_suite_window(suite, parse_window_spec(text)))
     report = run_suite(suite, config.pair, config.window, config.seed)
     config.echo(suite=suite, failures=report.failures)
@@ -423,25 +385,41 @@ def _cmd_verify(options: _Options) -> int:
     return 2 if report.failures else 0
 
 
-_HANDLERS = {
-    "admissible": _cmd_admissible,
-    "kernel": _cmd_kernel,
-    "sample": _cmd_sample,
-    "exact-probs": _cmd_exact_probs,
-    "rn": _cmd_rn,
-    "simulate": _cmd_simulate,
-    "spectrum": _cmd_spectrum,
-    "verify": _cmd_verify,
-}
+@lru_cache(maxsize=None)
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="kawasaki-dpp", description=__doc__.splitlines()[0])
+    parser.add_argument("--config", help="file of key = value option defaults")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, handler, *options: str, **defaults: str) -> None:
+        """The subcommand ``name``: its handler, its options and its own defaults."""
+        p = sub.add_parser(name)
+        # suppressed when absent, so a --config before the subcommand stands
+        p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        for opt in options:
+            p.add_argument(f"--{opt.replace('_', '-')}", dest=opt, default=None)
+        p.set_defaults(handler=handler, defaults=defaults)
+
+    add("admissible", _cmd_admissible, "z", "zp")
+    add("kernel", _cmd_kernel, "z", "zp", "window", "out", "output_dir")
+    add("sample", _cmd_sample, "z", "zp", "window", "seed", "n_samples", "out", "output_dir")
+    add("exact-probs", _cmd_exact_probs, "z", "zp", "window", "out", "output_dir")
+    # the stabilization study's own default: 100 draws per size
+    add("rn", _cmd_rn, "z", "zp", "pattern", "pattern_window", "swap", "sizes", "seed",
+        "n_samples", "out", "output_dir", n_samples="100")
+    add("simulate", _cmd_simulate, "z", "zp", "window", "model", "proximity", "weight",
+        "t_max", "seed", "initial", "replicas", "output_dir")
+    add("spectrum", _cmd_spectrum, "z", "zp", "window", "model", "proximity", "weight",
+        "sector", "out", "output_dir")
+    add("verify", _cmd_verify, "z", "zp", "window", "seed", "suite", "out", "output_dir")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         file_values = _read_config_file(args.config) if args.config else {}
-        options = _Options(args, file_values)
-        return _HANDLERS[args.command](options)
+        return args.handler(_Options(args, file_values))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

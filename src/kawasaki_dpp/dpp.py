@@ -71,6 +71,8 @@ _PROBABILITY_FLOOR = 1e-300
 # Sites of a Schur pass drawn by rank-one steps on a strip before one product
 # updates the trailing block; passes on at most this many sites take steps only.
 _PANEL = 48
+# Draw sites one sample_many call may return: count times the window's sites.
+_DRAW_ENTRIES = 1 << 26
 # Conditional probabilities kept per kernel by :class:`_NodeMemo`.
 _MEMO_ENTRIES = 1 << 15
 # Probabilities write_pmf_csv converts to Python floats at a time, not as one list.
@@ -472,12 +474,17 @@ def sample_many(
     stack that pass leaves; its probability is the product of the forced
     factors p or 1 - p, summed in log space.  Raises WindowMismatchError for
     a pattern outside the window, ZeroProbabilityError for one of
-    probability below 1e-300, and NumericalError for a probability below the
+    probability below 1e-300, NumericalError for a probability below the
     clamp floor or a visited conditional probability outside
-    [-1e-8, 1 + 1e-8], which no valid kernel gives.
+    [-1e-8, 1 + 1e-8], which no valid kernel gives, and SizeError, before
+    any allocation, when `count` draws of the window's sites exceed
+    :data:`_DRAW_ENTRIES`: distinct draws each hold a tuple of them.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if count * k.size > _DRAW_ENTRIES:
+        raise SizeError(f"{count} draws of {k.size} sites exceed the cap of "
+                        f"{_DRAW_ENTRIES} drawn sites")
     table = _draws(k) if pattern is None else None
     if isinstance(table, _LawTable):
         masks = np.searchsorted(table.cumulative, rng.random(count), side="right")

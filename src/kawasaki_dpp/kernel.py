@@ -226,7 +226,9 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
     -d / (ab) (or -2 Im(1 / a)) per site.  NumericalError, before the diagonal,
     unless the prefactor is a finite normal double (not so for a real parameter
     within about 1e-308 of an integer, or a subnormal Im z) and, on the real
-    branch, |S / 2| <= 354, where cosh^2 stays finite.
+    branch, |S / 2| <= 354, where cosh^2 stays finite, or, on the conjugate one,
+    |a|^2 is a normal double at every site (not so for |Im z| below about 1e-154
+    where Re a = 0), so the step 2 Im a / |a|^2 stays finite.
     """
     z, zp = pair.z, pair.z_prime
     t = values + 0.5  # a = z + t, b = z' + t
@@ -241,6 +243,7 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
         scale = 2.0 * sinpi(z) * sinpi(zp) / (math.pi * sinpi(z - zp))
     else:
         x, y = z.real + t, z.imag
+        norm = x * x + y * y  # |a|^2
         flip = x < 0.0
         step = np.arctan2(np.where(flip, -y, y), np.abs(x))
         c, s = math.pi * abs(y), sinpi(z.real)
@@ -251,12 +254,12 @@ def _kernel_arrays(pair: AdmissiblePair, values: np.ndarray) -> tuple:
     total -= total[len(total) // 2]
     h = 0.5 * total
     if not (2.0 * sys.float_info.min <= abs(scale) < math.inf
-            and (not real or np.abs(h).max() <= 354.0)):
+            and (np.abs(h).max() <= 354.0 if real else norm.min() >= sys.float_info.min)):
         raise NumericalError(f"kernel entries leave the normal doubles between sites "
                              f"{values[0]:g} and {values[-1]:g}")
     sign = np.where(np.cumsum(np.append(False, flip[:-1])) % 2, -1.0, 1.0)
     if not real:
-        psi = np.append(-digamma_difference(z, zp, int(t[0])).imag, (2.0 * y / (x * x + y * y))[:-1])
+        psi = np.append(-digamma_difference(z, zp, int(t[0])).imag, (2.0 * y / norm)[:-1])
         return sign * np.cos(total), sign * np.sin(total), 0.5 * scale * np.cumsum(psi), scale
     psi = np.append(digamma_difference(z, zp, int(t[0])), -(u / a)[:-1])
     return sign * np.sinh(h), sign * np.cosh(h), 0.5 * scale * np.cumsum(psi), scale

@@ -216,6 +216,8 @@ class TestExitCodes:
         (["admissible", "--z", "1e400"], 1),
         (["kernel", "--window", "4503599627370496..4503599627370499"], 2),
         (["kernel", "--z", "5e-324", "--zp", "0.38", "--window", "-1..3"], 2),
+        (["kernel", "--z", "1+1e-200i", "--zp", "1-1e-200i", "--window", "-3..3"], 2),
+        (["sample", "--window", "-2..1", "--n-samples", "1000000000"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_edge_argv_keeps_the_exit_contract(self, capsys, tmp_path, monkeypatch,
                                                argv, expected):
@@ -460,6 +462,45 @@ class TestConfigFile:
         echo = json.loads(stderr.splitlines()[-1])
         assert echo["window"] == "-1..1"   # flag beat the file
         assert echo["seed"] == 5           # file beat the default
+
+    def test_config_before_the_subcommand(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("window = -1..1\nseed = 5\n")
+        code, _, stderr = run(capsys, "--config", str(config), "kernel",
+                              "--out", str(tmp_path / "k.csv"))
+        assert code == 0
+        echo = json.loads(stderr.splitlines()[-1])
+        assert (echo["window"], echo["seed"]) == ("-1..1", 5)
+
+    def test_subcommand_config_wins_over_the_one_before_it(self, capsys, tmp_path):
+        before, after = tmp_path / "before.cfg", tmp_path / "after.cfg"
+        before.write_text("window = -2..1\n")
+        after.write_text("window = -1..1\n")
+        code, _, stderr = run(capsys, "--config", str(before), "kernel", "--config", str(after),
+                              "--out", str(tmp_path / "k.csv"))
+        assert code == 0
+        assert json.loads(stderr.splitlines()[-1])["window"] == "-1..1"
+
+    def test_unknown_model_in_config_is_usage_error_for_every_command(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = nonsense\n")
+        code, out, err = run(capsys, "kernel", "--config", str(config),
+                             "--out", str(tmp_path / "k.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --model: ")
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, used", [("", 100), ("n_samples = 7\n", 7)],
+                             ids=["default", "file"])
+    def test_rn_n_samples_from_its_default_or_the_file(self, capsys, tmp_path, text, used):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        code, _, stderr = run(capsys, "rn", "--config", str(config), "--pattern", "00",
+                              "--pattern-window", "3..4", "--swap", "3,4", "--sizes", "8",
+                              "--out", str(tmp_path / "stab.csv"))
+        assert code == 0
+        assert json.loads(stderr.splitlines()[-1])["n_samples"] == used
 
     @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path, name):

@@ -48,6 +48,7 @@ from kawasaki_dpp.exact import build_generator
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative, rn_stabilization
 from kawasaki_dpp.rng import SeededRng
+from oracle import mp_kernel
 
 
 PROXIMITIES = {
@@ -875,36 +876,12 @@ class TestRateStore:
                 total_jump_rate(model, k, config)
 
 
-def _mp_kernel(pair, window) -> mp.matrix:
-    """The closed form of ``kawasaki_dpp.kernel`` at 60 digits, with gamma and digamma
-    from mpmath, never rounded."""
-    with mp.workdps(60):
-        z, zp = mp.mpmathify(pair.z), mp.mpmathify(pair.z_prime)
-        prefactor = mp.sinpi(z) * mp.sinpi(zp) / (mp.pi * mp.sinpi(z - zp))
-        xs = [mp.mpf(2 * site.index + 1) / 2 for site in window.sites]
-        a, b = [], []
-        for x in xs:
-            gp, gq = mp.gamma(z + x + 0.5), mp.gamma(zp + x + 0.5)
-            a.append(gp / mp.sqrt(gp * gq))
-            b.append(gq / mp.sqrt(gp * gq))
-        n = len(xs)
-        k = mp.matrix(n, n)
-        for r in range(n):
-            for c in range(n):
-                if r == c:
-                    value = prefactor * (mp.digamma(z + xs[r] + 0.5) - mp.digamma(zp + xs[r] + 0.5))
-                else:
-                    value = prefactor * (a[r] * b[c] - b[r] * a[c]) / (xs[r] - xs[c])
-                k[r, c] = mp.re(value)
-        return k
-
-
 def _mp_ratios(pair, window, occupancy, ends) -> list[float]:
     """phi of the swaps `ends` out of `occupancy`, by G on a 60-digit mpmath kernel.
 
-    G = M^-1 (2K - I) is exact algebra on :func:`_mp_kernel`.
+    G = M^-1 (2K - I) is exact algebra on the kernel of :func:`oracle.mp_kernel`.
     """
-    k = _mp_kernel(pair, window)
+    k = mp_kernel(pair.z, pair.z_prime, window.sites, 60)[2]
     n = window.size
     with mp.workdps(60):
         eye = mp.eye(n)
@@ -953,7 +930,8 @@ class TestConditionGuard:
         # -6..5 about 385 with particles at positions 3 and 8: the rates the chain runs
         # on agree with those of a kernel of mpmath entries within the guard's estimate
         window = Window.centered(12, 385)
-        exact = KernelMatrix(window, np.array(_mp_kernel(real_pair, window).tolist(), dtype=float))
+        entries = mp_kernel(real_pair.z, real_pair.z_prime, window.sites, 60)[2]
+        exact = KernelMatrix(window, np.array(entries.tolist(), dtype=float))
         model = RateModel.sqrt_ratio(ProximitySpec.nearest_neighbor())
         positions, u = _pair_table(window, model.proximity)
         occupied = np.isin(np.arange(12), [3, 8])

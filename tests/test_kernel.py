@@ -1,9 +1,9 @@
 """Kernel formulas, admissibility and the difference-operator cross-checks.
 
-The live oracles `_mp_kernel` and `_mp_window` transcribe the closed form
-directly into mpmath (gamma and digamma values, never rounded), independent
-of the neighbour-ratio evaluation under test.  Frozen spot values were
-produced by the same oracle before the build.
+The live oracles `mp_entry` and `mp_kernel` (from `oracle`) transcribe the
+closed form directly into mpmath (gamma and digamma values, never rounded),
+independent of the neighbour-ratio evaluation under test.  Frozen spot values
+were produced by the same oracle before the build.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from kawasaki_dpp.kernel import (
     write_kernel_csv,
 )
 from kawasaki_dpp.verification import run_suite
+from oracle import mp_entry, mp_kernel, mp_prefactor
 
 mp.mp.dps = 40
 
@@ -61,57 +62,9 @@ PROJECTION_DEVIATIONS_REAL = {40: 0.10699016357813979, 60: 0.083828051957581917}
 PROJECTION_DEVIATIONS_CONJ = {40: 0.032626804015404742, 60: 0.022466233645759393}
 
 
-def _mp_prefactor(z, zp):
-    return mp.sinpi(z) * mp.sinpi(zp) / (mp.pi * mp.sinpi(z - zp))
-
-
-def _mp_kernel(z, zp, x: Site, y: Site):
-    xv = mp.mpf(2 * x.index + 1) / 2
-    yv = mp.mpf(2 * y.index + 1) / 2
-    if x == y:
-        value = _mp_prefactor(z, zp) * (
-            mp.digamma(z + xv + mp.mpf(1) / 2) - mp.digamma(zp + xv + mp.mpf(1) / 2)
-        )
-        return complex(value).real
-    def a(t):
-        gp = mp.gamma(z + t + mp.mpf(1) / 2)
-        gq = mp.gamma(zp + t + mp.mpf(1) / 2)
-        return gp / mp.sqrt(gp * gq)
-    def b(t):
-        gp = mp.gamma(z + t + mp.mpf(1) / 2)
-        gq = mp.gamma(zp + t + mp.mpf(1) / 2)
-        return gq / mp.sqrt(gp * gq)
-    value = _mp_prefactor(z, zp) * (a(xv) * b(yv) - b(xv) * a(yv)) / (xv - yv)
-    return complex(value).real
-
-
-def _mp_window(z, zp, window: Window, dps: int):
-    """(A, B, K) over the window's sites from mpmath at `dps` digits, with z + x + 1/2 formed
-    exactly; A and B as mpmath numbers, K as floats."""
-    with mp.workdps(dps):
-        z, zp = mp.mpmathify(z), mp.mpmathify(zp)
-        prefactor = _mp_prefactor(z, zp)
-        xs = [mp.mpf(site.index) + mp.mpf(1) / 2 for site in window.sites]
-        a, b = [], []
-        for x in xs:
-            gp, gq = mp.gamma(z + x + mp.mpf(1) / 2), mp.gamma(zp + x + mp.mpf(1) / 2)
-            root = mp.sqrt(gp * gq)
-            a.append(gp / root)
-            b.append(gq / root)
-        k = np.empty((len(xs), len(xs)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                if i == j:
-                    d = mp.digamma(z + x + mp.mpf(1) / 2) - mp.digamma(zp + x + mp.mpf(1) / 2)
-                else:
-                    d = (a[i] * b[j] - b[i] * a[j]) / (x - y)
-                k[i, j] = float(mp.re(prefactor * d))
-        return a, b, k
-
-
 def _kernel_error(pair: AdmissiblePair, window: Window, dps: int) -> float:
     """max |K - K_mpmath| / max |K_mpmath| of kernel_matrix on the window."""
-    want = _mp_window(pair.z, pair.z_prime, window, dps)[2]
+    want = np.array(mp_kernel(pair.z, pair.z_prime, window.sites, dps)[2].tolist(), dtype=float)
     return float(np.abs(kernel_matrix(pair, window).entries - want).max() / np.abs(want).max())
 
 
@@ -238,7 +191,7 @@ class TestABValues:
             else:
                 assert _kernel_error(pair, window, 40) <= 1e-14, (z, zp, window)
             # z + x + 1/2 takes 340 digits to hold exactly for a subnormal z
-            a_want, b_want, _ = _mp_window(z, zp, window, 400 if m == 0 else 40)
+            a_want, b_want, _ = mp_kernel(z, zp, window.sites, 400 if m == 0 else 40)
             for x, a, b in zip(window.sites, a_want, b_want):
                 got = ab_values(pair, x)
                 bound = 1e-12 if m == 0 else 2e-14  # |log A| up to 372 for a subnormal z
@@ -252,7 +205,7 @@ class TestABValues:
         # whose prefactor is subnormal, is refused.  400 digits hold z + x + 1/2 exactly.
         pair = AdmissiblePair(z, zp)
         for index in (-1, -1000):
-            a_want, b_want, _ = _mp_window(z, zp, Window.from_indices(index, index), 400)
+            a_want, b_want, _ = mp_kernel(z, zp, [Site(index)], 400)
             try:
                 a, b = ab_values(pair, Site(index))
             except KawasakiDppError:
@@ -269,7 +222,7 @@ class TestABValues:
     @pytest.mark.parametrize("index", [-10**6, 10**6])
     def test_against_mpmath_at_a_million(self, pair, index):
         pair = AdmissiblePair(*pair)
-        a_want, b_want, _ = _mp_window(pair.z, pair.z_prime, Window.from_indices(index, index), 40)
+        a_want, b_want, _ = mp_kernel(pair.z, pair.z_prime, [Site(index)], 40)
         a, b = ab_values(pair, Site(index))
         assert abs(a - a_want[0]) <= 1e-15 * abs(a_want[0])
         assert abs(b - b_want[0]) <= 1e-15 * abs(b_want[0])
@@ -321,7 +274,7 @@ class TestKernelEntry:
             for _ in range(25):
                 i, j = rng.integers(-30, 30, size=2)
                 got = kernel_entry(pair, Site(int(i)), Site(int(j)))
-                want = _mp_kernel(z, zp, Site(int(i)), Site(int(j)))
+                want = mp_entry(z, zp, Site(int(i)), Site(int(j)), 40)
                 assert got == pytest.approx(want, abs=1e-10, rel=1e-10)
 
     def test_symmetry_is_bitwise(self, real_pair, conj_pair):
@@ -387,7 +340,8 @@ class TestKernelMatrix:
         for x in k.window.sites:
             for y in k.window.sites:
                 _assert_entry_contract(real_pair, k, x, y)
-                assert k.entry(x, y) == pytest.approx(_mp_kernel(z, zp, x, y), abs=1e-12, rel=1e-10)
+                want = mp_entry(z, zp, x, y, 40)
+                assert k.entry(x, y) == pytest.approx(want, abs=1e-12, rel=1e-10)
 
     def test_eigenvalues_within_unit_interval(self, real_pair, conj_pair):
         for pair in (real_pair, conj_pair):
@@ -466,7 +420,7 @@ class TestKernelMatrix:
         k = kernel_matrix(AdmissiblePair(z, zp), Window.centered(12, center))
         for x in k.window.sites:
             for y in k.window.sites:
-                want = _mp_kernel(mp.mpmathify(z), mp.mpmathify(zp), x, y)
+                want = mp_entry(mp.mpmathify(z), mp.mpmathify(zp), x, y, 40)
                 assert k.entry(x, y) == pytest.approx(want, abs=1e-12, rel=1e-10)
 
     @pytest.mark.parametrize("z", [
@@ -479,7 +433,7 @@ class TestKernelMatrix:
         k = kernel_matrix(AdmissiblePair(z, z.conjugate()), Window.from_indices(-3, 3))
         with mp.workdps(80):
             w = mp.mpc(z.real, z.imag)
-            prefactor = _mp_prefactor(w, mp.conj(w))
+            prefactor = mp_prefactor(w, mp.conj(w))
             half = mp.mpf(1) / 2
             values = [mp.mpf(x.index) + half for x in k.window.sites]
             a = [g / abs(g) for g in (mp.gamma(w + v + half) for v in values)]  # B = conj(A)

@@ -2,7 +2,8 @@
 
 Each case is a call that a check refuses before any other work: a malformed
 kernel, a mismatched window, an empty or zero-mass input, a window past the
-kernel's cap, a pair whose kernel leaves the doubles.
+kernel's cap, a draw count past the sampler's, a pair whose kernel leaves the
+doubles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kawasaki_dpp.dpp import Configuration, enumerate_distribution, write_samples_csv
+from kawasaki_dpp.dpp import (Configuration, enumerate_distribution, sample_many,
+                              write_samples_csv)
 from kawasaki_dpp.dynamics import ProximitySpec, RateModel, total_jump_rate
 from kawasaki_dpp.errors import (
     DomainError,
@@ -69,12 +71,20 @@ CASES = {
     "kernel-entry-subnormal-imaginary-part": (
         lambda tmp: kernel_entry(SUBNORMAL, Site(-3), Site(3)),
         NumericalError, "kernel entries leave the normal doubles between sites -2.5 and 3.5"),
+    # Re(z + x + 1/2) = 0 at x = -1/2: |a|^2 = 1e-400 underflows, and the diagonal step with it
+    "kernel-conjugate-diagonal-underflow": (
+        lambda tmp: kernel_matrix(AdmissiblePair(1 + 1e-200j, 1 - 1e-200j),
+                                  Window.from_indices(-3, 3)),
+        NumericalError, "kernel entries leave the normal doubles between sites -2.5 and 3.5"),
     "difference-operator-past-cap": (
         lambda tmp: difference_operator_matrix(AdmissiblePair(1.5, 1.7), PAST_CAP),
         SizeError, "window of 4097 sites exceeds cap 4096"),
     "projection-check-past-cap": (
         lambda tmp: spectral_projection_check(AdmissiblePair(1.5, 1.7), PAST_CAP, 1),
         SizeError, "window of 4097 sites exceeds cap 4096"),
+    "draws-past-cap": (
+        lambda tmp: sample_many(KernelMatrix(W3, 0.5 * np.eye(3)), SeededRng(0), 1 << 25),
+        SizeError, "33554432 draws of 3 sites exceed the cap of 67108864 drawn sites"),
     "window-of-no-sites": (lambda tmp: Window.centered(0),
                            ValueError, "window size must be >= 1"),
     "integer-parameter": (lambda tmp: _inadmissible_pair(1.0, 1.5),
@@ -119,9 +129,10 @@ def test_refusal_names_its_cause(name, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("name", ["difference-operator-past-cap", "projection-check-past-cap"])
+@pytest.mark.parametrize("name", ["difference-operator-past-cap", "projection-check-past-cap",
+                                  "draws-past-cap"])
 def test_window_past_the_cap_is_refused_before_its_work(name, tmp_path):
-    # a 4097^2 operator alone would take 128 MiB
+    # a 4097^2 operator alone would take 128 MiB, and 2^25 uniforms 256 MiB
     call, error, _ = CASES[name]
     tracemalloc.start()
     try:

@@ -73,6 +73,9 @@ _PROBABILITY_FLOOR = 1e-300
 _PANEL = 48
 # Draw sites one sample_many call may return: count times the window's sites.
 _DRAW_ENTRIES = 1 << 26
+# Draws times sites cubed, as a draw's Schur pass costs O(n^3): no request the two caps admit
+# on 256-4096 sites takes more than 180 s (128 draws on 2048: 40-48 s; 1 BLAS thread, Xeon).
+_DRAW_WORK = 1 << 40
 # Conditional probabilities kept per kernel by :class:`_NodeMemo`.
 _MEMO_ENTRIES = 1 << 15
 # Probabilities write_pmf_csv converts to Python floats at a time, not as one list.
@@ -478,13 +481,17 @@ def sample_many(
     clamp floor or a visited conditional probability outside
     [-1e-8, 1 + 1e-8], which no valid kernel gives, and SizeError, before
     any allocation, when `count` draws of the window's sites exceed
-    :data:`_DRAW_ENTRIES`: distinct draws each hold a tuple of them.
+    :data:`_DRAW_ENTRIES` (distinct draws each hold a tuple of them) or take
+    more than :data:`_DRAW_WORK` in count times the sites cubed (their time).
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count * k.size > _DRAW_ENTRIES:
         raise SizeError(f"{count} draws of {k.size} sites exceed the cap of "
                         f"{_DRAW_ENTRIES} drawn sites")
+    if count * k.size ** 3 > _DRAW_WORK:
+        raise SizeError(f"{count} draws of {k.size} sites exceed the bound of "
+                        f"{_DRAW_WORK} on draws times sites cubed")
     table = _draws(k) if pattern is None else None
     if isinstance(table, _LawTable):
         masks = np.searchsorted(table.cumulative, rng.random(count), side="right")

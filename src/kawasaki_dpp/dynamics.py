@@ -177,7 +177,10 @@ def rate_from_ratio(kind: RateKind, u, phi):
 
 
 def rate(model: RateModel, k: KernelMatrix, config: Configuration, swap: SwapPair) -> float:
-    """c(gamma, x, y); zero-weight pairs short-circuit the ratio evaluation."""
+    """c(gamma, x, y); a zero-weight pair skips the ratio, not rn_derivative's window checks."""
+    if config.window != k.window:
+        raise WindowMismatchError("configuration window differs from kernel window")
+    apply_transposition(config, swap)  # WindowMismatchError for a swap site outside the window
     u = proximity_u(model.proximity, swap.x, swap.y)
     if u == 0.0:
         return 0.0

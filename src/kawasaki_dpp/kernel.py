@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, SizeError, WindowMismatchError
 from .specfun import digamma_difference, log_gamma_difference, sinpi
-from .util import format_float, write_csv
+from .util import write_csv
 
 __all__ = [
     "Site",
@@ -310,16 +310,16 @@ def kernel_entry(pair: AdmissiblePair, x: Site, y: Site) -> float:
     """K(x, y), the corner entry of the O(n) pass over ``Window(min, max)``.
 
     It costs O(|x - y|), forms no n^2 block, and is bitwise :func:`kernel_matrix`'s
-    entry on that window and within 5e-14 of max|K| of any enclosing window's.
+    entry on that window (0.0 for -0.0) and within 5e-14 of max|K| of any enclosing window's.
     A gap of more than MAX_WINDOW_SITES sites raises SizeError.
     """
     window = Window(min(x, y), max(x, y))
     values = _site_values(window)
     p, q, diagonal, scale = _kernel_arrays(pair, values)
     if x == y:
-        return float(diagonal[0])
+        return float(diagonal[0] + 0.0)
     i, j = (0, -1) if x < y else (-1, 0)
-    return float((p[i] * q[j] - q[i] * p[j]) * scale / (values[i] - values[j]))
+    return float((p[i] * q[j] - q[i] * p[j]) * scale / (values[i] - values[j]) + 0.0)
 
 
 class KernelMatrix:
@@ -329,6 +329,9 @@ class KernelMatrix:
     Construction checks that the entries are finite, symmetry to 1e-12 and
     the diagonal against [0, 1]; :meth:`validate` checks the eigenvalues, which
     are computed once, in O(n^3), with no eigenvector: nothing samples spectrally.
+    The entries equal their transpose bit for bit: an input symmetric in value (every
+    :func:`kernel_matrix`) is stored plus 0.0, which turns -0.0 into 0.0 and changes
+    nothing else, and any other keeps its upper triangle, mirrored below the diagonal.
     """
 
     def __init__(self, window: Window, entries: np.ndarray):
@@ -348,7 +351,7 @@ class KernelMatrix:
         diag = np.diagonal(given)
         if diag.min() < -1e-12 or diag.max() > 1.0 + 1e-12:
             raise NumericalError("kernel diagonal outside [0, 1]")
-        entries = given.copy()
+        entries = given + 0.0 if asym == 0.0 else np.triu(given) + np.triu(given, 1).T
         entries.setflags(write=False)
         self.window = window
         self.entries = entries
@@ -390,8 +393,8 @@ class KernelMatrix:
 def kernel_matrix(pair: AdmissiblePair, window: Window) -> KernelMatrix:
     """The window restriction K_W, one :func:`_kernel_block`.
 
-    It is exactly symmetric because swapping x and y negates both the A/B
-    combination and (x - y).
+    Symmetric in value, as swapping x and y negates both the A/B combination and
+    (x - y); an exact zero and its mirror may differ in sign until KernelMatrix adds 0.0.
     """
     return KernelMatrix(window, _kernel_block(pair, _site_values(window)))
 
@@ -453,22 +456,15 @@ def spectral_projection_check(pair: AdmissiblePair, window: Window, margin: int)
     return ProjectionReport(window, margin, core, deviation, commutator_norm)
 
 
-def _kernel_lines(sites: tuple[Site, ...], entries: np.ndarray,
-                  unmirrored: dict[int, list[tuple[int, str]]]):
+def _kernel_lines(sites: tuple[Site, ...], entries: np.ndarray):
     """The data lines of :func:`write_kernel_csv`, made one row at a time."""
     n = len(sites)
     fields = ",%.17g" * n  # fields[6 * j:] formats the n - j entries of row j from the diagonal
     pending = [[] for _ in range(n)]  # per column i: texts of K(i, j), j < i, one piece per block
     for r0 in range(0, n, _MIRROR_ROWS):
         r1 = min(r0 + _MIRROR_ROWS, n)
-        uppers, texts = [], []
-        for j in range(r0, r1):
-            upper = fields[6 * j:] % tuple(entries[j, j:].tolist())
-            mirror = upper.split(",")  # mirror[1 + i - j] becomes the text of K(i, j)
-            for i, text in unmirrored.get(j, ()):
-                mirror[1 + i - j] = text
-            uppers.append(upper)
-            texts.append(mirror)
+        uppers = [fields[6 * j:] % tuple(entries[j, j:].tolist()) for j in range(r0, r1)]
+        texts = [upper.split(",") for upper in uppers]  # texts[j - r0][1 + i - j]: K(i, j)
         later = zip(*(mirror[1 + r1 - j:] for j, mirror in enumerate(texts, r0)))
         for column, piece in zip(pending[r1:], map(",".join, later)):
             column.append(piece)
@@ -481,24 +477,15 @@ def _kernel_lines(sites: tuple[Site, ...], entries: np.ndarray,
 def write_kernel_csv(k: KernelMatrix, path) -> None:
     r"""Export a kernel matrix as CSV: header ``x\y,<sites>``, %.17g entries.
 
-    Each entry on or above the diagonal is formatted once.  Its mirror below
-    the diagonal reuses that text when the two are bitwise equal, as they are
-    in every :func:`kernel_matrix`; a mirror that differs (a hand-built
-    KernelMatrix may be asymmetric by up to 1e-12, or hold -0.0 against 0.0)
-    is formatted on its own.  Rows are formatted 32 at a time, and the texts
-    they lend to later rows are joined into one piece per column; a column's
-    pieces are dropped once its row is written.  Lines go to
+    Each entry on or above the diagonal is formatted once, and its mirror
+    below the diagonal reuses that text: a :class:`KernelMatrix` is bitwise
+    symmetric.  Rows are formatted 32 at a time, and the texts they lend to
+    later rows are joined into one piece per column; a column's pieces are
+    dropped once its row is written.  Lines go to
     :func:`~kawasaki_dpp.util.write_csv` as they are made, which writes them
     in bounded chunks, so the file is never held whole.  The pieces peak at
     about n^2/4 texts: at the 4096-site cap the writer adds 115-128 MiB to
     the process's RSS and takes 5.0-6.2 s (1 BLAS thread, 2-vCPU Xeon).
     """
     sites = k.window.sites
-    entries = k.entries
-    bits = entries.view(np.int64)
-    unmirrored: dict[int, list[tuple[int, str]]] = {}  # row j -> (i, text of K(i, j)), i > j
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(bits != bits.T))):
-        if i > j:
-            unmirrored.setdefault(j, []).append((i, format_float(float(entries[i, j]))))
-    write_csv(path, "x\\y," + ",".join(str(s) for s in sites),
-              _kernel_lines(sites, entries, unmirrored))
+    write_csv(path, "x\\y," + ",".join(str(s) for s in sites), _kernel_lines(sites, k.entries))

@@ -1,17 +1,18 @@
-"""The kernel's closed form in mpmath: the tests' one oracle for it.
+"""The kernel's closed form in mpmath: the tests' one oracle for it, and for swap ratios.
 
 With a = z + x + 1/2, b = z' + x + 1/2 and A = Gamma(a) / sqrt(Gamma(a) Gamma(b)),
 B = Gamma(b) / sqrt(Gamma(a) Gamma(b)), the kernel is P (A_x B_y - B_x A_y) / (x - y)
 off the diagonal and P (psi(a) - psi(b)) on it, P the prefactor.  Gamma and
 digamma come from mpmath and are never rounded, independent of the
-neighbour-ratio evaluation under test.
+neighbour-ratio evaluation under test.  :func:`mp_ratios` reads swap ratios off
+that kernel by exact algebra.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 
-__all__ = ["mp_entry", "mp_kernel", "mp_prefactor"]
+__all__ = ["mp_entry", "mp_kernel", "mp_prefactor", "mp_ratios"]
 
 
 def mp_prefactor(z, zp):
@@ -47,3 +48,22 @@ def mp_entry(z, zp, x, y, dps: int) -> float:
     """K(x, y) as a float, from :func:`mp_kernel` on the sites x and y."""
     sites = [x] if x == y else [x, y]
     return float(mp_kernel(z, zp, sites, dps)[2][0, len(sites) - 1])
+
+
+def mp_ratios(pair, window, occupancy, ends) -> list[float]:
+    """phi of the swaps `ends` out of `occupancy`, by G on a 60-digit mpmath kernel.
+
+    G = M^-1 (2K - I) is exact algebra on the kernel of :func:`mp_kernel`.
+    """
+    k = mp_kernel(pair.z, pair.z_prime, window.sites, 60)[2]
+    n = window.size
+    with mp.workdps(60):
+        eye = mp.eye(n)
+        m = mp.matrix(n, n)
+        for c in range(n):
+            for r in range(n):
+                m[r, c] = k[r, c] if occupancy[c] else eye[r, c] - k[r, c]
+        g = mp.inverse(m) * (2 * k - eye)
+        s = [-1 if bit else 1 for bit in occupancy]
+        return [float((1 + s[i] * g[i, i]) * (1 + s[j] * g[j, j]) - s[i] * s[j] * g[i, j] * g[j, i])
+                for i, j in ends]

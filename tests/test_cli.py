@@ -218,6 +218,7 @@ class TestExitCodes:
         (["kernel", "--z", "5e-324", "--zp", "0.38", "--window", "-1..3"], 2),
         (["kernel", "--z", "1+1e-200i", "--zp", "1-1e-200i", "--window", "-3..3"], 2),
         (["sample", "--window", "-2..1", "--n-samples", "1000000000"], 2),
+        (["sample", "--window", "-1024..1023", "--n-samples", "32768"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_edge_argv_keeps_the_exit_contract(self, capsys, tmp_path, monkeypatch,
                                                argv, expected):

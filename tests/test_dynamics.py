@@ -7,7 +7,6 @@ import json
 import math
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -48,7 +47,7 @@ from kawasaki_dpp.exact import build_generator
 from kawasaki_dpp.kernel import KernelMatrix, Site, Window, kernel_matrix
 from kawasaki_dpp.rn import SwapPair, apply_transposition, rn_derivative, rn_stabilization
 from kawasaki_dpp.rng import SeededRng
-from oracle import mp_kernel
+from oracle import mp_kernel, mp_ratios
 
 
 PROXIMITIES = {
@@ -205,6 +204,21 @@ class TestRateFormulas:
         config = Configuration(k6.window, (1, 0, 0, 0, 0, 0))
         far = SwapPair(Site(-3), Site(2))  # separation 5, NN weight 0
         assert rate(_all_models()[0], k6, config, far) == 0.0
+
+    @pytest.mark.parametrize("kernel_window, ends", [((0, 5), (0, 3)), ((0, 5), (10, 13)),
+                                                     ((10, 15), (10, 20))])
+    def test_zero_weight_pair_checks_the_windows(self, real_pair, kernel_window, ends):
+        # A configuration on 10..15 against a kernel on 0..5, or a swap leaving the window:
+        # rn_derivative raises, and so must rate, though the weight is 0
+        k = kernel_matrix(real_pair, Window.from_indices(*kernel_window))
+        config = Configuration(Window.from_indices(10, 15), (1, 0, 1, 0, 0, 0))
+        swap = SwapPair(*map(Site, ends))
+        model = RateModel.metropolis(ProximitySpec.nearest_neighbor())
+        assert proximity_u(model.proximity, swap.x, swap.y) == 0.0
+        with pytest.raises(WindowMismatchError):
+            rn_derivative(k, config, swap)
+        with pytest.raises(WindowMismatchError):
+            rate(model, k, config, swap)
 
 
 class TestSymmetryCheck:
@@ -876,25 +890,6 @@ class TestRateStore:
                 total_jump_rate(model, k, config)
 
 
-def _mp_ratios(pair, window, occupancy, ends) -> list[float]:
-    """phi of the swaps `ends` out of `occupancy`, by G on a 60-digit mpmath kernel.
-
-    G = M^-1 (2K - I) is exact algebra on the kernel of :func:`oracle.mp_kernel`.
-    """
-    k = mp_kernel(pair.z, pair.z_prime, window.sites, 60)[2]
-    n = window.size
-    with mp.workdps(60):
-        eye = mp.eye(n)
-        m = mp.matrix(n, n)
-        for c in range(n):
-            for r in range(n):
-                m[r, c] = k[r, c] if occupancy[c] else eye[r, c] - k[r, c]
-        g = mp.inverse(m) * (2 * k - eye)
-        s = [-1 if bit else 1 for bit in occupancy]
-        return [float((1 + s[i] * g[i, i]) * (1 + s[j] * g[j, j]) - s[i] * s[j] * g[i, j] * g[j, i])
-                for i, j in ends]
-
-
 class TestConditionGuard:
     """A table's ratios come from one inverse, behind a guard on cond_1(A) * 1.5e-14."""
 
@@ -917,7 +912,7 @@ class TestConditionGuard:
         pair, rates, condition = dynamics._rate_table(
             model, k, np.array(config.occupancy, dtype=bool), positions, u)
         # Every nn pair moves; a ratio that rounding took to 0 or below has no rate.
-        want = np.array(_mp_ratios(real_pair, window, config.occupancy, positions.tolist()))
+        want = np.array(mp_ratios(real_pair, window, config.occupancy, positions.tolist()))
         phi = np.zeros(len(positions))
         phi[pair] = (rates / 2.0) ** 2
         error = float(np.max(np.abs(phi - want) / want))

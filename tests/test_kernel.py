@@ -68,11 +68,16 @@ def _kernel_error(pair: AdmissiblePair, window: Window, dps: int) -> float:
     return float(np.abs(kernel_matrix(pair, window).entries - want).max() / np.abs(want).max())
 
 
+def _bits(values) -> np.ndarray:
+    """The bits of a float or an array of them: -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def _assert_entry_contract(pair: AdmissiblePair, k: KernelMatrix, x: Site, y: Site) -> None:
     """kernel_entry(x, y) is bitwise kernel_matrix's on Window(min, max), and within
     5e-14 of max|K| of the enclosing window's entry."""
     got = kernel_entry(pair, x, y)
-    assert got == kernel_matrix(pair, Window(min(x, y), max(x, y))).entry(x, y)
+    assert _bits(got) == _bits(kernel_matrix(pair, Window(min(x, y), max(x, y))).entry(x, y))
     assert abs(got - k.entry(x, y)) <= 5e-14 * np.abs(k.entries).max()
 
 
@@ -278,9 +283,19 @@ class TestKernelEntry:
                 assert got == pytest.approx(want, abs=1e-10, rel=1e-10)
 
     def test_symmetry_is_bitwise(self, real_pair, conj_pair):
-        for pair in (real_pair, conj_pair):
+        # (0.2, 0.8) has an exact zero at (-4, 2)
+        for pair in (real_pair, conj_pair, AdmissiblePair(0.2, 0.8)):
             for i, j in itertools.combinations(range(-5, 5), 2):
-                assert kernel_entry(pair, Site(i), Site(j)) == kernel_entry(pair, Site(j), Site(i))
+                assert (_bits(kernel_entry(pair, Site(i), Site(j)))
+                        == _bits(kernel_entry(pair, Site(j), Site(i))))
+
+    def test_exact_zero_corner_is_bitwise_the_matrix_entry(self):
+        # K(-4, 2) and K(2, -4) of (0.2, 0.8) are 0.0 and -0.0 before the sign is dropped
+        pair = AdmissiblePair(0.2, 0.8)
+        x, y = Site(-4), Site(2)
+        k = kernel_matrix(pair, Window(x, y))
+        for a, b in ((x, y), (y, x)):
+            assert _bits(kernel_entry(pair, a, b)) == _bits(k.entry(a, b)) == _bits(0.0)
 
     def test_diagonal_in_unit_interval(self, real_pair):
         for site in Window.centered(20).sites:
@@ -460,12 +475,34 @@ class TestKernelMatrix:
         with pytest.raises(NumericalError, match=message):
             ab_values(pair, Site(0))
 
-    @pytest.mark.parametrize("branch", ["real", "conj"])
+    @pytest.mark.parametrize("branch", ["real", "conj", "real-0.2-0.8"])
     def test_large_window_bitwise_symmetric(self, real_pair, conj_pair, branch):
-        pair = real_pair if branch == "real" else conj_pair
+        pair = {"real": real_pair, "conj": conj_pair}.get(branch) or AdmissiblePair(0.2, 0.8)
         k = kernel_matrix(pair, Window.centered(1000))
-        assert np.array_equal(k.entries, k.entries.T)
+        assert np.array_equal(_bits(k.entries), _bits(k.entries).T)
         assert 0.0 <= k.diagonal.min() and k.diagonal.max() <= 1.0
+
+    @pytest.mark.parametrize("z, zp, lo, hi", [
+        (0.2, 0.8, -60, 59),  # the block holds 33 pairs of mirrored zeros of opposite sign
+        (0.5 + 2j, 0.5 - 2j, -60, 59),  # 32
+        (1e-300, 0.5, -5, 4),  # 10
+    ])
+    def test_mirrored_zeros_are_bitwise_equal(self, z, zp, lo, hi):
+        k = kernel_matrix(AdmissiblePair(z, zp), Window.from_indices(lo, hi))
+        bits = _bits(k.entries)
+        assert np.array_equal(bits, bits.T)
+        assert not np.signbit(k.entries[k.entries == 0.0]).any()
+
+    def test_hand_built_asymmetry_keeps_the_upper_triangle(self, real_pair):
+        window = Window.from_indices(-20, 19)
+        given = kernel_matrix(real_pair, window).entries.copy()
+        for i, j in ((1, 0), (39, 0), (25, 3), (5, 30)):  # 1-ulp mirror differences
+            given[i, j] = np.nextafter(given[i, j], np.inf)
+        k = KernelMatrix(window, given)
+        want = np.where(np.tri(window.size, k=-1, dtype=bool), given.T, given)
+        assert np.array_equal(_bits(k.entries), _bits(want))
+        assert np.array_equal(_bits(k.entries), _bits(k.entries).T)
+        assert k.entries[30, 5] == given[5, 30] != given[30, 5]
 
     @pytest.mark.parametrize("branch", ["real", "conj"])
     def test_window_at_cap_builds(self, real_pair, conj_pair, branch):

@@ -85,6 +85,12 @@ CASES = {
     "draws-past-cap": (
         lambda tmp: sample_many(KernelMatrix(W3, 0.5 * np.eye(3)), SeededRng(0), 1 << 25),
         SizeError, "33554432 draws of 3 sites exceed the cap of 67108864 drawn sites"),
+    # 2^18 draws of 192 sites: under the memory cap, but about 6 min of Schur passes
+    "draws-past-work-bound": (
+        lambda tmp: sample_many(KernelMatrix(Window.centered(192), np.diag(np.full(192, 0.5))),
+                                SeededRng(0), 1 << 18),
+        SizeError, "262144 draws of 192 sites exceed the bound of 1099511627776 "
+                   "on draws times sites cubed"),
     "window-of-no-sites": (lambda tmp: Window.centered(0),
                            ValueError, "window size must be >= 1"),
     "integer-parameter": (lambda tmp: _inadmissible_pair(1.0, 1.5),
@@ -130,7 +136,7 @@ def test_refusal_names_its_cause(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["difference-operator-past-cap", "projection-check-past-cap",
-                                  "draws-past-cap"])
+                                  "draws-past-cap", "draws-past-work-bound"])
 def test_window_past_the_cap_is_refused_before_its_work(name, tmp_path):
     # a 4097^2 operator alone would take 128 MiB, and 2^25 uniforms 256 MiB
     call, error, _ = CASES[name]

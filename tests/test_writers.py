@@ -19,7 +19,7 @@ from kawasaki_dpp.dpp import Configuration, Pmf, write_pmf_csv, write_samples_cs
 from kawasaki_dpp.dynamics import (ProximitySpec, RateModel, Trajectory, simulate,
                                    trajectory_sidecar, write_trajectory_csv,
                                    write_trajectory_sidecar)
-from kawasaki_dpp.kernel import KernelMatrix, Site, Window, write_kernel_csv
+from kawasaki_dpp.kernel import AdmissiblePair, KernelMatrix, Site, Window, write_kernel_csv
 from kawasaki_dpp.rn import StabilizationRow, StabilizationTable, SwapPair, write_stabilization_csv
 from kawasaki_dpp.util import _CHUNK_CHARS
 from kawasaki_dpp.verification import Check, Report
@@ -85,6 +85,7 @@ def test_kernel_csv(tmp_path, request, branch, lo, hi):
 
 
 def test_kernel_csv_mirrors_that_differ_in_the_last_bit(tmp_path, real_pair):
+    # KernelMatrix keeps the upper triangle, so each mirror prints as its upper entry
     window = Window.from_indices(-20, 19)
     entries = kernel_matrix(real_pair, window).entries.copy()
     # below the diagonal, within and across blocks of rows; one above it
@@ -93,16 +94,27 @@ def test_kernel_csv_mirrors_that_differ_in_the_last_bit(tmp_path, real_pair):
     entries[5, 30] = np.nextafter(entries[5, 30], -np.inf)
     k = KernelMatrix(window, entries)
     assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
-    row = (tmp_path / "written").read_text().splitlines()[40].split(",")
-    assert row[1] == f"{entries[39, 0]:.17g}" != f"{entries[0, 39]:.17g}"
+    rows = [line.split(",") for line in (tmp_path / "written").read_text().splitlines()]
+    assert rows[40][1] == f"{entries[0, 39]:.17g}" != f"{entries[39, 0]:.17g}"
+    assert rows[31][6] == rows[6][31] == f"{entries[5, 30]:.17g}"
 
 
 def test_kernel_csv_mirrored_signed_zeros(tmp_path):
+    # KernelMatrix stores -0.0 as 0.0, so no zero prints as -0
     zero = np.array([[0.5, 0.0, -0.0], [-0.0, 0.5, 0.0], [0.0, -0.0, 0.5]])
     k = KernelMatrix(Window.from_indices(0, 2), zero)
     assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
     assert (tmp_path / "written").read_text() == (
-        "x\\y,0.5,1.5,2.5\n0.5,0.5,0,-0\n1.5,-0,0.5,0\n2.5,0,-0,0.5\n")
+        "x\\y,0.5,1.5,2.5\n0.5,0.5,0,0\n1.5,0,0.5,0\n2.5,0,0,0.5\n")
+
+
+def test_kernel_csv_has_no_negative_zero(tmp_path):
+    # (0.2, 0.8) on -60..59 has 33 exact zeros whose mirror was -0.0
+    k = kernel_matrix(AdmissiblePair(0.2, 0.8), Window.from_indices(-60, 59))
+    assert_same_bytes(tmp_path, write_kernel_csv, reference_kernel_csv, k)
+    lines = (tmp_path / "written").read_text().splitlines()[1:]
+    fields = [field for line in lines for field in line.split(",")[1:]]
+    assert "0" in fields and "-0" not in fields
 
 
 def test_kernel_csv_peak_memory(tmp_path, real_pair):

@@ -72,10 +72,10 @@ _PROBABILITY_FLOOR = 1e-300
 # updates the trailing block; passes on at most this many sites take steps only.
 _PANEL = 48
 # Draw sites one sample_many call may return: count times the window's sites.
-_DRAW_ENTRIES = 1 << 26
+_DRAW_ENTRIES = 1 << 24
 # Draws times sites cubed, as a draw's Schur pass costs O(n^3): no request the two caps admit
-# on 256-4096 sites takes more than 180 s (128 draws on 2048: 40-48 s; 1 BLAS thread, Xeon).
-_DRAW_WORK = 1 << 40
+# takes 180 s; the slowest, 2^17 draws on 128 sites, took 104-141 s (1 BLAS thread, Xeon).
+_DRAW_WORK = 1 << 38
 # Conditional probabilities kept per kernel by :class:`_NodeMemo`.
 _MEMO_ENTRIES = 1 << 15
 # Probabilities write_pmf_csv converts to Python floats at a time, not as one list.

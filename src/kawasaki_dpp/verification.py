@@ -4,10 +4,12 @@ Each suite re-runs the module-level invariants at user-supplied parameters
 and reports one named check per invariant, with the measured value and the
 tolerance it was held to.  Checks with ``tolerance=None`` are diagnostics:
 they are recorded (and must be finite) but carry no pass gate beyond that.
+Each bounded check compares two computations, so that a library fault can fail
+it; what the library already refuses is not checked again.
 
 Suites run on central subwindows of the window, capped so that enumeration
-stays cheap.  The kernel suite caps them at 200 sites (a/b identity), 100
-(kernel), 12 (minors) and 50 (difference operator); its projection probe
+stays cheap.  The kernel suite caps them at 200 sites (A's neighbour ratios),
+100 (kernel), 12 (minors) and 50 (difference operator); its projection probe
 takes the 40 sites about the window's centre.
 """
 
@@ -24,6 +26,7 @@ from .dpp import (
     Configuration,
     _live,
     _occupancy,
+    _probabilities,
     correlation,
     empirical_correlation,
     enumerate_distribution,
@@ -31,10 +34,12 @@ from .dpp import (
     sample_many,
 )
 from .dynamics import (
+    _KERNEL_ERROR,
     ProximitySpec,
     RateKind,
     RateModel,
     _pair_table,
+    _rate_store,
     _state_edges,
     rate_from_ratio,
     sector_graph_connected,
@@ -50,13 +55,14 @@ from .exact import (
 )
 from .kernel import (
     AdmissiblePair,
+    KernelMatrix,
     Window,
     ab_values,
     difference_operator_matrix,
     kernel_matrix,
     spectral_projection_check,
 )
-from .rn import SwapPair, rn_stabilization
+from .rn import SwapPair
 from .rng import SeededRng
 from .util import write_json
 
@@ -132,17 +138,21 @@ def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check
     z, zp = pair.z, pair.z_prime
 
     n_range = np.arange(-10_000, 10_001)
-    products = (z + n_range) * (zp + n_range)
-    checks.append(_flag("admissibility_product_positive", products.real.min() > 0.0,
-                        float(products.real.min())))
-    checks.append(_bounded("admissibility_product_imag", float(np.abs(products.imag).max()), 1e-12))
+    lowest = float(((z + n_range) * (zp + n_range)).real.min())
+    checks.append(_flag("admissibility_product_positive", lowest > 0.0, lowest))
 
-    ab_err = max(abs(complex(a * b) - 1.0)
-                 for a, b in (ab_values(pair, x) for x in _subwindow(window, 200).sites))
-    checks.append(_bounded("ab_identity_max_error", ab_err, 1e-12))
+    # ab_values' series at each site against A(x + 1) / A(x) = a / sqrt(ab), by Gamma(a + 1)
+    # = a Gamma(a), a = z + x + 1/2, b = z' + x + 1/2.  A conjugate ratio carries two phase
+    # errors, which grow with |Im z| and |x|: at the cap |Im z| = 1e3, 2.3e-12 about the
+    # origin and 9.2e-12 near |x| = 2^52 on 200 sites; below 1e-13 on the real branch.
+    ab_sites = _subwindow(window, 200).sites
+    a_values = np.array([ab_values(pair, x)[0] for x in ab_sites])
+    t = np.array([x.index + 1.0 for x in ab_sites[:-1]])
+    step = (z + t) / np.sqrt(((z + t) * (zp + t)).real)
+    ratio_err = float(np.abs(a_values[1:] / a_values[:-1] / step - 1.0).max(initial=0.0))
+    checks.append(_bounded("ab_neighbour_ratio_max_error", ratio_err, 2e-11))
 
     k = kernel_matrix(pair, _subwindow(window, 100))
-    checks.append(_bounded("kernel_symmetry_max", float(np.abs(k.entries - k.entries.T).max()), 1e-12))
     diag_margin = min(float(k.diagonal.min()), float(1.0 - k.diagonal.max()))
     checks.append(_flag("kernel_diagonal_in_unit_interval", diag_margin > 0.0, diag_margin))
     evals = k.eigenvalues
@@ -159,9 +169,7 @@ def verify_kernel(pair: AdmissiblePair, window: Window, seed: int) -> list[Check
         worst_minor = min(worst_minor, float(minors.min()))
     checks.append(Check("principal_minors_min", worst_minor >= -1e-10, worst_minor, 1e-10))
 
-    d_op = difference_operator_matrix(pair, _subwindow(window, 50))
-    checks.append(_bounded("difference_operator_asymmetry", float(np.abs(d_op - d_op.T).max()), 0.0))
-    off = np.diagonal(d_op, offset=1)
+    off = np.diagonal(difference_operator_matrix(pair, _subwindow(window, 50)), offset=1)
     checks.append(_flag("difference_operator_offdiag_positive",
                         bool(off.min() > 0.0) if off.size else True,
                         float(off.min()) if off.size else 1.0))
@@ -178,9 +186,6 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     enum_window = _subwindow(window, 12)
     k = kernel_matrix(pair, enum_window)
     pmf = enumerate_distribution(k)
-    checks.append(_bounded("pmf_total_error", pmf.total() - 1.0, 1e-9))
-    checks.append(_flag("pmf_nonnegative", float(pmf.probs.min()) >= 0.0, float(pmf.probs.min())))
-
     sites = enum_window.sites
     marg_err = max(abs(pmf.marginal(s) - k.entry(s, s)) for s in sites)
     checks.append(_bounded("marginal_vs_diagonal_max", marg_err, 1e-10))
@@ -223,13 +228,10 @@ def verify_dpp(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
 
 
 def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
-    checks: list[Check] = []
     rn_window = _subwindow(window, 10)
     k = kernel_matrix(pair, rn_window)
-    sites = rn_window.sites
-    mid = max(0, (len(sites) - 1) // 2)
-    swaps = {(sites[0], sites[-1]), (sites[mid], sites[min(mid + 1, len(sites) - 1)])}
-    swaps = [SwapPair(a, b) for a, b in swaps if a != b]
+    sites, mid = rn_window.sites, (rn_window.size - 1) // 2  # check_suite_window: 2 sites
+    swaps = {SwapPair(sites[0], sites[-1]), SwapPair(sites[mid], sites[mid + 1])}
 
     # One enumerated law: each state's swapped state is its mask with both
     # swap bits flipped, or the state itself at equal occupancies.
@@ -237,35 +239,19 @@ def verify_rn(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
     masks = np.arange(1 << rn_window.size)
     live = probs > 0.0
     occupied = _occupancy(masks[live], rn_window.size)
-    inversion_worst = 0.0
-    change_worst = 0.0
-    square_probe = 0.0
+    change_worst = square_probe = 0.0
     p = probs[live]
     for swap in swaps:
         i, j = rn_window.position(swap.x), rn_window.position(swap.y)
         moves = (masks >> i ^ masks >> j) & 1 == 1
         q = probs[np.where(moves, masks ^ (1 << i | 1 << j), masks)[live]]
         phi = q / _live(k, occupied, p)
-        both = q > 0.0
-        inversion = np.abs(phi[both] * (p[both] / q[both]) - 1.0)
-        inversion_worst = max(inversion_worst, float(inversion.max(initial=0.0)))
-        # Summed one state at a time, in mask order.
+        # Summed one state at a time, in mask order: the mass of the swaps of the states
+        # of positive probability, 1 unless a swap takes probability 0 to a positive one.
         change_worst = max(change_worst, abs(float(np.cumsum(p * phi)[-1]) - 1.0))
         square_probe = max(square_probe, float(np.cumsum(p * phi * phi)[-1]))
-    checks.append(_bounded("rn_inversion_max_error", inversion_worst, 1e-9))
-    checks.append(_bounded("rn_change_of_variables_error", change_worst, 1e-9))
-    checks.append(_diagnostic("rn_square_integral_probe", square_probe))
-
-    # Trivial stabilization: equal occupancies at the swap sites force phi = 1.
-    pattern_window = Window.from_indices(sites[-2].index, sites[-1].index)
-    pattern = Configuration(pattern_window, (0, 0))
-    table = rn_stabilization(pair, pattern, SwapPair(sites[-2], sites[-1]),
-                             [rn_window.size, rn_window.size + 2], SeededRng(seed), n_samples=20)
-    trivial_err = max(abs(r.phi_mean - 1.0) + r.phi_std for r in table.rows)
-    checks.append(_bounded("rn_stabilization_trivial_pattern", trivial_err, 0.0))
-    inversion_rows = max(r.max_inversion_residual for r in table.rows)
-    checks.append(_bounded("rn_stabilization_inversion_residual", inversion_rows, 1e-10))
-    return checks
+    return [_bounded("rn_change_of_variables_error", change_worst, 1e-9),
+            _diagnostic("rn_square_integral_probe", square_probe)]
 
 
 def _models() -> list[RateModel]:
@@ -336,7 +322,29 @@ def verify_dynamics(pair: AdmissiblePair, window: Window, seed: int) -> list[Che
     masks = t_a._masks()
     checks.append(_flag("trajectory_particle_conservation",
                         all(before != after for before, after in zip(masks, masks[1:]))))
+    checks.append(_bounded("rate_table_vs_determinants", _rate_table_error(model, k),
+                           t_a.worst_condition * _KERNEL_ERROR))
     return checks
+
+
+def _rate_table_error(model: RateModel, k: KernelMatrix) -> float:
+    """Largest relative gap between the running rate sums of each table `k`'s rate store keeps
+    under `model` (ratios off one inverse) and those from one batch of determinant ratios."""
+    store = _rate_store(k)
+    tables = [(mask, table) for mask, table in store.tables.get(model, {}).items() if table[2]]
+    if not tables:
+        return 0.0
+    moves = [len(table[2]) for _, table in tables]  # pairs and successors hold one more
+    pair = [i for (_, table), size in zip(tables, moves) for i in table[1][:size]]
+    successors = [s for (_, table), size in zip(tables, moves) for s in table[3][:size]]
+    occupied = _occupancy(np.array([mask for mask, _ in tables] + successors), k.size)
+    probs = _probabilities(k, occupied)
+    own = np.repeat(_live(k, occupied[:len(tables)], probs[:len(tables)]), moves)
+    rates = 2.0 * rate_from_ratio(model.kind, store.pairs(model.proximity)[1][pair],
+                                  probs[len(tables):] / own)
+    running = np.concatenate([np.cumsum(part) for part in np.split(rates, np.cumsum(moves)[:-1])])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.abs(np.concatenate([t[2] for _, t in tables]) / running - 1.0).max())
 
 
 def verify_exact(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]:
@@ -362,24 +370,15 @@ def verify_exact(pair: AdmissiblePair, window: Window, seed: int) -> list[Check]
         rhs = float(g.measure @ ((-g.Q @ f) * h))
         identity_worst = max(identity_worst, abs(lhs - rhs))
     checks.append(_bounded("dirichlet_generator_identity_max", identity_worst, 1e-10))
-    ones = np.ones(g.n_states)
-    checks.append(_bounded("dirichlet_constant_zero", dirichlet_form(g, ones, ones), 1e-12))
 
     spec = spectrum(g)
     checks.append(_bounded("spectrum_max_eigenvalue", float(spec.eigenvalues[0]), 1e-10))
     checks.append(_diagnostic("spectral_gap", spec.spectral_gap))
 
-    semigroup_entry_min = 0.0
-    semigroup_rowsum_worst = 0.0
-    for t in (0.1, 1.0, 10.0):
-        p_t = transition_matrix(g, t)
-        semigroup_entry_min = min(semigroup_entry_min, float(p_t.min()))
-        semigroup_rowsum_worst = max(
-            semigroup_rowsum_worst, float(np.abs(p_t.sum(axis=1) - 1.0).max())
-        )
+    semigroup_entry_min = min([0.0] + [float(transition_matrix(g, t).min())
+                                       for t in (0.1, 1.0, 10.0)])
     checks.append(Check("semigroup_entry_min", semigroup_entry_min >= -1e-9,
                         semigroup_entry_min, 1e-9))
-    checks.append(_bounded("semigroup_rowsum_error", semigroup_rowsum_worst, 1e-9))
     return checks
 
 

@@ -77,8 +77,10 @@ def test_kernel_command_imports_no_random_generator(tmp_path, run_python):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
-# The suites share one dispatch signature, (pair, window, seed); the kernel suite draws nothing.
-_UNREAD_ALLOWED = {("verification.py", "verify_kernel", "seed")}
+# The suites share one dispatch signature, (pair, window, seed); the kernel and rn suites
+# draw nothing.
+_UNREAD_ALLOWED = {("verification.py", "verify_kernel", "seed"),
+                   ("verification.py", "verify_rn", "seed")}
 
 
 def _unread_parameters(tree: ast.Module, filename: str) -> list[tuple[str, str, str]]:

@@ -205,6 +205,8 @@ class TestExitCodes:
         (["kernel", "--z", "0.5+1e300i", "--zp", "0.5-1e300i"], 0),
         (["kernel", "--z", "0.3+1e-310i", "--zp", "0.3-1e-310i", "--window", "-3..3"], 2),
         (["verify", "--suite", "kernel", "--z", "0.5+2000i", "--zp", "0.5-2000i"], 2),
+        (["verify", "--suite", "kernel", "--z", "0.3+10i", "--zp", "0.3-10i", "--window", "-4..4"],
+         0),
         (["kernel", "--z", "0.5", "--zp", "0.5"], 1),
         (["sample", "--seed", "18446744073709551616"], 1),
         (["sample", "--window", "-5000..5000"], 2),

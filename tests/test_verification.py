@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki_dpp import verification
+from kawasaki_dpp import dpp, dynamics, exact, kernel, verification
 from kawasaki_dpp.dpp import Configuration, correlation, enumerate_distribution
 from kawasaki_dpp.errors import KawasakiDppError
 from kawasaki_dpp.kernel import KernelMatrix, Window, kernel_matrix
@@ -17,6 +17,28 @@ from kawasaki_dpp.rn import SwapPair, apply_transposition
 from kawasaki_dpp.verification import SUITE_NAMES, Report, run_suite
 
 WINDOW = Window.from_indices(-4, 4)
+
+# The checks of each suite, in report order: a removed or renamed key changes the
+# verify JSON format.
+_CHECK_NAMES = {
+    "kernel": ["admissibility_product_positive", "ab_neighbour_ratio_max_error",
+               "kernel_diagonal_in_unit_interval", "kernel_eigenvalue_range_excess",
+               "kernel_trace_vs_eigensum", "principal_minors_min",
+               "difference_operator_offdiag_positive", "projection_deviation_40",
+               "projection_commutator_interior"],
+    "dpp": ["marginal_vs_diagonal_max", "pair_marginal_vs_minor_max",
+            "sampler_tv_vs_enumeration", "sampler_mean_count_sigmas",
+            "empirical_correlation_sigmas", "sampler_seed_determinism",
+            "clamped_negative_probabilities"],
+    "rn": ["rn_change_of_variables_error", "rn_square_integral_probe"],
+    "dynamics": ["detailed_balance_max_relative", "rate_factorization_max_relative",
+                 "l2_condition_probe_metropolis", "l1_condition_probe_glauber",
+                 "sector_graph_connected", "trajectory_seed_determinism",
+                 "trajectory_particle_conservation", "rate_table_vs_determinants"],
+    "exact": ["reversibility_max_residual", "conservativity_rowsum_max", "stationarity_muQ_max",
+              "dirichlet_generator_identity_max", "spectrum_max_eigenvalue", "spectral_gap",
+              "semigroup_entry_min"],
+}
 
 
 def _assert_clean(report: Report):
@@ -45,6 +67,7 @@ def test_all_suites_pass(real_pair):
     _assert_clean(report)
     assert report.suite == "all"
     names = [c.name for c in report.checks]
+    assert names == [name for suite in SUITE_NAMES for name in _CHECK_NAMES[suite]]
     assert len(names) == len(set(names))
     payload = json.loads(report.to_json())
     assert payload["failures"] == 0
@@ -108,7 +131,7 @@ def test_rn_values_equal_state_by_state_loop(request, branch):
     pair = request.getfixturevalue(branch)
     probs = enumerate_distribution(kernel_matrix(pair, WINDOW)).probs
     sites = WINDOW.sites
-    inversion_worst = change_worst = square_probe = 0.0
+    change_worst = square_probe = 0.0
     summed = 0
     for swap in (SwapPair(sites[0], sites[-1]), SwapPair(sites[4], sites[5])):
         total = square = 0.0
@@ -118,21 +141,18 @@ def test_rn_values_equal_state_by_state_loop(request, branch):
                 continue
             q = probs[apply_transposition(Configuration.from_bitmask(WINDOW, mask), swap).bitmask]
             phi = q / p
-            if q > 0.0:
-                inversion_worst = max(inversion_worst, abs(phi * (p / q) - 1.0))
             total += p * phi
             square += p * phi * phi
             summed += 1
         change_worst = max(change_worst, abs(total - 1.0))
         square_probe = max(square_probe, square)
     checks = verification.verify_rn(pair, WINDOW, seed=7)
-    assert [(c.name, c.value) for c in checks[:3]] == [
-        ("rn_inversion_max_error", inversion_worst),
+    assert [(c.name, c.value) for c in checks] == [
         ("rn_change_of_variables_error", change_worst),
         ("rn_square_integral_probe", square_probe),
     ]
     # Not vacuous: states were summed, and phi is not 1 almost surely (E[phi^2] > 1).
-    assert inversion_worst > 0.0 and summed > 0 and square_probe > 1.0
+    assert summed > 0 and square_probe > 1.0
 
 
 def test_particle_conservation_fails_on_a_no_op_event(real_pair, monkeypatch):
@@ -167,3 +187,57 @@ def test_principal_minors_min_is_the_worst_correlation(real_pair, monkeypatch, s
     want = min(correlation(fake, subset) for count in range(1, min(size, 4) + 1)
                for subset in itertools.combinations(window.sites, count))
     assert want < -1e-10 and check.value == want and not check.passed
+
+
+@pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+@pytest.mark.parametrize("span", [(-4, 4), (-2, 2), (3, 7), (-7, -3)])
+def test_rate_tables_match_the_determinants(request, branch, span):
+    # The suite's own window and the benchmark's three 5-site windows.
+    pair = request.getfixturevalue(branch)
+    check = verification.verify_dynamics(pair, Window.from_indices(*span), seed=7)[-1]
+    assert check.name == "rate_table_vs_determinants"
+    assert check.passed and 0.0 < check.value < check.tolerance
+
+
+def _off_diagonal_scaled(kernel_block):
+    def faulty(pair, values):
+        block = kernel_block(pair, values)
+        diagonal = np.diagonal(block).copy()
+        block *= 1.0 + 1e-6
+        np.fill_diagonal(block, diagonal)
+        return block
+    return faulty
+
+
+# Named faults, each a small change in one layer: (module, attribute, the faulty
+# replacement of the original, the suites the layer feeds).
+_FAULTS = {
+    "kernel-off-diagonal": (kernel, "_kernel_block", _off_diagonal_scaled, SUITE_NAMES),
+    "kernel-diagonal": (kernel, "_kernel_block",
+                        lambda f: lambda pair, values: f(pair, values) + 1e-6 * np.eye(len(values)),
+                        SUITE_NAMES),
+    # the column m[1:, 0] / pivot divided by 1 + 1e-6
+    "schur-column": (dpp, "_schur_step", lambda f: lambda m, pivot: f(m, pivot * (1.0 + 1e-6)),
+                     ("dpp", "rn", "dynamics")),
+    # every swap ratio of a rate table, as _rate_table passes it to the rate formula
+    "rate-table-ratio": (dynamics, "rate_from_ratio",
+                         lambda f: lambda kind, u, phi: f(kind, u, phi * (1.0 + 1e-6)),
+                         ("dynamics",)),
+    # each generator ratio divides by its source state's probability, as _live passes it
+    "generator-swap-ratio": (exact, "_live",
+                             lambda f: lambda k, occupied, own: f(k, occupied, own) / (1.0 + 1e-6),
+                             ("exact",)),
+    "expm": (exact, "_expm", lambda f: lambda q, t: f(q, t) * (1.0 + 1e-6), ("exact",)),
+    "log-gamma-difference": (kernel, "log_gamma_difference",
+                             lambda f: lambda z, zp, t: f(z, zp, t) * (1.0 + 1e-6), ("kernel",)),
+}
+
+
+@pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_each_named_fault_fails_a_suite_it_feeds(request, monkeypatch, fault, branch):
+    module, attribute, faulty, suites = _FAULTS[fault]
+    monkeypatch.setattr(module, attribute, faulty(getattr(module, attribute)))
+    report = run_suite("all", request.getfixturevalue(branch), WINDOW, seed=7)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed & {name for suite in suites for name in [*_CHECK_NAMES[suite], f"{suite}_error"]}

@@ -13,7 +13,8 @@ complements of K (Poulson, arXiv:1905.00165; Launay, Galerne and Desolneux,
 arXiv:1802.08429) through one rank-one step, :func:`_schur_step`, and no
 eigendecomposition.  Free draws on up to 12 sites are by inverse CDF over
 the law (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III);
-on more, single draws read a memo of visited conditional probabilities.
+on more, single draws read a memo of visited conditional probabilities
+and resume the pass where they leave it.
 Passes on more than 48 sites are blocked: rank-one steps on a strip of 48
 columns, then one product for the trailing block.
 """
@@ -334,7 +335,9 @@ def _schur_step(m: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.subtract(m[1:, 1:], trailing, out=trailing), column
 
 
-def _sequential_pass(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sequential_pass(
+    m: np.ndarray, u: np.ndarray, entered: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw sites 0..len(u)-1 of K from the (n, n) kernel m and the (len,) uniforms u,
     or from the (n, n, 1) stack m once per column of the (len, B) uniforms u.
 
@@ -347,13 +350,16 @@ def _sequential_pass(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     block T: C and R hold the strip's divided and undivided columns on T's
     rows, and by symmetry R's columns are the rows the steps would read.
     Later sites then move by rounding (about 1e-14); each draw's product is
-    the same BLAS call in any batch.  Returns the (B, len(u)) or (len(u),)
-    conditional probabilities and the conditioned stack.
+    the same BLAS call in any batch.  A list `entered` receives, site by site,
+    the stack each unblocked step starts from.  Returns the (B, len(u)) or
+    (len(u),) conditional probabilities and the conditioned stack.
     """
     probs = np.empty(u.shape)
     for start in range(0, len(u), _PANEL):
         if len(m) <= _PANEL:
             for i in range(start, len(u)):
+                if entered is not None:
+                    entered.append(m)
                 probs[i] = p = m[0, 0]
                 m, _ = _schur_step(m, p - (u[i] >= p))
             break
@@ -421,14 +427,23 @@ class _NodeMemo(_Draws):
     ``probs[prefix | 1 << i]`` is P(site i occupied | sites 0..i-1 as in
     bitmask `prefix`), as a one-draw :func:`_sequential_pass` on K itself gave
     it: a function of the prefix alone, so a draw read off the memo equals its
-    pass bit for bit.  A memo that would pass :data:`_MEMO_ENTRIES` is
-    emptied in place, Configurations too, and the draw goes in from the root.
+    pass bit for bit.  On up to :data:`_PANEL` sites, where every step holds a
+    whole stack, ``stacks`` keeps by the same keys the stack the pass entered
+    each node with but the root (whose stack is K), so a draw that leaves the
+    memo at site d resumes the pass at the deepest node on its path that keeps
+    one, node d - 1 unless the stacks were emptied: the same steps on the same
+    stacks, so the same bits.  Kept stacks count against :data:`_STACK_ENTRIES`;
+    when full they are emptied in place and the probabilities stay.  A memo that
+    would pass :data:`_MEMO_ENTRIES` is emptied in place, stacks and
+    Configurations too, and the draw goes in from the root.
     """
 
     def __init__(self, k: KernelMatrix):
         super().__init__(k)
         self.entries = k.entries
         self.probs: dict[int, float] = {}
+        self.stacks: dict[int, np.ndarray] = {}
+        self.stack_entries = 0
 
     def draw(self, rng: SeededRng) -> Configuration:
         """The draw of one uniform u[i] per site: site i is occupied iff u[i] < p."""
@@ -442,16 +457,33 @@ class _NodeMemo(_Draws):
                 mask |= 1 << depth
         else:
             return self.config(mask)
-        visited, _ = _sequential_pass(self.entries, u)
+        full = len(self.probs) + len(u) - depth > _MEMO_ENTRIES
+        start, stack = 0, self.entries
+        for i in range(0 if full else depth - 1, 0, -1):  # the deepest kept stack on the path
+            kept = self.stacks.get(mask & (1 << i) - 1 | 1 << i)
+            if kept is not None:
+                start, stack = i, kept
+                break
+        entered = [] if len(u) <= _PANEL else None
+        visited, _ = _sequential_pass(stack, u[start:], entered)
         _require_probabilities(visited)
-        if len(self.probs) + len(u) - depth > _MEMO_ENTRIES:
+        if full:
             self.probs.clear()
             self.configs.clear()
-            mask, depth = 0, 0
-        for i, p in enumerate(visited[depth:].tolist(), depth):
-            self.probs[mask | 1 << i] = p
+        mask &= (1 << start) - 1
+        nodes = []
+        for i, p in enumerate(visited.tolist(), start):
+            nodes.append(mask | 1 << i)
+            self.probs[nodes[-1]] = p
             if uniforms[i] < p:
                 mask |= 1 << i
+        if entered:  # entered[0] is kept already, or K
+            size = sum(s.size for s in entered[1:])
+            if full or self.stack_entries + size > _STACK_ENTRIES:
+                self.stacks.clear()
+                self.stack_entries = 0
+            self.stacks.update(zip(nodes[1:], entered[1:]))
+            self.stack_entries += size
         return self.config(mask)
 
 
@@ -535,10 +567,12 @@ def sample(k: KernelMatrix, rng: SeededRng) -> Configuration:
     On up to 12 sites it bisects the kernel's cumulative law (:class:`_LawTable`)
     with one uniform.  On more it takes one uniform per site and walks the
     kernel's memo of the conditional probabilities earlier draws visited
-    (:class:`_NodeMemo`, at most 2^15, 3.7 MiB with its Configurations on
-    30 sites); only at a node it lacks does it run the one-draw Schur pass
-    from the root, and it records the draw's nodes only after they pass the
-    [-1e-8, 1 + 1e-8] check.
+    (:class:`_NodeMemo`, at most 2^15, and on up to 48 sites the Schur stacks
+    the passes entered each node with, at most 2^20 entries; 12.7 MiB in all
+    on 30 sites where no draw repeats).  Only at a node it lacks does it run
+    the one-draw Schur pass, resumed from the stack kept at the node before
+    (from the root on more than 48 sites), and it records the draw's nodes
+    and stacks only after they pass the [-1e-8, 1 + 1e-8] check.
     """
     return _draws(k).draw(rng)
 

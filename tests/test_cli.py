@@ -207,6 +207,8 @@ class TestExitCodes:
         (["verify", "--suite", "kernel", "--z", "0.5+2000i", "--zp", "0.5-2000i"], 2),
         (["verify", "--suite", "kernel", "--z", "0.3+10i", "--zp", "0.3-10i", "--window", "-4..4"],
          0),
+        (["verify", "--suite", "dpp", "--z", "0.3+10i", "--zp", "0.3-10i", "--window", "-4..4",
+          "--seed", "7"], 0),
         (["kernel", "--z", "0.5", "--zp", "0.5"], 1),
         (["sample", "--seed", "18446744073709551616"], 1),
         (["sample", "--window", "-5000..5000"], 2),

@@ -118,14 +118,24 @@ def _not_a_kernel(seed: int) -> KernelMatrix:
     return KernelMatrix(Window.centered(13), entries)
 
 
-def _count_passes(monkeypatch) -> list:
-    """One entry per :func:`_sequential_pass` call from now on: the size of its batch,
-    1 for a single draw's 1-D uniforms."""
-    passes, stack_pass = [], dpp_mod._sequential_pass
-    monkeypatch.setattr(dpp_mod, "_sequential_pass",
-                        lambda m, u: passes.append(u.shape[1] if u.ndim > 1 else 1)
-                        or stack_pass(m, u))
-    return passes
+def _memo_reference(k: KernelMatrix, count: int) -> tuple[list[int], float, dict]:
+    """For `count` draws of SeededRng(21) on `k`, one Schur pass each: their masks, the
+    stream's next uniform, and each visited node's probability by memo key
+    mask & (2^i - 1) | 2^i, site i given the sites of draw `mask` before it."""
+    rng = SeededRng(21)
+    masks, probs = _schur_pass(k, rng.random((count, k.size)))
+    return masks, rng.random(), {mask & (1 << i) - 1 | 1 << i: p
+                                 for mask, row in zip(masks, probs.tolist())
+                                 for i, p in enumerate(row)}
+
+
+def _count_steps(monkeypatch) -> list:
+    """One entry per :func:`_schur_step` call from now on: the number of draws it
+    steps, 1 for a single draw's scalar pivot."""
+    steps, step = [], dpp_mod._schur_step
+    monkeypatch.setattr(dpp_mod, "_schur_step",
+                        lambda m, pivot: steps.append(np.size(pivot)) or step(m, pivot))
+    return steps
 
 
 def _determinant(value: float) -> float:
@@ -501,20 +511,15 @@ class TestSample:
         # 200 draws on a fresh kernel, 200 on the now warm one, then a batch; then
         # again with a memo cap so small that it is emptied over and over
         k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
-        reference_rng = SeededRng(21)
-        expected, probs = _schur_pass(k, reference_rng.random((600, size)))
-        after = reference_rng.random()
-        # node mask & (2^i - 1) | 2^i: site i given the sites of draw `mask` before it
-        reference = {mask & (1 << i) - 1 | 1 << i: p
-                     for mask, row in zip(expected, probs.tolist())
-                     for i, p in enumerate(row)}
-        passes, single_passes = _count_passes(monkeypatch), []
+        expected, after, reference = _memo_reference(k, 600)
+        steps, single_steps = _count_steps(monkeypatch), []
         for cap in (dpp_mod._MEMO_ENTRIES, 3 * size):
             monkeypatch.setattr(dpp_mod, "_MEMO_ENTRIES", cap)
             fresh, rng = KernelMatrix(k.window, k.entries), SeededRng(21)
             draws = [sample(fresh, rng) for _ in range(200)]
             draws += [sample(fresh, rng) for _ in range(200)]
-            nodes = dpp_mod._draws(fresh).probs
+            memo = dpp_mod._draws(fresh)
+            nodes = memo.probs
             assert len(nodes) <= cap
             # every kept probability is the one-draw pass's, bit for bit
             assert nodes == {node: reference[node] for node in nodes}
@@ -522,23 +527,51 @@ class TestSample:
             # before it set, is kept
             assert all(node == 1 or (node ^ 1 << depth) | 1 << depth - 1 in nodes
                        for node in nodes for depth in [node.bit_length() - 1])
-            single_passes.append(len(passes))
+            # each kept stack is its node's: n - i square, its corner the node's probability
+            assert memo.stacks.keys() <= nodes.keys() - {1}
+            assert all(stack.shape == (size - depth,) * 2 and stack[0, 0] == nodes[node]
+                       for node, stack in memo.stacks.items()
+                       for depth in [node.bit_length() - 1])
+            assert memo.stack_entries == sum(stack.size for stack in memo.stacks.values())
+            single_steps.append(len(steps))
+            assert set(steps) == {1}
             draws += sample_many(fresh, rng, 200)
-            assert passes[single_passes[-1]:] == [200]  # the batch keeps its own pass
-            passes.clear()
+            assert steps[single_steps[-1]:] == [200] * size  # the batch keeps its own pass
+            steps.clear()
             assert [c.bitmask for c in draws] == expected
             assert rng.random() == after
-        # emptied, the small memo forgets draws and passes again
-        assert 0 < single_passes[0] < single_passes[1] <= 400
+        # emptied, the small memo forgets draws and steps again
+        assert 0 < single_steps[0] < single_steps[1] <= 400 * size
+
+    @pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+    @pytest.mark.parametrize("size", [13, 30, dpp_mod._PANEL])
+    def test_memo_draws_keep_their_bytes_under_a_tiny_stack_budget(self, monkeypatch, request,
+                                                                   branch, size):
+        # room for the stacks of one pass from the root, so they are emptied over and over
+        k = kernel_matrix(request.getfixturevalue(branch), Window.centered(size))
+        expected, after, reference = _memo_reference(k, 400)
+        budget = (size - 1) * size * (2 * size - 1) // 6
+        monkeypatch.setattr(dpp_mod, "_STACK_ENTRIES", budget)
+        rng, memo, draws, kept = SeededRng(21), dpp_mod._draws(k), [], []
+        for _ in range(400):
+            draws.append(sample(k, rng).bitmask)
+            kept.append(memo.stack_entries)
+        assert draws == expected
+        assert rng.random() == after
+        assert memo.probs == {node: reference[node] for node in memo.probs}
+        assert max(kept) <= budget
+        assert any(later < before for before, later in zip(kept, kept[1:]))  # emptied
 
     def test_memo_takes_a_pass_per_distinct_draw_at_most(self, monkeypatch, real_pair):
-        # a count, not a clock: on 30 sites the 250 draws hold 50 distinct masks
+        # a count, not a clock: on 30 sites the 250 draws hold 50 distinct masks, and the
+        # 49 draws that leave the memo resume at the node before: 776 Schur steps, where
+        # 49 passes from the root took 1470
         k = kernel_matrix(real_pair, Window.centered(30))
-        passes = _count_passes(monkeypatch)
+        steps = _count_steps(monkeypatch)
         rng = SeededRng(5, 1)
         draws = [sample(k, rng) for _ in range(250)]
         assert len(set(draws)) == 50
-        assert 0 < len(passes) <= 50
+        assert 0 < len(steps) <= 800 and set(steps) == {1}
         # one shared Configuration per drawn mask
         assert len({id(c) for c in draws}) == 50
 
@@ -553,6 +586,31 @@ class TestSample:
                     np.errstate(all="ignore"):
                 sample(k, rng)
             assert dpp_mod._draws(k).probs == {}
+
+    def test_refused_resumed_draw_records_nothing(self, monkeypatch):
+        # not a kernel: sites 0..10 are always occupied and site 11 is with probability
+        # 0.9; site 12 then has 0.5 - 0.6^2 / 0.9 = 0.1, but 0.5 + 0.6^2 / 0.1 = 4.1
+        # when site 11 is empty
+        entries = np.eye(13)
+        entries[11:, 11:] = [[0.9, 0.6], [0.6, 0.5]]
+        k = KernelMatrix(Window.centered(13), entries)
+        memo, steps = dpp_mod._draws(k), _count_steps(monkeypatch)
+        rng, reference_rng = SeededRng(0), SeededRng(0)
+        for accepted in range(100):
+            probs, stacks = dict(memo.probs), dict(memo.stacks)
+            steps.clear()
+            try:
+                draw = sample(k, rng)
+            except NumericalError as error:
+                message = str(error)
+                break
+            assert draw == sample_many(k, reference_rng, 1)[0]
+        assert accepted > 0 and message.startswith("conditional probability 4.1 ")
+        assert steps == [1, 1]  # resumed at site 11, not at the root
+        assert memo.probs == probs and memo.stacks.keys() == stacks.keys()
+        assert all(memo.stacks[node] is stack for node, stack in stacks.items())
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            sample_many(k, reference_rng, 1)
 
     def test_sample_many_zero_count(self, k6):
         assert sample_many(k6, SeededRng(0), 0) == []

@@ -35,7 +35,7 @@ _CHECK_NAMES = {
                  "l2_condition_probe_metropolis", "l1_condition_probe_glauber",
                  "sector_graph_connected", "trajectory_seed_determinism",
                  "trajectory_particle_conservation", "rate_table_vs_determinants"],
-    "exact": ["reversibility_max_residual", "conservativity_rowsum_max", "stationarity_muQ_max",
+    "exact": ["reversibility_max_residual", "stationarity_muQ_max",
               "dirichlet_generator_identity_max", "spectrum_max_eigenvalue", "spectral_gap",
               "semigroup_entry_min"],
 }
@@ -230,6 +230,9 @@ _FAULTS = {
     "expm": (exact, "_expm", lambda f: lambda q, t: f(q, t) * (1.0 + 1e-6), ("exact",)),
     "log-gamma-difference": (kernel, "log_gamma_difference",
                              lambda f: lambda z, zp, t: f(z, zp, t) * (1.0 + 1e-6), ("kernel",)),
+    # the eigenvalues a KernelMatrix computes once, which validate reads
+    "kernel-eigenvalues": (KernelMatrix, "eigenvalues",
+                           lambda f: property(lambda k: f.func(k) * (1.0 + 1e-6)), ("kernel",)),
 }
 
 
@@ -241,3 +244,12 @@ def test_each_named_fault_fails_a_suite_it_feeds(request, monkeypatch, fault, br
     report = run_suite("all", request.getfixturevalue(branch), WINDOW, seed=7)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed & {name for suite in suites for name in [*_CHECK_NAMES[suite], f"{suite}_error"]}
+
+
+@pytest.mark.parametrize("branch", ["real_pair", "conj_pair"])
+def test_eigenvalue_fault_fails_the_trace_check(request, monkeypatch, branch):
+    module, attribute, faulty, _ = _FAULTS["kernel-eigenvalues"]
+    monkeypatch.setattr(module, attribute, faulty(getattr(module, attribute)))
+    checks = verification.verify_kernel(request.getfixturevalue(branch), WINDOW, seed=7)
+    check = next(c for c in checks if c.name == "kernel_trace_vs_eigensum")
+    assert not check.passed and check.value > 1e3 * check.tolerance
